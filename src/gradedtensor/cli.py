@@ -117,11 +117,12 @@ def _cmd_dim(args) -> int:
 def _cmd_projector(args) -> int:
     lam = _parse_partition(args.partition)
     form = GradedForm(args.N, args.b)
+    if args.decompose:
+        rep_mod.check_table_cap(lam.size)
     report = rep_mod.irreducible_projector(lam, form, size_cap=args.size_cap)
     decomposition = None
     if args.decompose:
-        element = rep_mod.decompose_projector_as_propagator(lam, form, size_cap=args.size_cap)
-        decomposition = element.to_json()
+        decomposition = rep_mod.propagator_table(report.element, form).to_json()
     if args.json:
         out = {
             "partition": list(lam.rows),

@@ -11,6 +11,7 @@ N-dependence and the source of the orthogonal/symplectic duality.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -481,19 +482,12 @@ def perturbative_expansion(
                     continue
                 couplings.append((it.name, p))
                 per = Fraction(model.D, it.graph.node_count)
-                coeff *= per**p / Fraction(_factorial(p))
+                coeff *= per**p / Fraction(math.factorial(p))
                 for _ in range(p):
                     union = disjoint_union_graphs(union, it.graph)
             amp = gaussian_expectation(union, model.propagator, model.b, workers=workers)
             out.append(ExpansionTerm(tuple(couplings), coeff, amp))
     return tuple(out)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:

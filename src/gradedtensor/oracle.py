@@ -11,13 +11,14 @@ the package's central correctness property.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .combinatorics import DirectedPairing, all_pairings, pairing_sign
 from .errors import CapExceededError
 from .model import Propagator, StrandedGraph, invariant_sign_normal_form
-from .representation import GradedForm, decode_index, encode_index
+from .representation import GradedForm, decode_index, encode_index, row_reduce
 
 GENERATOR_CAP = 16          # exterior algebra dimension 2**16
 COVARIANCE_SIZE_CAP = 1024  # N**D cap for explicit covariance matrices
@@ -200,59 +201,8 @@ def exterior_exp(quadratic: ExteriorElement) -> ExteriorElement:
         power = power * quadratic
         if not power.terms:
             break
-        result = result + power.scaled(Fraction(1, _factorial(k)))
+        result = result + power.scaled(Fraction(1, math.factorial(k)))
     return result
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def _row_reduce_pivot_columns(matrix: List[List[Fraction]]) -> List[int]:
-    """Pivot column indices of a copy of the matrix (its independent columns)."""
-    rows = [list(r) for r in matrix]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((k for k in range(r, n_rows) if rows[k][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        for k in range(n_rows):
-            if k == r or rows[k][c] == 0:
-                continue
-            f = rows[k][c] / pv
-            for cc in range(c, n_cols):
-                rows[k][cc] -= f * rows[r][cc]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return pivots
-
-
-def _invert(matrix: List[List[Fraction]]) -> List[List[Fraction]]:
-    n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if pivot is None:
-            raise ValueError("singular quadratic form")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [v / pv for v in aug[c]]
-        for r in range(n):
-            if r == c or aug[r][c] == 0:
-                continue
-            f = aug[r][c]
-            aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
 
 
 class _BerezinState:
@@ -264,14 +214,21 @@ class _BerezinState:
     def __init__(self, cov: ExplicitCovariance):
         if cov.parity != 1:
             raise ValueError("Berezin integration needs odd component parity")
-        support = _row_reduce_pivot_columns(cov.matrix)
+        support = row_reduce([list(row) for row in cov.matrix])
         r = len(support)
         if r % 2 != 0:
             raise ValueError("antisymmetric covariance must have even rank")
         if r > GENERATOR_CAP:
             raise CapExceededError(f"{r} generators exceed the cap {GENERATOR_CAP}")
-        block = [[cov.matrix[i][j] for j in support] for i in support]
-        inv_block = _invert(block)  # the quadratic form on the supported components
+        # [block | 1] reduces to [1 | block^-1], the quadratic form on the
+        # supported components
+        aug = [
+            [cov.matrix[i][j] for j in support] + [Fraction(int(i == k)) for k in support]
+            for i in support
+        ]
+        if row_reduce(aug)[:r] != list(range(r)):
+            raise ValueError("singular quadratic form")
+        inv_block = [row[r:] for row in aug]
         quadratic = ExteriorElement(r)
         for m in range(r):
             for n_ in range(m + 1, r):

@@ -1,14 +1,15 @@
 """Concrete action of Brauer elements on V^(tensor D), exactly.
 
 Everything here is exact rational linear algebra: diagram matrices,
-integer spectra of the arc-sum element, the universal traceless
-projector, the explicit symmetric-traceless product formula and
-irreducible-symmetry projectors.  The symplectic grading enters through
-the form (delta or omega) and the diagram grading sign.
+the closed-form integer spectrum of the arc-sum element, the universal
+traceless projector, the explicit symmetric-traceless product formula
+and irreducible-symmetry projectors.  The symplectic grading enters
+through the form (delta or omega) and the diagram grading sign.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Set, Tuple
@@ -23,7 +24,14 @@ from .brauer import (
 )
 from .errors import CapExceededError
 from .polynomial import Poly
-from .young import YoungDiagram, symmetrizer_norm, young_symmetrizer, factorial
+from .young import (
+    YoungDiagram,
+    content_sum,
+    lr_coefficient,
+    partitions,
+    symmetrizer_norm,
+    young_symmetrizer,
+)
 
 DEFAULT_SIZE_CAP = 20736  # N**D above this errors instead of thrashing
 
@@ -180,7 +188,7 @@ class TensorMap:
         return rows
 
     def rank(self) -> int:
-        return _row_rank(self.dense_rows())
+        return len(row_reduce(self.dense_rows()))
 
     def nullity(self) -> int:
         return self.size - self.rank()
@@ -189,36 +197,29 @@ class TensorMap:
         return self.compose(self) == self
 
 
-def _row_rank(rows: List[List[Fraction]]) -> int:
-    """Rank by exact Gaussian elimination; mutates the given rows."""
-    if not rows:
-        return 0
-    n_rows, n_cols = len(rows), len(rows[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if rows[r][col] != 0:
-                pivot = r
-                break
+def row_reduce(rows: List[List[Fraction]]) -> List[int]:
+    """Exact Gauss-Jordan elimination of the rows, in place, to reduced
+    row echelon form; returns the pivot (independent) columns."""
+    pivots: List[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
         pval = prow[col]
-        support = [c for c in range(col, n_cols) if prow[c] != 0]
-        for r in range(rank + 1, n_rows):
-            f = rows[r][col]
-            if f == 0:
+        support = [c for c in range(col, len(prow)) if prow[c] != 0]
+        for c in support:
+            prow[c] /= pval
+        for k, row in enumerate(rows):
+            f = row[col]
+            if k == r or f == 0:
                 continue
-            f = f / pval
-            row = rows[r]
             for c in support:
                 row[c] -= f * prow[c]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+        pivots.append(col)
+    return pivots
 
 
 # -- index coding ------------------------------------------------------------
@@ -405,7 +406,9 @@ def minimal_polynomial(m: TensorMap) -> Poly:
     """Exact monic minimal polynomial of a tensor map.
 
     lcm of the local annihilators of the standard basis vectors, with a
-    fast membership check so most vectors are skipped.
+    fast membership check so most vectors are skipped.  No projector is
+    built from it: it is the independent numeric reference for the
+    closed-form spectrum of `ad_nonzero_eigenvalues`.
     """
     p = Poly.const(1)
     for j in range(m.size):
@@ -432,32 +435,33 @@ def minimal_polynomial(m: TensorMap) -> Poly:
 def ad_nonzero_eigenvalues(
     D: int, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
 ) -> Set[int]:
-    """Distinct nonzero eigenvalues of the arc-sum element, exactly.
+    """Distinct nonzero eigenvalues of the arc-sum element, in closed form.
 
-    The map is diagonalizable with integer spectrum of sign (-1)^b and
-    absolute value at most D(D-1)/2 * N, so the nonzero eigenvalues are
-    the integer roots of the minimal polynomial inside that range.  The
-    factorization must be exhausted by those roots, and the product of
-    (1 - A/alpha) over them must annihilate A; either failure would mean
-    a non-integer eigenvalue and raises.
+    By Nazarov's Jucys-Murphy elements for the Brauer algebra (J. Algebra
+    182, 1996), A_D acts as alpha = c(lambda) - c(mu) + f (z - 1) on the
+    component labelled by mu |- D - 2f and lambda |- D, where lambda occurs
+    in mu times an even-row nu |- 2f, c is the content sum and
+    z = (-1)^b N.  Only pairs present on the tensor space count: l(lambda)
+    <= N and mu'_1 + mu'_2 <= N for O(N), lambda_1 <= N and mu_1 <= N/2
+    for Sp(N).  The product of (1 - A/alpha) over the result must
+    annihilate A on the tensor space, else this raises.
     """
     m = ad_matrix(D, form, size_cap)
-    p = minimal_polynomial(m)
-    bound = (D * (D - 1) // 2) * form.N
-    candidates = range(1, bound + 1) if form.b == 0 else range(-1, -bound - 1, -1)
+    N, z = form.N, int(form.z_value)
+    if form.b:
+        lambdas = [lam for lam in partitions(D) if lam[0] <= N]
+        mu_occurs = lambda mu: 2 * max(mu, default=0) <= N
+    else:
+        lambdas = [lam for lam in partitions(D) if len(lam) <= N]
+        mu_occurs = lambda mu: len(mu) + sum(r >= 2 for r in mu) <= N
     found: Set[int] = set()
-    remainder = p
-    while remainder.degree > 0 and remainder.coefficient(0) == 0:
-        remainder = _poly_divmod(remainder, Poly.x())[0]  # strip the kernel root
-    for alpha in candidates:
-        if remainder(alpha) == 0:
-            found.add(alpha)
-            remainder = _poly_divmod(remainder, Poly((-alpha, 1)))[0]
-    if remainder.degree > 0:
-        raise ArithmeticError(
-            "arc-sum spectrum not exhausted by integer candidates; "
-            "this contradicts the integrality of the spectrum"
-        )
+    for f in range(1, D // 2 + 1):
+        even_nus = [nu for nu in partitions(2 * f) if all(r % 2 == 0 for r in nu)]
+        for mu in filter(mu_occurs, partitions(D - 2 * f)):
+            for lam in lambdas:
+                alpha = content_sum(lam) - content_sum(mu) + f * (z - 1)
+                if alpha and any(lr_coefficient(lam, mu, nu) for nu in even_nus):
+                    found.add(alpha)
     ident = TensorMap.identity(form.N, D)
     proj = ident
     for alpha in sorted(found):
@@ -552,38 +556,48 @@ def symmetric_traceless_projector(
     _check_cap(form.N, D, size_cap)
     factors = symmetric_traceless_element(D, form)
     c_s = embed_group_algebra(young_symmetrizer(YoungDiagram((D,))), D)
-    element = multiply(factors, c_s.scaled(Fraction(1, factorial(D))))
+    element = multiply(factors, c_s.scaled(Fraction(1, math.factorial(D))))
     return _report(element, form, size_cap)
+
+
+def irreducible_element(
+    lam: YoungDiagram, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
+) -> BrauerElement:
+    """c_lambda followed by the universal traceless projector, normalized
+    to be idempotent, as a Brauer element."""
+    D = lam.size
+    _check_cap(form.N, D, size_cap)
+    c = embed_group_algebra(young_symmetrizer(lam), D)
+    return multiply(c.scaled(1 / symmetrizer_norm(lam)), traceless_element(D, form, size_cap))
 
 
 def irreducible_projector(
     lam: YoungDiagram, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
 ) -> ProjectorReport:
-    """Projector for an irreducible symmetry type: c_lambda followed by
-    the universal traceless projector, normalized to be idempotent."""
-    D = lam.size
-    _check_cap(form.N, D, size_cap)
-    c = embed_group_algebra(young_symmetrizer(lam), D)
-    n = symmetrizer_norm(lam)
-    element = multiply(c.scaled(1 / n), traceless_element(D, form, size_cap))
-    return _report(element, form, size_cap)
+    """Projector for an irreducible symmetry type, with its invariants."""
+    return _report(irreducible_element(lam, form, size_cap), form, size_cap)
 
 
-def decompose_projector_as_propagator(
-    lam: YoungDiagram, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
-) -> BrauerElement:
-    """The irreducible projector as a diagram-basis table with numeric weights.
+def check_table_cap(D: int):
+    """Propagator tables are supported for D <= 4 strands."""
+    if D > 4:
+        raise CapExceededError("propagator decomposition supported for |lambda| <= 4")
+
+
+def propagator_table(element: BrauerElement, form: GradedForm) -> BrauerElement:
+    """A projector element as a diagram-basis table with numeric weights.
 
     Coefficients are evaluated at the loop weight (-1)^b N, so each term
     is one undirected pairing of the 2D propagator slots with a rational
     weight; the result is directly usable as a model propagator.
     """
-    if lam.size > 4:
-        raise CapExceededError("propagator decomposition supported for |lambda| <= 4")
-    report = irreducible_projector(lam, form, size_cap)
-    terms = {
-        d: Poly.const(c(form.z_value))
-        for d, c in report.element.terms.items()
-        if c(form.z_value) != 0
-    }
-    return BrauerElement(lam.size, terms)
+    z = form.z_value
+    return BrauerElement(element.D, {d: Poly.const(c(z)) for d, c in element.terms.items()})
+
+
+def decompose_projector_as_propagator(
+    lam: YoungDiagram, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
+) -> BrauerElement:
+    """The irreducible projector as a propagator table (`propagator_table`)."""
+    check_table_cap(lam.size)
+    return propagator_table(irreducible_element(lam, form, size_cap), form)

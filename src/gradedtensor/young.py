@@ -1,4 +1,5 @@
-"""Partitions, Young diagrams, hook lengths and Young symmetrizers.
+"""Partitions, Young diagrams, hook lengths, Young symmetrizers and
+Littlewood-Richardson coefficients.
 
 Only the canonical row-major tableau is supported; row and column
 groups are materialized as explicit permutation sets, which caps
@@ -250,19 +251,50 @@ def young_symmetrizer(lam: YoungDiagram) -> GroupAlgebraElement:
 
 
 def symmetrizer_norm(lam: YoungDiagram) -> Fraction:
-    """The scalar n with c*c = n*c for the Young symmetrizer of lambda."""
-    c = young_symmetrizer(lam)
-    c2 = c * c
-    for p, coeff in c.terms.items():
-        if coeff != 0:
-            n = c2.terms.get(p, Fraction(0)) / coeff
-            break
-    else:  # pragma: no cover - symmetrizers are never zero
-        raise ValueError("zero symmetrizer")
-    if n == 0 or (c * n) != c2:
-        raise ValueError(f"symmetrizer of {lam} is not quasi-idempotent")
-    return n
+    """The scalar n with c*c = n*c for the Young symmetrizer of lambda:
+    the product of the hook lengths."""
+    return Fraction(math.prod(hook_length(lam, i, j) for (i, j) in lam.boxes()))
 
 
-def factorial(n: int) -> int:
-    return math.factorial(n)
+# -- contents and Littlewood-Richardson coefficients ----------------------
+
+
+def content_sum(rows: Tuple[int, ...]) -> int:
+    """Sum over the boxes of a partition of (column - row)."""
+    return sum(j - i for i, r in enumerate(rows) for j in range(r))
+
+
+def lr_coefficient(lam: Tuple[int, ...], mu: Tuple[int, ...], nu: Tuple[int, ...]) -> int:
+    """The Littlewood-Richardson coefficient c^lam_{mu nu}.
+
+    Counts the semistandard fillings of the skew shape lam/mu with content
+    nu whose reading word (rows top to bottom, each right to left) is a
+    lattice word.  Partitions are row tuples; () is the empty partition.
+    """
+    if sum(lam) != sum(mu) + sum(nu) or len(mu) > len(lam):
+        return 0
+    mu = mu + (0,) * (len(lam) - len(mu))
+    if any(m > r for m, r in zip(mu, lam)):
+        return 0
+    cells = [(i, j) for i, r in enumerate(lam) for j in range(r - 1, mu[i] - 1, -1)]
+    filled: Dict[Tuple[int, int], int] = {}
+    used = [0] * len(nu)
+
+    def fill(k: int) -> int:
+        if k == len(cells):
+            return 1
+        i, j = cells[k]
+        right = filled.get((i, j + 1), len(nu) - 1)
+        above = filled.get((i - 1, j), -1)
+        total = 0
+        for v in range(above + 1, right + 1):
+            if used[v] == nu[v] or (v and used[v] == used[v - 1]):
+                continue
+            filled[(i, j)] = v
+            used[v] += 1
+            total += fill(k + 1)
+            used[v] -= 1
+        filled.pop((i, j), None)
+        return total
+
+    return fill(0)

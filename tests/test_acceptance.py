@@ -161,7 +161,9 @@ def test_criterion_5_projector_suite():
         form = GradedForm(4, 0)
         explicit = symmetric_traceless_projector(D, form)
         from gradedtensor.brauer import embed_group_algebra
-        from gradedtensor.young import young_symmetrizer, factorial
+        from math import factorial
+
+        from gradedtensor.young import young_symmetrizer
 
         c_s = embed_group_algebra(young_symmetrizer(YoungDiagram((D,))), D).scaled(
             Fraction(1, factorial(D))

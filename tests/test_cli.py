@@ -89,6 +89,13 @@ def test_projector_cap_exit_code(capsys):
     assert "cap" in err
 
 
+def test_projector_decomposition_cap_exit_code(capsys):
+    code, out, err = invoke(capsys, "projector", "5", "--N", "2", "--decompose", "--json")
+    assert code == 3
+    assert out == ""
+    assert "|lambda| <= 4" in err
+
+
 def test_amplitude_command(tmp_path, capsys):
     graph = tmp_path / "graph.json"
     graph.write_text(

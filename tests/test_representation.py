@@ -24,6 +24,7 @@ from gradedtensor.representation import (
     element_to_map,
     encode_index,
     irreducible_projector,
+    minimal_polynomial,
     symmetric_traceless_projector,
     traceless_element,
     traceless_projector,
@@ -137,6 +138,26 @@ def test_eigenvalue_signs_match_grading():
             assert alpha > 0 if b == 0 else alpha < 0
 
 
+SPECTRUM_GRID = (
+    [(D, N) for D in (2, 3) for N in range(2, 7)]
+    + [(4, N) for N in (2, 3, 4)]
+    + [(5, 2), (6, 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "D,N,b", [(D, N, b) for (D, N) in SPECTRUM_GRID for b in (0, 1) if not (b and N % 2)]
+)
+def test_closed_form_spectrum_matches_minimal_polynomial(D, N, b):
+    form = GradedForm(N, b)
+    p = minimal_polynomial(ad_matrix(D, form))
+    bound = D * (D - 1) // 2 * N
+    roots = {a for a in range(-bound, bound + 1) if a and p(a) == 0}
+    # the spectrum is integral and A_D diagonalizable: simple integer roots only
+    assert p.degree == len(roots) + (p(0) == 0)
+    assert ad_nonzero_eigenvalues(D, form) == roots
+
+
 def contraction_rank(N, D, form):
     """Rank of the stacked slot-pair contraction maps, independent of A_D."""
     rows = []
@@ -155,9 +176,9 @@ def contraction_rank(N, D, form):
                         full.insert(j, c)
                         row[encode_index(tuple(full), N)] += g
                 rows.append(row)
-    from gradedtensor.representation import _row_rank
+    from gradedtensor.representation import row_reduce
 
-    return _row_rank(rows)
+    return len(row_reduce(rows))
 
 
 @pytest.mark.parametrize("N,b", [(3, 0), (4, 0), (2, 1)])

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedtensor.polynomial import Poly
 from gradedtensor.young import (
@@ -13,6 +15,7 @@ from gradedtensor.young import (
     dimension_duality_check,
     gl_dimension_poly,
     hook_length,
+    lr_coefficient,
     partitions,
     perm_sign,
     row_group,
@@ -133,6 +136,39 @@ def test_symmetrizer_quasi_idempotent_up_to_5():
             n = symmetrizer_norm(lam)
             assert n != 0
             assert c * c == c * n
+
+
+def standard_tableaux_count(rows) -> int:
+    """f^lambda = n! / (product of hook lengths); 1 for the empty partition."""
+    if not rows:
+        return 1
+    lam = YoungDiagram(rows)
+    hooks = math.prod(hook_length(lam, i, j) for (i, j) in lam.boxes())
+    return math.factorial(lam.size) // hooks
+
+
+small_partitions = st.integers(0, 4).flatmap(lambda n: st.sampled_from(list(partitions(n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=small_partitions, nu=small_partitions)
+def test_lr_coefficients_induce_dimensions(mu, nu):
+    # dimension of the induced S_{m+n} module: sum_lam c^lam_{mu nu} f^lam
+    m, n = sum(mu), sum(nu)
+    induced = sum(
+        lr_coefficient(lam, mu, nu) * standard_tableaux_count(lam) for lam in partitions(m + n)
+    )
+    expected = math.comb(m + n, m) * standard_tableaux_count(mu) * standard_tableaux_count(nu)
+    assert induced == expected
+
+
+def test_lr_coefficient_known_values():
+    assert lr_coefficient((3, 2, 1), (2, 1), (2, 1)) == 2
+    assert lr_coefficient((2, 1), (1,), (1, 1)) == 1
+    assert lr_coefficient((2, 2), (), (2, 2)) == 1
+    assert lr_coefficient((3, 1), (2,), (2,)) == 1
+    assert lr_coefficient((2, 2), (2,), (1, 1)) == 0
+    assert lr_coefficient((2,), (1, 1), ()) == 0
 
 
 def test_group_algebra_product_convention(rng):
