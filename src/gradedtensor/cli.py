@@ -332,7 +332,7 @@ def run(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, AttributeError, OSError, KeyError) as exc:
         return _usage_error(str(exc))
 
 

@@ -432,9 +432,7 @@ def minimal_polynomial(m: TensorMap) -> Poly:
     return p
 
 
-def ad_nonzero_eigenvalues(
-    D: int, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
-) -> Set[int]:
+def ad_nonzero_eigenvalues(D: int, form: GradedForm) -> Set[int]:
     """Distinct nonzero eigenvalues of the arc-sum element, in closed form.
 
     By Nazarov's Jucys-Murphy elements for the Brauer algebra (J. Algebra
@@ -443,10 +441,8 @@ def ad_nonzero_eigenvalues(
     in mu times an even-row nu |- 2f, c is the content sum and
     z = (-1)^b N.  Only pairs present on the tensor space count: l(lambda)
     <= N and mu'_1 + mu'_2 <= N for O(N), lambda_1 <= N and mu_1 <= N/2
-    for Sp(N).  The product of (1 - A/alpha) over the result must
-    annihilate A on the tensor space, else this raises.
+    for Sp(N).  No tensor map is built.
     """
-    m = ad_matrix(D, form, size_cap)
     N, z = form.N, int(form.z_value)
     if form.b:
         lambdas = [lam for lam in partitions(D) if lam[0] <= N]
@@ -462,12 +458,6 @@ def ad_nonzero_eigenvalues(
                 alpha = content_sum(lam) - content_sum(mu) + f * (z - 1)
                 if alpha and any(lr_coefficient(lam, mu, nu) for nu in even_nus):
                     found.add(alpha)
-    ident = TensorMap.identity(form.N, D)
-    proj = ident
-    for alpha in sorted(found):
-        proj = proj.compose(ident - m.scaled(Fraction(1, alpha)))
-    if not m.compose(proj).is_zero():
-        raise ArithmeticError("traceless projector fails to annihilate the arc sum")
     return found
 
 
@@ -486,8 +476,16 @@ class ProjectorReport:
             raise ArithmeticError("idempotent map with trace != rank")
 
 
-def _report(element: BrauerElement, form: GradedForm, size_cap: int) -> ProjectorReport:
+def _check_traceless(element: BrauerElement, form: GradedForm, size_cap: int) -> TensorMap:
+    """The element's tensor map, after checking that A_D annihilates its image."""
     m = element_to_map(element, form, size_cap)
+    if element.D >= 2 and not ad_matrix(element.D, form, size_cap).compose(m).is_zero():
+        raise ArithmeticError("projector image is not traceless")
+    return m
+
+
+def _report(element: BrauerElement, form: GradedForm, size_cap: int) -> ProjectorReport:
+    m = _check_traceless(element, form, size_cap)
     return ProjectorReport(
         projector=m,
         trace=m.trace(),
@@ -497,20 +495,18 @@ def _report(element: BrauerElement, form: GradedForm, size_cap: int) -> Projecto
     )
 
 
-def traceless_element(
-    D: int, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
-) -> BrauerElement:
+def traceless_element(D: int, form: GradedForm) -> BrauerElement:
     """The universal traceless projector as a Brauer element.
 
-    The product over the nonzero eigenvalues alpha of (1 - A/alpha),
-    with the eigenvalues extracted exactly for the given N and grading.
+    The product over the nonzero eigenvalues alpha of (1 - A/alpha), with
+    the closed-form eigenvalues for the given N and grading (no tensor map).
     """
     one = BrauerElement.one(D)
     if D < 2:
         return one
     a = casimir_ad(D)
     out = one
-    for alpha in sorted(ad_nonzero_eigenvalues(D, form, size_cap)):
+    for alpha in sorted(ad_nonzero_eigenvalues(D, form)):
         out = multiply(out, one + a.scaled(Fraction(-1, alpha)))
     return out
 
@@ -519,7 +515,8 @@ def traceless_projector(
     D: int, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
 ) -> ProjectorReport:
     """Projector onto tensors annihilated by every form contraction."""
-    return _report(traceless_element(D, form, size_cap), form, size_cap)
+    _check_cap(form.N, D, size_cap)
+    return _report(traceless_element(D, form), form, size_cap)
 
 
 def symmetric_traceless_element(
@@ -568,7 +565,7 @@ def irreducible_element(
     D = lam.size
     _check_cap(form.N, D, size_cap)
     c = embed_group_algebra(young_symmetrizer(lam), D)
-    return multiply(c.scaled(1 / symmetrizer_norm(lam)), traceless_element(D, form, size_cap))
+    return multiply(c.scaled(1 / symmetrizer_norm(lam)), traceless_element(D, form))
 
 
 def irreducible_projector(
@@ -598,6 +595,8 @@ def propagator_table(element: BrauerElement, form: GradedForm) -> BrauerElement:
 def decompose_projector_as_propagator(
     lam: YoungDiagram, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
 ) -> BrauerElement:
-    """The irreducible projector as a propagator table (`propagator_table`)."""
+    """The irreducible projector as a propagator table, checked to have a traceless image."""
     check_table_cap(lam.size)
-    return propagator_table(irreducible_element(lam, form, size_cap), form)
+    element = irreducible_element(lam, form, size_cap)
+    _check_traceless(element, form, size_cap)
+    return propagator_table(element, form)

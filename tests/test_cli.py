@@ -200,6 +200,29 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+GOOD_GRAPH = {"D": 2, "vertices": 2, "strands": [[[1, 1], [2, 1]], [[1, 2], [2, 2]]]}
+GOOD_PROP = {"terms": [{"pairs": [[1, 3], [2, 4]], "gamma": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "graph,prop",
+    [
+        ([1, 2], GOOD_PROP),
+        (dict(GOOD_GRAPH, strands=5), GOOD_PROP),
+        (dict(GOOD_GRAPH, D=None), GOOD_PROP),
+        (GOOD_GRAPH, [1, 2]),
+    ],
+)
+def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
+    gpath, ppath = tmp_path / "graph.json", tmp_path / "prop.json"
+    gpath.write_text(json.dumps(graph))
+    ppath.write_text(json.dumps(prop))
+    code, out, err = invoke(capsys, "amplitude", "--graph", str(gpath), "--propagator", str(ppath))
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_byte_identical_reruns(quartic_model, capsys):
     _, first, _ = invoke(capsys, "duality-check", "--model", quartic_model, "--json")
     _, second, _ = invoke(capsys, "duality-check", "--model", quartic_model, "--json")

@@ -14,6 +14,7 @@ from gradedtensor.brauer import (
 from gradedtensor.errors import CapExceededError
 from gradedtensor.polynomial import Poly
 from gradedtensor.representation import (
+    DEFAULT_SIZE_CAP,
     GradedForm,
     TensorMap,
     ad_matrix,
@@ -338,4 +339,29 @@ def test_size_cap_enforced():
     with pytest.raises(CapExceededError):
         diagram_to_map(identity_diagram(3), GradedForm(3, 0), size_cap=10)
     with pytest.raises(CapExceededError):
-        ad_nonzero_eigenvalues(2, GradedForm(5, 0), size_cap=20)
+        traceless_projector(2, GradedForm(5, 0), size_cap=20)
+
+
+def test_spectrum_builds_no_tensor_map():
+    # N^D = 46656 is above DEFAULT_SIZE_CAP; the closed form needs no map
+    form = GradedForm(6, 0)
+    assert form.N**6 > DEFAULT_SIZE_CAP
+    eigs = ad_nonzero_eigenvalues(6, form)
+    # lambda = (6), mu = empty, f = 3: c((6)) + 3 (N - 1) = 15 + 15
+    assert 30 in eigs
+
+
+def test_dropped_eigenvalue_fails_traceless_check(monkeypatch):
+    import gradedtensor.representation as rep_mod
+
+    full = rep_mod.ad_nonzero_eigenvalues
+
+    def drop_one(*args):
+        return set(sorted(full(*args))[1:])
+
+    monkeypatch.setattr(rep_mod, "ad_nonzero_eigenvalues", drop_one)
+    lam, form = YoungDiagram((2,)), GradedForm(3, 0)
+    with pytest.raises(ArithmeticError):
+        irreducible_projector(lam, form)
+    with pytest.raises(ArithmeticError):
+        decompose_projector_as_propagator(lam, form)
