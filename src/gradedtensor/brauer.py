@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .combinatorics import DirectedPairing, pairing_sign
+from .combinatorics import DirectedPairing, pairing_sign, partner_map, strand_walk
 from .polynomial import Poly
 from .young import GroupAlgebraElement, Perm
 
@@ -139,80 +139,17 @@ def generator_beta(D: int, i: int) -> BrauerDiagram:
 def compose_diagrams(d1: BrauerDiagram, d2: BrauerDiagram) -> Tuple[BrauerDiagram, int]:
     """The product d1*d2 (d1 placed below d2) and the loop count.
 
-    Straightens the stacked picture: d2's bottom row is glued to d1's top
-    row, paths are followed through the middle layer, and closed cycles
-    confined to the middle layer are deleted after being counted.  The
-    glued picture is a multigraph (an arc of d2 can sit on the same two
-    middle points as an arc of d1), so edges are tracked as a multiset.
+    Straightens the stacked picture: d2 keeps its points 1..2D and d1's
+    points are shifted to D+1..3D, so d2's bottom row is glued to d1's
+    top row.  `strand_walk` joins the free points 1..D and 2D+1..3D
+    through the middle layer and counts the closed loops confined to it.
     """
     if d1.D != d2.D:
         raise ValueError("strand-count mismatch")
     D = d1.D
-    # Nodes: ('t', i) top of d2, ('m', i) glued middle, ('b', i) bottom of d1.
-
-    def d2_node(p):
-        return ("t", p) if p <= D else ("m", p - D)
-
-    def d1_node(p):
-        return ("m", p) if p <= D else ("b", p - D)
-
-    edges = []
-    for a, b in d2.pairs:
-        edges.append((d2_node(a), d2_node(b)))
-    for a, b in d1.pairs:
-        edges.append((d1_node(a), d1_node(b)))
-    incident: Dict[tuple, list] = {}
-    for k, (x, y) in enumerate(edges):
-        incident.setdefault(x, []).append(k)
-        incident.setdefault(y, []).append(k)
-
-    used_edges = [False] * len(edges)
-
-    def other_end(k, x):
-        a, b = edges[k]
-        return b if a == x else a
-
-    def follow(start):
-        x = start
-        while True:
-            k = next((e for e in incident[x] if not used_edges[e]), None)
-            if k is None:
-                return x
-            used_edges[k] = True
-            x = other_end(k, x)
-            if x[0] != "m":
-                return x
-
-    new_pairs = []
-    endpoints = [("t", i) for i in range(1, D + 1)] + [("b", i) for i in range(1, D + 1)]
-    done = set()
-    for ep in endpoints:
-        if ep in done:
-            continue
-        far = follow(ep)
-        done.add(ep)
-        done.add(far)
-        new_pairs.append((node_point(ep, D), node_point(far, D)))
-
-    loops = 0
-    for k, (x, y) in enumerate(edges):
-        if used_edges[k]:
-            continue
-        # walk the closed cycle through middle nodes
-        used_edges[k] = True
-        cur = y
-        while cur != x:
-            e = next(e for e in incident[cur] if not used_edges[e])
-            used_edges[e] = True
-            cur = other_end(e, cur)
-        loops += 1
-
-    return BrauerDiagram(D, tuple(new_pairs)), loops
-
-
-def node_point(node, D: int) -> int:
-    kind, i = node
-    return i if kind == "t" else D + i
+    paths, loops = strand_walk(partner_map(d2.pairs), partner_map(d1.pairs, D))
+    pairs = tuple((a if a <= D else a - D, b if b <= D else b - D) for a, b in paths)
+    return BrauerDiagram(D, pairs), loops
 
 
 # -- linear combinations ----------------------------------------------------

@@ -49,9 +49,15 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read(path: str, parse):
+    """`parse` applied to a JSON file; its errors name the file and any missing field."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field '{exc.args[0]}'") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _propagator_from_spec(spec: dict, D: int, b: int, N: Optional[int]) -> Propagator:
@@ -76,17 +82,15 @@ def _propagator_from_spec(spec: dict, D: int, b: int, N: Optional[int]) -> Propa
     raise ValueError("propagator block needs either \"terms\" or \"projector\"")
 
 
-def _load_model(path: str) -> tuple[ModelSpec, Optional[int]]:
-    data = _load_json(path)
+def _model_from_json(data: dict) -> ModelSpec:
     D = int(data["D"])
     b = int(data.get("b", 0))
-    N = data.get("N")
-    prop = _propagator_from_spec(data["propagator"], D, b, N)
+    prop = _propagator_from_spec(data["propagator"], D, b, data.get("N"))
     interactions = tuple(
         Interaction(item["name"], StrandedGraph.from_json(item["graph"]))
         for item in data.get("interactions", [])
     )
-    return ModelSpec(D, b, prop, interactions), (int(N) if N is not None else None)
+    return ModelSpec(D, b, prop, interactions)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -146,9 +150,8 @@ def _cmd_projector(args) -> int:
 
 
 def _cmd_amplitude(args) -> int:
-    graph = StrandedGraph.from_json(_load_json(args.graph))
-    pdata = _load_json(args.propagator)
-    prop = _propagator_from_spec(pdata, graph.D, args.b, pdata.get("N"))
+    graph = _read(args.graph, StrandedGraph.from_json)
+    prop = _read(args.propagator, lambda d: _propagator_from_spec(d, graph.D, args.b, d.get("N")))
     amp = gaussian_expectation(graph, prop, args.b, workers=args.threads)
     if args.json:
         print(json.dumps({"b": args.b, "amplitude": amp.poly.to_coeff_map()}, sort_keys=True))
@@ -158,7 +161,7 @@ def _cmd_amplitude(args) -> int:
 
 
 def _cmd_duality_check(args) -> int:
-    spec, _ = _load_model(args.model)
+    spec = _read(args.model, _model_from_json)
     verdict = True
     reports = []
     for it in spec.interactions:
@@ -206,7 +209,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    spec, _ = _load_model(args.model)
+    spec = _read(args.model, _model_from_json)
     terms = perturbative_expansion(spec, args.order, workers=args.threads)
     rows = []
     for term in terms:
@@ -232,9 +235,10 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    graph = StrandedGraph.from_json(_load_json(args.graph))
-    pdata = _load_json(args.propagator)
-    prop = _propagator_from_spec(pdata, graph.D, args.b, pdata.get("N", args.N))
+    graph = _read(args.graph, StrandedGraph.from_json)
+    prop = _read(
+        args.propagator, lambda d: _propagator_from_spec(d, graph.D, args.b, d.get("N", args.N))
+    )
     pipeline = gaussian_expectation(graph, prop, args.b).poly(Fraction(args.N))
     numeric = oracle_mod.numeric_invariant_expectation(graph, prop, args.N, args.b)
     agree = pipeline == numeric

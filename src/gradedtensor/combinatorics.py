@@ -12,7 +12,7 @@ cycle refines the sign into a face count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 Pair = Tuple[int, int]
 
@@ -216,6 +216,45 @@ def face_decomposition(m1: DirectedPairing, m2: DirectedPairing) -> FaceDecompos
             use_first = not use_first
         cycles.append(FaceCycle(tuple(nodes), even=(forward % 2 == 0)))
     return FaceDecomposition(tuple(cycles))
+
+
+def partner_map(pairs: Iterable[Pair], shift: int = 0) -> Dict[int, int]:
+    """The symmetric point -> partner dict of a matching, points shifted by `shift`."""
+    out = {}
+    for a, b in pairs:
+        out[a + shift] = b + shift
+        out[b + shift] = a + shift
+    return out
+
+
+def strand_walk(first: Dict[int, int], second: Dict[int, int]) -> Tuple[List[Pair], int]:
+    """Straighten the union of two partial matchings.
+
+    Both arguments are symmetric point -> partner dicts.  A point that
+    only one of them matches ends an alternating path; the result lists
+    the (start, end) pair of each such path once, together with the
+    number of closed alternating cycles, which use only points that both
+    matchings cover.  For two perfect matchings there are no paths and
+    the cycle count is the face count of `face_decomposition`.
+    """
+    seen = set()
+    paths, loops = [], 0
+    free = [p for p in first if p not in second] + [p for p in second if p not in first]
+    for start in free + list(first):
+        if start in seen:
+            continue
+        step, other = (first, second) if start in first else (second, first)
+        x = step[start]
+        while x != start and x in other:
+            seen.add(x)
+            step, other = other, step
+            x = step[x]
+        seen.update((start, x))
+        if x == start:
+            loops += 1
+        else:
+            paths.append((start, x))
+    return paths, loops
 
 
 def double_factorial(n: int) -> int:

@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .brauer import BrauerDiagram, BrauerElement
 from .combinatorics import (
     DirectedPairing,
     all_pairings,
-    canonical_orientation,
     face_decomposition,
     pairing_sign,
+    partner_map,
+    strand_walk,
 )
 from .polynomial import Poly
 
@@ -292,40 +294,49 @@ def invariant_sign_normal_form(S: StrandedGraph, ref: DirectedPairing) -> Invari
     )
 
 
+def _completions(
+    S: StrandedGraph, C: Propagator, pairings: Iterable[Tuple[Pair, ...]]
+) -> Iterator[Tuple[Tuple[Pair, ...], Tuple[int, ...], Tuple[Pair, ...]]]:
+    """(vertex pairing, term choice, oriented color-0 strands) per completion.
+
+    One completion per vertex pairing, given as (smaller, larger) pairs
+    in sorted order, and per choice of a propagator term for each of its
+    edges.  For an edge (i, j), slots 1..D of the term land on vertex i
+    and D+1..2D on vertex j.
+    """
+    D = S.D
+    oriented_terms = [t.oriented().pairs for t in C.terms]
+
+    def place(slot: int, i: int, j: int) -> int:
+        return (i - 1) * D + slot if slot <= D else (j - 1) * D + (slot - D)
+
+    for matching in pairings:
+        placed = [
+            [tuple((place(x, i, j), place(y, i, j)) for x, y in term) for term in oriented_terms]
+            for i, j in matching
+        ]
+        for choice in itertools.product(range(len(oriented_terms)), repeat=len(matching)):
+            color0 = tuple(p for edge, t in zip(placed, choice) for p in edge[t])
+            yield matching, choice, color0
+
+
 def wick_expand(S: StrandedGraph, C: Propagator, b: int) -> Tuple[TwoColoredGraph, ...]:
     """All 2-colored completions of S with their collected weights.
 
     One graph per choice of a vertex pairing and of a propagator term
     for each of its edges; the graph weight is the product of the chosen
-    term weights, read at the loop weight of grading b.  For an oriented
-    edge (i, j), slots 1..D of the term land on vertex i and D+1..2D on
-    vertex j.
+    term weights, read at the loop weight of grading b.  This is the
+    per-graph reference for `gaussian_expectation`, which only counts.
     """
     if C.D != S.D:
         raise ValueError("propagator strand count does not match the graph")
     if S.vertices % 2 != 0 or S.vertices == 0:
         return ()
-    D = S.D
     weights = C.weights_at_grading(b)
-    oriented_terms = [t.oriented().pairs for t in C.terms]
-
     out = []
-    for matching in all_pairings(S.vertices):
-        m0 = canonical_orientation(matching)
-        for choice in itertools.product(range(len(C.terms)), repeat=len(m0.pairs)):
-            color0: List[Pair] = []
-            weight = Poly.const(1)
-            for (i, j), term_idx in zip(m0.pairs, choice):
-                weight = weight * weights[term_idx]
-
-                def to_node(slot: int) -> int:
-                    return (i - 1) * D + slot if slot <= D else (j - 1) * D + (slot - D)
-
-                for (x, y) in oriented_terms[term_idx]:
-                    color0.append((to_node(x), to_node(y)))
-            if not weight:
-                continue
-            out.append(TwoColoredGraph(S, m0.pairs, tuple(color0), weight))
+    for matching, choice, color0 in _completions(S, C, all_pairings(S.vertices)):
+        weight = math.prod((weights[t] for t in choice), start=Poly.const(1))
+        out.append(TwoColoredGraph(S, matching, color0, weight))
     return tuple(out)
 
 
@@ -352,11 +363,14 @@ def graph_amplitude(G: TwoColoredGraph, b: int) -> AmplitudePolynomial:
     return AmplitudePolynomial(G.weight * sign * Poly.monomial(total), b)
 
 
-def _expectation_of_graphs(graphs: Sequence[TwoColoredGraph], b: int) -> Poly:
-    total = Poly()
-    for g in graphs:
-        total = total + graph_amplitude(g, b).poly
-    return total
+def _face_census(S: StrandedGraph, C: Propagator, pairings: Sequence[Tuple[Pair, ...]]) -> Counter:
+    """Completions counted by (face count, sorted term choice)."""
+    strands = partner_map(S.strands)
+    census: Counter = Counter()
+    for _, choice, color0 in _completions(S, C, pairings):
+        faces = strand_walk(partner_map(color0), strands)[1]
+        census[faces, tuple(sorted(choice))] += 1
+    return census
 
 
 def gaussian_expectation(
@@ -364,31 +378,36 @@ def gaussian_expectation(
 ) -> AmplitudePolynomial:
     """Sum of graph amplitudes over the full Wick expansion of S.
 
-    S may be disconnected (a product of invariants is one disconnected
-    invariant).  The empty graph has expectation 1; an odd number of
-    vertices gives 0.  `workers` > 1 splits the expansion across
-    processes; the reduction is a commutative polynomial sum, so the
-    result does not depend on the split.
+    A completion with F faces and chosen term weights w contributes
+    prod(w) * ((-1)^b N)^F, so the sum only needs the number of
+    completions per face count and multiset of chosen terms; one `Poly`
+    is formed per such class.  S may be disconnected (a product of
+    invariants is one disconnected invariant).  The empty graph has
+    expectation 1; an odd number of vertices gives 0.  `workers` > 1
+    splits the vertex pairings across processes, each of which returns
+    its counts; the merged counts do not depend on the split.
     """
     if S.vertices == 0:
         return AmplitudePolynomial(Poly.const(1), b)
-    graphs = wick_expand(S, C, b)
-    if workers <= 1 or len(graphs) < 2 * workers:
-        return AmplitudePolynomial(_expectation_of_graphs(graphs, b), b)
+    if C.D != S.D:
+        raise ValueError("propagator strand count does not match the graph")
+    if S.vertices % 2 != 0:
+        return AmplitudePolynomial(Poly(), b)
+    pairings = list(all_pairings(S.vertices))
+    if workers <= 1 or len(pairings) < 2 * workers:
+        census = _face_census(S, C, pairings)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [list(graphs[k::workers]) for k in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = [pairings[k::workers] for k in range(workers)]
+            census = sum(pool.map(_face_census, [S] * workers, [C] * workers, chunks), Counter())
+    weights = C.weights_at_grading(b)
     total = Poly()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_expectation_chunk, [(c, b) for c in chunks]):
-            total = total + part
+    for (faces, choice), count in census.items():
+        term = Poly.monomial(faces, -count if b * faces % 2 else count)
+        total = total + math.prod((weights[t] for t in choice), start=term)
     return AmplitudePolynomial(total, b)
-
-
-def _expectation_chunk(args) -> Poly:
-    graphs, b = args
-    return _expectation_of_graphs(graphs, b)
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,32 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "bad,contents,field",
+    [
+        ("graph", [1, 2], None),
+        ("propagator", {"terms": [{"pairs": [[1, 3], [2, 4]]}]}, "gamma"),
+        ("model", {k: v for k, v in QUARTIC_D2.items() if k != "D"}, "D"),
+    ],
+    ids=["graph", "propagator", "model"],
+)
+def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, contents, field):
+    files = {"graph": GOOD_GRAPH, "propagator": GOOD_PROP, "model": QUARTIC_D2, bad: contents}
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    paths = {name: str(tmp_path / f"{name}.json") for name in files}
+    if bad == "model":
+        argv = ["duality-check", "--model", paths["model"]]
+    else:
+        argv = ["amplitude", "--graph", paths["graph"], "--propagator", paths["propagator"]]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {paths[bad]}: ")
+    if field is not None:
+        assert f"missing field '{field}'" in err
+
+
 def test_byte_identical_reruns(quartic_model, capsys):
     _, first, _ = invoke(capsys, "duality-check", "--model", quartic_model, "--json")
     _, second, _ = invoke(capsys, "duality-check", "--model", quartic_model, "--json")

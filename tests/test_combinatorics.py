@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradedtensor.brauer import BrauerDiagram
 from gradedtensor.combinatorics import (
     DirectedPairing,
     GroundSet,
@@ -11,8 +14,10 @@ from gradedtensor.combinatorics import (
     double_factorial,
     face_decomposition,
     pairing_sign,
+    partner_map,
+    strand_walk,
 )
-from conftest import rand_directed_pairing
+from conftest import rand_diagram, rand_directed_pairing
 
 
 def naive_sign(m1: DirectedPairing, m2: DirectedPairing) -> int:
@@ -186,3 +191,26 @@ def test_face_decomposition_mismatch():
 def test_json_round_trip(rng):
     m = rand_directed_pairing(rng, 8)
     assert DirectedPairing.from_json(m.to_json()) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_strand_walk_of_perfect_matchings_counts_faces(k, seed):
+    rng = random.Random(seed)
+    m1 = rand_directed_pairing(rng, 2 * k)
+    m2 = rand_directed_pairing(rng, 2 * k)
+    paths, loops = strand_walk(partner_map(m1.pairs), partner_map(m2.pairs))
+    assert paths == []
+    assert loops == face_decomposition(m1, m2).total
+
+
+@settings(max_examples=100, deadline=None)
+@given(D=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_strand_walk_through_the_identity_keeps_the_diagram(D, seed):
+    d = rand_diagram(random.Random(seed), D)
+    identity = [(D + i, 2 * D + i) for i in range(1, D + 1)]
+    paths, loops = strand_walk(partner_map(d.pairs), partner_map(identity))
+    assert loops == 0
+    # the free points are d's top row 1..D and the identity's far row 2D+1..3D
+    pairs = tuple((a if a <= D else a - D, b if b <= D else b - D) for a, b in paths)
+    assert BrauerDiagram(D, pairs) == d

@@ -22,7 +22,7 @@ from gradedtensor.model import (
 from gradedtensor.polynomial import Poly
 from gradedtensor.representation import GradedForm, decompose_projector_as_propagator
 from gradedtensor.young import YoungDiagram
-from conftest import rand_connected_graph
+from conftest import rand_connected_graph, rand_diagram
 
 import itertools
 
@@ -251,12 +251,42 @@ def test_duality_z_polynomial_propagator(rng):
         assert duality_check(g, C).equal
 
 
-def test_workers_split_matches_serial():
+G4 = StrandedGraph(2, 4, ((1, 3), (2, 5), (4, 7), (6, 8)))
+RING6 = StrandedGraph(2, 6, ((2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 1)))
+
+
+@pytest.mark.parametrize(
+    "g,b", [(G4, 1), (RING6, 0), (RING6, 1)], ids=["g4", "ring6-b0", "ring6-b1"]
+)
+def test_workers_split_matches_serial(g, b):
+    # g4 has 3 vertex pairings and stays serial; the ring's 15 reach the pool
     C = identity_plus_swap()
-    g4 = StrandedGraph(2, 4, ((1, 3), (2, 5), (4, 7), (6, 8)))
-    serial = gaussian_expectation(g4, C, 1).poly
-    parallel = gaussian_expectation(g4, C, 1, workers=2).poly
+    serial = gaussian_expectation(g, C, b).poly
+    parallel = gaussian_expectation(g, C, b, workers=2).poly
     assert serial == parallel
+
+
+def z_polynomial_table(rng, D: int) -> Propagator:
+    """Four terms, one pairing repeated, with nonzero weights of degree 2 in z."""
+    pairings = [rand_diagram(rng, D).pairs for _ in range(3)]
+    pairings.append(pairings[0])
+    weights = [
+        Poly((Fraction(rng.randint(-3, 3), 2), rng.randint(-3, 3), rng.randint(1, 3)))
+        for _ in pairings
+    ]
+    return Propagator(D, tuple(PropagatorTerm(p, w) for p, w in zip(pairings, weights)))
+
+
+@pytest.mark.parametrize("D,vertices", [(2, 2), (2, 4), (2, 6), (3, 2), (3, 4)])
+def test_face_census_matches_per_graph_sum(rng, D, vertices):
+    # from two edges on, terms repeat within a choice and the census merges multisets
+    g = rand_connected_graph(rng, D, vertices)
+    C = z_polynomial_table(rng, D)
+    for b in (0, 1):
+        reference = Poly()
+        for G in wick_expand(g, C, b):
+            reference = reference + graph_amplitude(G, b).poly
+        assert gaussian_expectation(g, C, b).poly == reference
 
 
 def quartic_model() -> ModelSpec:
