@@ -31,6 +31,15 @@ from .polynomial import Poly
 Pair = Tuple[int, int]
 
 
+def _field(data: dict, key: str, parse):
+    """`parse(data[key])`; a value of the wrong type or form names the field."""
+    value = data[key]
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field '{key}': {exc}") from exc
+
+
 # -- stranded graphs ----------------------------------------------------------
 
 
@@ -121,12 +130,13 @@ class StrandedGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "StrandedGraph":
-        D = int(data["D"])
-        nv = int(data["vertices"])
-        strands = []
-        for (va, ia), (vb, ib) in data["strands"]:
-            strands.append(((int(va) - 1) * D + int(ia), (int(vb) - 1) * D + int(ib)))
-        return cls(D, nv, tuple(strands))
+        D = _field(data, "D", int)
+        nv = _field(data, "vertices", int)
+        strands = _field(data, "strands", lambda pairs: tuple(
+            ((int(va) - 1) * D + int(ia), (int(vb) - 1) * D + int(ib))
+            for (va, ia), (vb, ib) in pairs
+        ))
+        return cls(D, nv, strands)
 
 
 def disjoint_union_graphs(g1: StrandedGraph, g2: StrandedGraph) -> StrandedGraph:
@@ -203,17 +213,17 @@ class Propagator:
 
     @classmethod
     def from_json(cls, data: dict) -> "Propagator":
-        D = int(data["D"])
-        terms = []
-        for item in data["terms"]:
+        def term(item: dict) -> PropagatorTerm:
             gamma = item["gamma"]
             weight = (
                 Poly.from_coeff_map(gamma)
                 if isinstance(gamma, dict)
                 else Poly.const(Fraction(str(gamma)))
             )
-            terms.append(PropagatorTerm(tuple((int(a), int(b)) for a, b in item["pairs"]), weight))
-        return cls(D, tuple(terms))
+            return PropagatorTerm(tuple((int(a), int(b)) for a, b in item["pairs"]), weight)
+
+        D = _field(data, "D", int)
+        return cls(D, _field(data, "terms", lambda items: tuple(map(term, items))))
 
 
 # -- two-colored graphs and amplitudes ----------------------------------------
@@ -373,6 +383,40 @@ def _face_census(S: StrandedGraph, C: Propagator, pairings: Sequence[Tuple[Pair,
     return census
 
 
+def _census(S: StrandedGraph, C: Propagator, workers: int = 1) -> Counter:
+    """The face census of S, which does not depend on the grading.
+
+    The empty graph has the one empty completion; an odd number of
+    vertices has none.  `workers` > 1 splits the vertex pairings across
+    processes, each of which returns its counts; the merged counts do
+    not depend on the split.
+    """
+    if S.vertices == 0:
+        return Counter({(0, ()): 1})
+    if C.D != S.D:
+        raise ValueError("propagator strand count does not match the graph")
+    if S.vertices % 2 != 0:
+        return Counter()
+    pairings = list(all_pairings(S.vertices))
+    if workers <= 1 or len(pairings) < 2 * workers:
+        return _face_census(S, C, pairings)
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = [pairings[k::workers] for k in range(workers)]
+        return sum(pool.map(_face_census, [S] * workers, [C] * workers, chunks), Counter())
+
+
+def _evaluate(census: Counter, C: Propagator, b: int) -> AmplitudePolynomial:
+    """The census read at grading b: one `Poly` per (faces, terms) class."""
+    weights = C.weights_at_grading(b)
+    total = Poly()
+    for (faces, choice), count in census.items():
+        term = Poly.monomial(faces, -count if b * faces % 2 else count)
+        total = total + math.prod((weights[t] for t in choice), start=term)
+    return AmplitudePolynomial(total, b)
+
+
 def gaussian_expectation(
     S: StrandedGraph, C: Propagator, b: int, workers: int = 1
 ) -> AmplitudePolynomial:
@@ -383,31 +427,9 @@ def gaussian_expectation(
     completions per face count and multiset of chosen terms; one `Poly`
     is formed per such class.  S may be disconnected (a product of
     invariants is one disconnected invariant).  The empty graph has
-    expectation 1; an odd number of vertices gives 0.  `workers` > 1
-    splits the vertex pairings across processes, each of which returns
-    its counts; the merged counts do not depend on the split.
+    expectation 1; an odd number of vertices gives 0.
     """
-    if S.vertices == 0:
-        return AmplitudePolynomial(Poly.const(1), b)
-    if C.D != S.D:
-        raise ValueError("propagator strand count does not match the graph")
-    if S.vertices % 2 != 0:
-        return AmplitudePolynomial(Poly(), b)
-    pairings = list(all_pairings(S.vertices))
-    if workers <= 1 or len(pairings) < 2 * workers:
-        census = _face_census(S, C, pairings)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = [pairings[k::workers] for k in range(workers)]
-            census = sum(pool.map(_face_census, [S] * workers, [C] * workers, chunks), Counter())
-    weights = C.weights_at_grading(b)
-    total = Poly()
-    for (faces, choice), count in census.items():
-        term = Poly.monomial(faces, -count if b * faces % 2 else count)
-        total = total + math.prod((weights[t] for t in choice), start=term)
-    return AmplitudePolynomial(total, b)
+    return _evaluate(_census(S, C, workers), C, b)
 
 
 @dataclass(frozen=True)
@@ -420,11 +442,13 @@ class DualityReport:
 def duality_check(S: StrandedGraph, C: Propagator) -> DualityReport:
     """Exact check that the b=1 expectation is the b=0 one with N -> -N.
 
-    Both sides use the same propagator table; any z-dependence in the
-    weights is re-read at the loop weight of the respective grading.
+    Both sides use the same propagator table and one face census; any
+    z-dependence in the weights is re-read at the loop weight of the
+    respective grading.
     """
-    e0 = gaussian_expectation(S, C, 0).poly
-    e1 = gaussian_expectation(S, C, 1).poly
+    census = _census(S, C)
+    e0 = _evaluate(census, C, 0).poly
+    e1 = _evaluate(census, C, 1).poly
     return DualityReport(equal=(e1 == e0.reflected()), orthogonal=e0, symplectic=e1)
 
 

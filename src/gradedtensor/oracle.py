@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 from .combinatorics import DirectedPairing, all_pairings, pairing_sign
 from .errors import CapExceededError
 from .model import Propagator, StrandedGraph, invariant_sign_normal_form
-from .representation import GradedForm, decode_index, encode_index, row_reduce
+from .representation import GradedForm, encode_index, row_reduce
 
 GENERATOR_CAP = 16          # exterior algebra dimension 2**16
 COVARIANCE_SIZE_CAP = 1024  # N**D cap for explicit covariance matrices
@@ -66,37 +66,31 @@ class ExplicitCovariance:
     def from_propagator(
         cls, C: Propagator, form: GradedForm, size_cap: int = COVARIANCE_SIZE_CAP
     ) -> "ExplicitCovariance":
+        """The covariance of C under `form`, from its nonzero entries only.
+
+        Entry (X, Y) sums, over the terms, gamma(z0) * sign times the
+        product of form.upper_entry over the term's oriented pairs, read at
+        the slot values of X (slots 1..D) and Y (slots D+1..2D).  Every
+        slot lies on exactly one pair, so only the choices of one nonzero
+        upper entry per pair are visited.
+        """
         N, D = form.N, C.D
         if N**D > size_cap:
             raise CapExceededError(f"covariance size N^D = {N**D} exceeds cap {size_cap}")
         ref = DirectedPairing(2 * D, tuple((c, D + c) for c in range(1, D + 1)))
-        z0 = form.z_value
+        upper = form.upper_nonzeros()
         size = N**D
         matrix = [[Fraction(0)] * size for _ in range(size)]
         for term in C.terms:
-            gamma = term.weight(z0)
-            if gamma == 0:
-                continue
             oriented = term.oriented()
-            sign = pairing_sign(oriented, ref) if form.b else 1
-            base = gamma * sign
-            for x in range(size):
-                xv = decode_index(x, N, D)
-                for y in range(size):
-                    yv = decode_index(y, N, D)
-
-                    def slot_value(s: int) -> int:
-                        return xv[s - 1] if s <= D else yv[s - D - 1]
-
-                    val = base
-                    for (i, j) in oriented.pairs:
-                        g = form.upper_entry(slot_value(i), slot_value(j))
-                        if g == 0:
-                            val = Fraction(0)
-                            break
-                        val *= g
-                    if val:
-                        matrix[x][y] += val
+            base = term.weight(form.z_value) * (pairing_sign(oriented, ref) if form.b else 1)
+            for choice in itertools.product(upper, repeat=D):
+                slots = [0] * (2 * D)
+                val = base
+                for (i, j), (u, v, g) in zip(oriented.pairs, choice):
+                    slots[i - 1], slots[j - 1] = u, v
+                    val *= g
+                matrix[encode_index(slots[:D], N)][encode_index(slots[D:], N)] += val
         return cls(N, D, form.b, matrix)
 
 
@@ -229,14 +223,9 @@ class _BerezinState:
         if row_reduce(aug)[:r] != list(range(r)):
             raise ValueError("singular quadratic form")
         inv_block = [row[r:] for row in aug]
-        quadratic = ExteriorElement(r)
-        for m in range(r):
-            for n_ in range(m + 1, r):
-                a = inv_block[m][n_]
-                if a != 0:
-                    quadratic = quadratic + ExteriorElement(
-                        r, {(1 << m) | (1 << n_): -a}
-                    )
+        quadratic = ExteriorElement(
+            r, {(1 << m) | (1 << n): -inv_block[m][n] for m in range(r) for n in range(m + 1, r)}
+        )
         self.cov = cov
         self.support = support
         self.inv_block = inv_block
@@ -247,45 +236,33 @@ class _BerezinState:
 
     def component(self, x: int) -> ExteriorElement:
         """The component T_x as a linear combination of the generators."""
-        r = len(self.support)
-        coeffs = [Fraction(0)] * r
         row = [self.cov.matrix[x][j] for j in self.support]
-        for m in range(r):
-            coeffs[m] = sum(
-                (row[k] * self.inv_block[k][m] for k in range(r)), Fraction(0)
-            )
-        return ExteriorElement(r, {1 << m: c for m, c in enumerate(coeffs) if c != 0})
+        return ExteriorElement(len(row), {
+            1 << m: sum((a * inv[m] for a, inv in zip(row, self.inv_block)), Fraction(0))
+            for m in range(len(row))
+        })
 
+    def expectation(self, monomial: Sequence[int]) -> Fraction:
+        """Expectation of an ordered product of components.
 
-_berezin_cache: Dict[int, _BerezinState] = {}
-
-
-def _berezin_state(cov: ExplicitCovariance) -> _BerezinState:
-    key = id(cov)
-    state = _berezin_cache.get(key)
-    if state is None or state.cov is not cov:
-        state = _BerezinState(cov)
-        _berezin_cache.clear()
-        _berezin_cache[key] = state
-    return state
+        The Gaussian weight exp(-T C^{-1} T / 2) is expanded exactly in
+        the exterior algebra over the covariance's support, the monomial
+        is multiplied in the given order, and the ratio of top-form
+        coefficients is returned.  The empty monomial gives 1.
+        """
+        product = ExteriorElement.scalar(len(self.support), 1)
+        for x in monomial:
+            product = product * self.component(x)
+            if not product.terms:
+                return Fraction(0)
+        product = product * self.weight
+        return product.top_coefficient() / self.normalization
 
 
 def berezin_expectation(cov: ExplicitCovariance, monomial: Sequence[int]) -> Fraction:
-    """Expectation of an ordered product of components, from first principles.
-
-    The Gaussian weight exp(-T C^{-1} T / 2) is expanded exactly in the
-    exterior algebra over the covariance's support, the monomial is
-    multiplied in the given order, and the ratio of top-form
-    coefficients is returned.  The empty monomial gives 1.
-    """
-    state = _berezin_state(cov)
-    product = ExteriorElement.scalar(len(state.support), 1)
-    for x in monomial:
-        product = product * state.component(x)
-        if not product.terms:
-            return Fraction(0)
-    product = product * state.weight
-    return product.top_coefficient() / state.normalization
+    """Expectation of an ordered product of components, from first principles:
+    one `_BerezinState` is built for this monomial alone (see its `expectation`)."""
+    return _BerezinState(cov).expectation(monomial)
 
 
 # -- invariant expectations -----------------------------------------------------
@@ -324,7 +301,7 @@ def numeric_invariant_expectation(
     strands = normal.contractions.pairs
     lower_nz = sorted(form.lower.items())  # [((i, j), value)]
 
-    fermionic = (b * S.D) % 2 == 1
+    berezin = _BerezinState(cov) if (b * S.D) % 2 else None
     total = Fraction(0)
     for assignment in itertools.product(lower_nz, repeat=len(strands)):
         node_value: Dict[int, int] = {}
@@ -337,10 +314,6 @@ def numeric_invariant_expectation(
         for v in order:
             idx = tuple(node_value[(v - 1) * S.D + c] for c in range(1, S.D + 1))
             components.append(encode_index(idx, N))
-        moment = (
-            berezin_expectation(cov, components)
-            if fermionic
-            else bosonic_moment(cov, components)
-        )
+        moment = berezin.expectation(components) if berezin else bosonic_moment(cov, components)
         total += weight * moment
     return total

@@ -224,15 +224,18 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
 
 
 @pytest.mark.parametrize(
-    "bad,contents,field",
+    "bad,contents,named",
     [
         ("graph", [1, 2], None),
-        ("propagator", {"terms": [{"pairs": [[1, 3], [2, 4]]}]}, "gamma"),
-        ("model", {k: v for k, v in QUARTIC_D2.items() if k != "D"}, "D"),
+        ("propagator", {"terms": [{"pairs": [[1, 3], [2, 4]]}]}, "missing field 'gamma'"),
+        ("model", {k: v for k, v in QUARTIC_D2.items() if k != "D"}, "missing field 'D'"),
+        ("graph", dict(GOOD_GRAPH, strands=5), "field 'strands': "),
+        ("graph", dict(GOOD_GRAPH, D="x"), "field 'D': "),
+        ("propagator", dict(GOOD_PROP, terms=5), "field 'terms': "),
     ],
-    ids=["graph", "propagator", "model"],
+    ids=["graph", "propagator", "model", "graph-strands", "graph-D", "propagator-terms"],
 )
-def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, contents, field):
+def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, contents, named):
     files = {"graph": GOOD_GRAPH, "propagator": GOOD_PROP, "model": QUARTIC_D2, bad: contents}
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
@@ -245,8 +248,8 @@ def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, conten
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {paths[bad]}: ")
-    if field is not None:
-        assert f"missing field '{field}'" in err
+    if named is not None:
+        assert named in err
 
 
 def test_byte_identical_reruns(quartic_model, capsys):

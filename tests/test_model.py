@@ -289,6 +289,26 @@ def test_face_census_matches_per_graph_sum(rng, D, vertices):
         assert gaussian_expectation(g, C, b).poly == reference
 
 
+def test_duality_check_takes_one_census(rng, monkeypatch):
+    # the face census does not depend on the grading, so both sides share it
+    from gradedtensor import model
+
+    calls = []
+    census = model._face_census
+
+    def counted(*args):
+        calls.append(args)
+        return census(*args)
+
+    monkeypatch.setattr(model, "_face_census", counted)
+    g = rand_connected_graph(rng, 3, 4)
+    C = z_polynomial_table(rng, 3)
+    report = duality_check(g, C)
+    assert len(calls) == 1
+    assert report.orthogonal == gaussian_expectation(g, C, 0).poly
+    assert report.symplectic == gaussian_expectation(g, C, 1).poly
+
+
 def quartic_model() -> ModelSpec:
     quartic = StrandedGraph(2, 4, ((1, 3), (2, 5), (4, 7), (6, 8)))
     return ModelSpec(

@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,11 +8,12 @@ import pytest
 from gradedtensor.errors import CapExceededError
 from gradedtensor.model import (
     Propagator,
+    PropagatorTerm,
     StrandedGraph,
     enumerate_invariants,
     gaussian_expectation,
 )
-from gradedtensor.combinatorics import DirectedPairing
+from gradedtensor.combinatorics import DirectedPairing, pairing_sign
 from gradedtensor.oracle import (
     ExplicitCovariance,
     ExteriorElement,
@@ -18,9 +22,11 @@ from gradedtensor.oracle import (
     exterior_exp,
     numeric_invariant_expectation,
 )
+from gradedtensor.polynomial import Poly
 from gradedtensor.representation import GradedForm, decompose_projector_as_propagator
 from gradedtensor.young import YoungDiagram
 
+from test_cross_validation import block_symmetric_pairings
 from test_model import dipole, identity_plus_swap
 
 
@@ -33,6 +39,39 @@ def test_two_point_function_is_the_covariance():
     for x in range(4):
         for y in range(4):
             assert bosonic_moment(cov, [x, y]) == cov.entry(x, y)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("N,b", [(2, 0), (2, 1), (3, 0), (4, 0), (4, 1)])
+def test_covariance_entries_match_their_definition(D, N, b):
+    # entry (x, y) = sum over terms of gamma(z0) * sign * prod of upper form
+    # entries at the slot values, x on slots 1..D and y on D+1..2D
+    rng = random.Random(1000 * D + 10 * N + b)
+    form = GradedForm(N, b)
+    z0 = form.z_value
+    pairings = block_symmetric_pairings(D)
+    terms = [PropagatorTerm(pairings[0], Poly((-z0, 1)))]  # z - z0 vanishes at z0
+    for _ in range(3):
+        weight = Poly((Fraction(rng.randint(-3, 3), 2), rng.randint(-2, 2), rng.randint(1, 2)))
+        terms.append(PropagatorTerm(rng.choice(pairings), weight))
+    C = Propagator(D, tuple(terms))
+    assert C.terms[0].weight(z0) == 0
+    ref = DirectedPairing(2 * D, tuple((c, D + c) for c in range(1, D + 1)))
+    cov = ExplicitCovariance.from_propagator(C, form)
+    components = list(itertools.product(range(N), repeat=D))  # in encode_index order
+    nonzero = 0
+    for x, xv in enumerate(components):
+        for y, yv in enumerate(components):
+            value = xv + yv  # value[s - 1] is the index on slot s
+            expected = sum(
+                t.weight(z0)
+                * (pairing_sign(t.oriented(), ref) if b else 1)
+                * math.prod(form.upper_entry(value[i - 1], value[j - 1]) for i, j in t.oriented().pairs)
+                for t in C.terms
+            )
+            assert cov.entry(x, y) == expected, (x, y)
+            nonzero += expected != 0
+    assert nonzero > 0
 
 
 def test_fourth_moment_of_unit_gaussian_is_three():
