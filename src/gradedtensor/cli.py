@@ -22,6 +22,7 @@ from .model import (
     ModelSpec,
     Propagator,
     StrandedGraph,
+    _field,
     duality_check,
     enumerate_invariants,
     gaussian_expectation,
@@ -83,14 +84,15 @@ def _propagator_from_spec(spec: dict, D: int, b: int, N: Optional[int]) -> Propa
 
 
 def _model_from_json(data: dict) -> ModelSpec:
-    D = int(data["D"])
-    b = int(data.get("b", 0))
-    prop = _propagator_from_spec(data["propagator"], D, b, data.get("N"))
-    interactions = tuple(
-        Interaction(item["name"], StrandedGraph.from_json(item["graph"]))
-        for item in data.get("interactions", [])
-    )
-    return ModelSpec(D, b, prop, interactions)
+    def interactions(items) -> tuple:
+        return tuple(Interaction(it["name"], StrandedGraph.from_json(it["graph"])) for it in items)
+
+    D = _field(data, "D", int)
+    b = _field(data, "b", int) if "b" in data else 0
+    N = _field(data, "N", int) if data.get("N") is not None else None
+    prop = _field(data, "propagator", lambda spec: _propagator_from_spec(spec, D, b, N))
+    found = _field(data, "interactions", interactions) if "interactions" in data else ()
+    return ModelSpec(D, b, prop, found)
 
 
 # -- subcommands ----------------------------------------------------------------

@@ -141,10 +141,10 @@ def all_pairings(ground: "GroundSet | int") -> Iterator[Tuple[Pair, ...]]:
     """Yield every undirected perfect matching of the ground set once.
 
     Enumeration is lazy and deterministic: the smallest unpaired element
-    is matched with each larger element in increasing order, giving
-    (2k-1)!! matchings in a reproducible order.  Each pair comes out as
-    (smaller, larger); `canonical_orientation` turns a matching into a
-    DirectedPairing with the same convention.
+    is matched with each larger element in increasing order, so the
+    (2k-1)!! matchings come in increasing lexicographic order.  Each pair
+    comes out as (smaller, larger); `canonical_orientation` turns a
+    matching into a DirectedPairing with the same convention.
     """
     n = ground.size if isinstance(ground, GroundSet) else int(ground)
     GroundSet(n)  # validates

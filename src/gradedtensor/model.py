@@ -547,24 +547,20 @@ def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
 # -- enumeration of invariants -------------------------------------------------
 
 
-def _canonical_key(
-    strands: Tuple[Pair, ...], D: int, vertices: int, slot_symmetry: bool
-) -> Tuple[Pair, ...]:
-    """Minimal relabeling of a strand set under the chosen symmetries."""
-    best = None
+def _is_least(strands: Tuple[Pair, ...], D: int, vertices: int, slot_symmetry: bool) -> bool:
+    """True when no relabeling makes the sorted strand tuple smaller.
+
+    Relabelings permute the vertices and, with `slot_symmetry`, the D
+    slots of every vertex independently.
+    """
     slot_perms = list(itertools.permutations(range(D))) if slot_symmetry else [tuple(range(D))]
     for vperm in itertools.permutations(range(vertices)):
         for slot_choice in itertools.product(slot_perms, repeat=vertices):
-
-            def move(node: int) -> int:
-                v = (node - 1) // D
-                c = (node - 1) % D
-                return vperm[v] * D + slot_choice[v][c] + 1
-
-            cand = tuple(sorted(tuple(sorted((move(a), move(b)))) for a, b in strands))
-            if best is None or cand < best:
-                best = cand
-    return best
+            move = [0] + [vperm[v] * D + c + 1 for v in range(vertices) for c in slot_choice[v]]
+            cand = tuple(sorted((min(move[a], move[b]), max(move[a], move[b])) for a, b in strands))
+            if cand < strands:
+                return False
+    return True
 
 
 def enumerate_invariants(
@@ -575,19 +571,18 @@ def enumerate_invariants(
     Classes are taken under vertex relabeling; with `slot_symmetry` the
     D node slots of every vertex may additionally be permuted
     independently (appropriate when the propagator is fully symmetric).
-    Output is sorted by canonical form, so runs are reproducible.
+    Each class is given by its least strand set: a connected matching is
+    kept when no relabeling makes it smaller.  `all_pairings` yields the
+    matchings in increasing order, so the output is sorted.
     """
     if vertices < 1:
         raise ValueError("need at least one vertex")
     n = D * vertices
     if n % 2 != 0:
         return ()
-    seen = {}
-    for matching in all_pairings(n):
-        g = StrandedGraph(D, vertices, matching)
-        if not g.is_connected():
-            continue
-        key = _canonical_key(g.strands, D, vertices, slot_symmetry)
-        if key not in seen:
-            seen[key] = StrandedGraph(D, vertices, key)
-    return tuple(seen[k] for k in sorted(seen))
+    graphs = (StrandedGraph(D, vertices, matching) for matching in all_pairings(n))
+    return tuple(
+        g
+        for g in graphs
+        if g.is_connected() and _is_least(g.strands, D, vertices, slot_symmetry)
+    )

@@ -232,8 +232,21 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         ("graph", dict(GOOD_GRAPH, strands=5), "field 'strands': "),
         ("graph", dict(GOOD_GRAPH, D="x"), "field 'D': "),
         ("propagator", dict(GOOD_PROP, terms=5), "field 'terms': "),
+        ("model", dict(QUARTIC_D2, b="x"), "field 'b': "),
+        ("model", dict(QUARTIC_D2, interactions=5), "field 'interactions': "),
+        ("model", dict(QUARTIC_D2, propagator=5), "field 'propagator': "),
     ],
-    ids=["graph", "propagator", "model", "graph-strands", "graph-D", "propagator-terms"],
+    ids=[
+        "graph",
+        "propagator",
+        "model",
+        "graph-strands",
+        "graph-D",
+        "propagator-terms",
+        "model-b",
+        "model-interactions",
+        "model-propagator",
+    ],
 )
 def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, contents, named):
     files = {"graph": GOOD_GRAPH, "propagator": GOOD_PROP, "model": QUARTIC_D2, bad: contents}

@@ -404,6 +404,45 @@ def test_enumerate_deterministic():
     assert enumerate_invariants(2, 4) == enumerate_invariants(2, 4)
 
 
+def _reference_classes(D, nv, slot_symmetry):
+    """Classes as the minimum over all relabelings, collected in a dict and
+    sorted.  A whole orbit is marked seen at once, so each class is
+    relabeled once rather than each of its matchings."""
+    slot_perms = list(itertools.permutations(range(D))) if slot_symmetry else [tuple(range(D))]
+    relabelings = [
+        {v * D + c + 1: vperm[v] * D + slots[v][c] + 1 for v in range(nv) for c in range(D)}
+        for vperm in itertools.permutations(range(nv))
+        for slots in itertools.product(slot_perms, repeat=nv)
+    ]
+    seen, classes = set(), {}
+    for matching in all_pairings(D * nv):
+        if matching in seen or not StrandedGraph(D, nv, matching).is_connected():
+            continue
+        orbit = {
+            tuple(sorted(tuple(sorted((move[a], move[b]))) for a, b in matching))
+            for move in relabelings
+        }
+        seen |= orbit
+        classes[min(orbit)] = StrandedGraph(D, nv, min(orbit))
+    return tuple(classes[k] for k in sorted(classes))
+
+
+@pytest.mark.parametrize(
+    "D,nv,slot_symmetry",
+    [
+        (D, nv, sym)
+        for D in range(1, 9)
+        for nv in range(1, 9)
+        if D * nv <= 8 and D * nv % 2 == 0
+        for sym in (False, True)
+    ]
+    + [(6, 2, False)],
+)
+def test_enumerate_matches_relabeling_minimum(D, nv, slot_symmetry):
+    # classes, their printed representatives and their order
+    assert enumerate_invariants(D, nv, slot_symmetry) == _reference_classes(D, nv, slot_symmetry)
+
+
 def test_propagator_json_round_trip():
     prop = Propagator(
         2,
