@@ -52,18 +52,6 @@ class BrauerDiagram:
     def bottom_arcs(self) -> Tuple[Pair, ...]:
         return tuple(p for p in self.pairs if p[0] > self.D)
 
-    def is_permutation(self) -> bool:
-        return len(self.through_strands()) == self.D
-
-    def to_permutation(self) -> Perm:
-        """The 0-based permutation i -> image for an arc-free diagram."""
-        if not self.is_permutation():
-            raise ValueError("diagram has arcs")
-        img = [0] * self.D
-        for t, u in self.through_strands():
-            img[t - 1] = u - self.D - 1
-        return tuple(img)
-
     def oriented(self) -> DirectedPairing:
         """The canonical orientation used for the grading sign.
 

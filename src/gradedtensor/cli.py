@@ -57,7 +57,7 @@ def _read(path: str, parse):
             return parse(json.load(fh))
     except KeyError as exc:
         raise ValueError(f"{path}: missing field '{exc.args[0]}'") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -74,13 +74,22 @@ def _propagator_from_spec(spec: dict, D: int, b: int, N: Optional[int]) -> Propa
         proj = spec["projector"]
         if N is None:
             raise ValueError("projector propagators need a concrete \"N\" in the model file")
-        lam = YoungDiagram(tuple(int(r) for r in proj["lambda"]))
-        form = GradedForm(int(N), b)
-        element = rep_mod.decompose_projector_as_propagator(lam, form)
+        lam = _field(proj, "lambda", lambda rows: YoungDiagram(tuple(int(r) for r in rows)))
+        element = rep_mod.decompose_projector_as_propagator(lam, GradedForm(N, b))
         if "scale" in proj:
-            element = element.scaled(Fraction(str(proj["scale"])))
+            element = element.scaled(_field(proj, "scale", lambda x: Fraction(str(x))))
         return Propagator.from_brauer_element(element)
     raise ValueError("propagator block needs either \"terms\" or \"projector\"")
+
+
+def _read_propagator(path: str, D: int, b: int, N: Optional[int]) -> Propagator:
+    """A propagator file; its own "N", when present and not null, replaces `N`."""
+
+    def parse(data: dict) -> Propagator:
+        own = _field(data, "N", int) if data.get("N") is not None else N
+        return _propagator_from_spec(data, D, b, own)
+
+    return _read(path, parse)
 
 
 def _model_from_json(data: dict) -> ModelSpec:
@@ -153,7 +162,7 @@ def _cmd_projector(args) -> int:
 
 def _cmd_amplitude(args) -> int:
     graph = _read(args.graph, StrandedGraph.from_json)
-    prop = _read(args.propagator, lambda d: _propagator_from_spec(d, graph.D, args.b, d.get("N")))
+    prop = _read_propagator(args.propagator, graph.D, args.b, None)
     amp = gaussian_expectation(graph, prop, args.b, workers=args.threads)
     if args.json:
         print(json.dumps({"b": args.b, "amplitude": amp.poly.to_coeff_map()}, sort_keys=True))
@@ -238,9 +247,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     graph = _read(args.graph, StrandedGraph.from_json)
-    prop = _read(
-        args.propagator, lambda d: _propagator_from_spec(d, graph.D, args.b, d.get("N", args.N))
-    )
+    prop = _read_propagator(args.propagator, graph.D, args.b, args.N)
     pipeline = gaussian_expectation(graph, prop, args.b).poly(Fraction(args.N))
     numeric = oracle_mod.numeric_invariant_expectation(graph, prop, args.N, args.b)
     agree = pipeline == numeric

@@ -49,16 +49,8 @@ class DirectedPairing:
         if len(seen) != self.n or 2 * len(self.pairs) != self.n or seen != set(range(1, self.n + 1)):
             raise ValueError("pairs must partition {1..n} with each element used exactly once")
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence[int]]) -> "DirectedPairing":
-        ps = tuple((int(a), int(b)) for a, b in pairs)
-        return cls(2 * len(ps), ps)
-
     def flatten(self) -> Tuple[int, ...]:
         return tuple(x for p in self.pairs for x in p)
-
-    def undirected(self) -> frozenset:
-        return frozenset(frozenset(p) for p in self.pairs)
 
     def reorient(self, flip_indices: Iterable[int]) -> "DirectedPairing":
         """Flip the orientation of the pairs at the given positions."""

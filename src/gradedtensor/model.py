@@ -36,7 +36,7 @@ def _field(data: dict, key: str, parse):
     value = data[key]
     try:
         return parse(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"field '{key}': {exc}") from exc
 
 
@@ -213,14 +213,14 @@ class Propagator:
 
     @classmethod
     def from_json(cls, data: dict) -> "Propagator":
+        def weight(gamma) -> Poly:
+            if isinstance(gamma, dict):
+                return Poly.from_coeff_map(gamma)
+            return Poly.const(Fraction(str(gamma)))
+
         def term(item: dict) -> PropagatorTerm:
-            gamma = item["gamma"]
-            weight = (
-                Poly.from_coeff_map(gamma)
-                if isinstance(gamma, dict)
-                else Poly.const(Fraction(str(gamma)))
-            )
-            return PropagatorTerm(tuple((int(a), int(b)) for a, b in item["pairs"]), weight)
+            pairs = tuple((int(a), int(b)) for a, b in item["pairs"])
+            return PropagatorTerm(pairs, _field(item, "gamma", weight))
 
         D = _field(data, "D", int)
         return cls(D, _field(data, "terms", lambda items: tuple(map(term, items))))
@@ -281,7 +281,6 @@ class InvariantNormalForm:
 
     sign: int
     contractions: DirectedPairing
-    promoted_reference: DirectedPairing
 
 
 def invariant_sign_normal_form(S: StrandedGraph, ref: DirectedPairing) -> InvariantNormalForm:
@@ -297,11 +296,7 @@ def invariant_sign_normal_form(S: StrandedGraph, ref: DirectedPairing) -> Invari
         raise ValueError("reference pairing size does not match vertex count")
     promoted = _promote_vertex_pairing(ref, S.D)
     strands = S.oriented_strands()
-    return InvariantNormalForm(
-        sign=pairing_sign(promoted, strands),
-        contractions=strands,
-        promoted_reference=promoted,
-    )
+    return InvariantNormalForm(sign=pairing_sign(promoted, strands), contractions=strands)
 
 
 def _completions(
@@ -496,10 +491,6 @@ class ExpansionTerm:
     couplings: Tuple[Tuple[str, int], ...]
     coefficient: Fraction
     amplitude: AmplitudePolynomial
-
-    @property
-    def total_insertions(self) -> int:
-        return sum(p for _, p in self.couplings)
 
 
 def perturbative_expansion(

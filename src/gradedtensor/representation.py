@@ -9,6 +9,7 @@ through the form (delta or omega) and the diagram grading sign.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,36 +115,12 @@ class TensorMap:
         }
 
     @classmethod
-    def zero(cls, N: int, D: int) -> "TensorMap":
-        return cls(N, D, {})
-
-    @classmethod
     def identity(cls, N: int, D: int) -> "TensorMap":
         return cls(N, D, {j: {j: Fraction(1)} for j in range(N**D)})
 
     def _check_compatible(self, other: "TensorMap"):
         if (self.N, self.D) != (other.N, other.D):
             raise ValueError("tensor map shape mismatch")
-
-    def __add__(self, other: "TensorMap") -> "TensorMap":
-        self._check_compatible(other)
-        cols: Dict[int, Dict[int, Fraction]] = {j: dict(c) for j, c in self.cols.items()}
-        for j, col in other.cols.items():
-            dst = cols.setdefault(j, {})
-            for i, v in col.items():
-                dst[i] = dst.get(i, Fraction(0)) + v
-        return TensorMap(self.N, self.D, cols)
-
-    def __sub__(self, other: "TensorMap") -> "TensorMap":
-        return self + other.scaled(-1)
-
-    def scaled(self, c) -> "TensorMap":
-        c = Fraction(c)
-        if c == 0:
-            return TensorMap.zero(self.N, self.D)
-        return TensorMap(
-            self.N, self.D, {j: {i: v * c for i, v in col.items()} for j, col in self.cols.items()}
-        )
 
     def compose(self, other: "TensorMap") -> "TensorMap":
         """self after other, i.e. the matrix product self @ other."""
@@ -160,9 +137,6 @@ class TensorMap:
             if acc:
                 cols[j] = acc
         return TensorMap(self.N, self.D, cols)
-
-    def __matmul__(self, other: "TensorMap") -> "TensorMap":
-        return self.compose(other)
 
     def __eq__(self, other):
         return (
@@ -248,74 +222,70 @@ def _check_cap(N: int, D: int, size_cap: int):
 # -- diagram and element actions ---------------------------------------------
 
 
+def _add_action(
+    cols: Dict[int, Dict[int, Fraction]], d: BrauerDiagram, c: Fraction, form: GradedForm
+):
+    """Add c times the action of d into cols (column -> row -> entry).
+
+    Each pair of d is one factor that fixes the index values at both its
+    points, so a choice of one nonzero factor per pair is one nonzero
+    entry.  Column digits are the top-row indices b, row digits the
+    bottom-row indices a.
+    """
+    N, D = form.N, d.D
+    # (column, row) code of index value 1 at each point
+    unit = {q: (N ** (D - q), 0) if q <= D else (0, N ** (2 * D - q)) for q in range(1, 2 * D + 1)}
+    delta = {(x, x): Fraction(1) for x in range(N)}
+    per_pair = []
+    for m, p in d.pairs:
+        # (i, j) -> g puts i at the right point p and j at the left point m
+        entries = delta if m <= D < p else form.lower if p <= D else form.upper
+        (cm, rm), (cp, rp) = unit[m], unit[p]
+        per_pair.append([(i * cp + j * cm, i * rp + j * rm, g) for (i, j), g in entries.items()])
+    start = c * eta_sign(d) if form.b else c
+    for choice in itertools.product(*per_pair):
+        col = row = 0
+        val = start
+        for dc, dr, g in choice:
+            col += dc
+            row += dr
+            val *= g
+        dst = cols.setdefault(col, {})
+        dst[row] = dst.get(row, 0) + val
+
+
 def diagram_to_map(
     d: BrauerDiagram, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
 ) -> TensorMap:
     """Matrix of a single diagram's action on tensor components.
 
-    Input indices sit on the top row, output indices on the bottom row.
-    A through strand copies an index, a top arc contracts two input
-    indices with the form, a bottom arc emits two output indices
-    contracted with the inverse form, and the whole matrix carries the
-    diagram's grading sign when b = 1.  Index orderings inside the form
-    factors follow the same canonical orientation that defines the
-    grading sign, which keeps the action multiplicative.
+    Input indices b sit on the top row, output indices a on the bottom
+    row.  Entry (a, b) is one factor per pair: delta(a_u, b_t) for a
+    through strand (t, u), g_{b_p b_m} (`form.lower`) for a top arc
+    (m, p), g^{a_l a_k} (`form.upper`) for a bottom arc (k, l), times the
+    grading sign eta(d) when b = 1.  These index orders follow the
+    canonical orientation that defines eta, which keeps the action
+    multiplicative.  The one-term case of `element_to_map`.
     """
-    N, D = form.N, d.D
-    _check_cap(N, D, size_cap)
-    sign = Fraction(eta_sign(d)) if form.b else Fraction(1)
-
-    through = [(t - 1, u - D - 1) for (t, u) in d.through_strands()]
-    tarcs = [(m - 1, p - 1) for (m, p) in d.top_arcs()]
-    barcs = [(k - D - 1, l - D - 1) for (k, l) in d.bottom_arcs()]
-    upper_nz = form.upper_nonzeros()
-
-    cols: Dict[int, Dict[int, Fraction]] = {}
-    for col in range(N**D):
-        b_idx = decode_index(col, N, D)
-        factor = sign
-        for (m, p) in tarcs:
-            # canonical orientation (m, p) left-to-right contributes g_{b_p b_m}
-            v = form.lower_entry(b_idx[p], b_idx[m])
-            if v == 0:
-                factor = Fraction(0)
-                break
-            factor *= v
-        if factor == 0:
-            continue
-        base = [0] * D
-        for (t, u) in through:
-            base[u] = b_idx[t]
-
-        def emit(arc_no: int, a_idx: List[int], weight: Fraction):
-            if arc_no == len(barcs):
-                row = encode_index(tuple(a_idx), N)
-                dst = cols.setdefault(col, {})
-                dst[row] = dst.get(row, Fraction(0)) + weight
-                return
-            k, l = barcs[arc_no]
-            # canonical orientation (l, k) right-to-left contributes g^{a_l a_k}
-            for (x, y, v) in upper_nz:
-                a_idx[l] = x
-                a_idx[k] = y
-                emit(arc_no + 1, a_idx, weight * v)
-
-        emit(0, base, factor)
-    return TensorMap(N, D, cols)
+    return element_to_map(BrauerElement.of_diagram(d), form, size_cap)
 
 
 def element_to_map(
     e: BrauerElement, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
 ) -> TensorMap:
-    """Linear extension of the diagram action, with z evaluated at (-1)^b N."""
+    """Linear extension of the diagram action, with z evaluated at (-1)^b N.
+
+    Every term with a nonzero coefficient adds its diagram's entries, one
+    nonzero form entry per pair (see `diagram_to_map`), into one column
+    dict; no N^D scan and no map per diagram.
+    """
     _check_cap(form.N, e.D, size_cap)
-    out = TensorMap.zero(form.N, e.D)
+    cols: Dict[int, Dict[int, Fraction]] = {}
     for d, coeff in e.terms.items():
         c = coeff(form.z_value)
-        if c == 0:
-            continue
-        out = out + diagram_to_map(d, form, size_cap).scaled(c)
-    return out
+        if c:
+            _add_action(cols, d, c, form)
+    return TensorMap(form.N, e.D, cols)
 
 
 # -- spectra and projectors ---------------------------------------------------

@@ -22,20 +22,9 @@ Perm = Tuple[int, ...]  # perm[i] is the 0-based image of i
 # -- permutations ----------------------------------------------------------
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
-
-
 def compose_perms(p: Perm, q: Perm) -> Perm:
     """(p . q)(i) = p(q(i)): apply q first."""
     return tuple(p[q[i]] for i in range(len(p)))
-
-
-def invert_perm(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
 
 
 def perm_sign(p: Perm) -> int:

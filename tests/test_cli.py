@@ -235,6 +235,12 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         ("model", dict(QUARTIC_D2, b="x"), "field 'b': "),
         ("model", dict(QUARTIC_D2, interactions=5), "field 'interactions': "),
         ("model", dict(QUARTIC_D2, propagator=5), "field 'propagator': "),
+        ("propagator", {"N": "x", "projector": {"lambda": [2]}}, "field 'N': "),
+        ("propagator", {"N": 3, "projector": {"lambda": 5}}, "field 'lambda': "),
+        ("propagator", {"N": 3, "projector": {"lambda": [2], "scale": "x"}}, "field 'scale': "),
+        ("propagator", {"terms": [dict(GOOD_PROP["terms"][0], gamma="1/0")]}, "field 'gamma': "),
+        ("propagator", {"N": 3, "projector": {"lambda": [2], "scale": "1/0"}}, "field 'scale': "),
+        ("propagator", {"terms": [dict(GOOD_PROP["terms"][0], gamma={"0": "1/0"})]}, "field 'gamma': "),
     ],
     ids=[
         "graph",
@@ -246,6 +252,12 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         "model-b",
         "model-interactions",
         "model-propagator",
+        "prop-N",
+        "prop-lambda",
+        "prop-scale",
+        "zero-gamma",
+        "zero-scale",
+        "zero-coeff-map",
     ],
 )
 def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, contents, named):
@@ -263,6 +275,27 @@ def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, conten
     assert err.startswith(f"error: {paths[bad]}: ")
     if named is not None:
         assert named in err
+
+
+@pytest.mark.parametrize("command", ["oracle-check", "duality-check"])
+def test_division_by_zero_is_usage_error_not_false_verdict(tmp_path, capsys, command):
+    # exit 1 means "verdict false" for these commands, so a bad rational must exit 2
+    zero = {"terms": [{"pairs": [[1, 3], [2, 4]], "gamma": "1/0"}]}
+    graph, prop, model = tmp_path / "graph.json", tmp_path / "prop.json", tmp_path / "model.json"
+    graph.write_text(json.dumps(GOOD_GRAPH))
+    prop.write_text(json.dumps(zero))
+    model.write_text(json.dumps(dict(QUARTIC_D2, propagator=zero)))
+    if command == "oracle-check":
+        argv = [command, "--graph", str(graph), "--propagator", str(prop), "--N", "2"]
+        path = str(prop)
+    else:
+        argv = [command, "--model", str(model)]
+        path = str(model)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+    assert "field 'gamma': " in err
 
 
 def test_byte_identical_reruns(quartic_model, capsys):

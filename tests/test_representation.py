@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from gradedtensor.brauer import (
     BrauerElement,
     beta_ij,
+    casimir_ad,
     embed_group_algebra,
+    eta_sign,
     from_permutation,
     identity_diagram,
     multiply,
@@ -107,6 +110,37 @@ def test_beta_action_is_g_contraction(b):
             assert m.entry(row, col) == expected
 
 
+@pytest.mark.parametrize("N,b", [(1, 0), (2, 0), (2, 1), (3, 0), (4, 1)])
+def test_diagram_action_matches_its_definition(N, b):
+    # entry (a, b) = prod delta(a_u, b_t) * prod g_{b_p b_m} * prod g^{a_l a_k} * eta^b,
+    # read literally at every index pair, for diagrams with arcs on both rows
+    form = GradedForm(N, b)
+    rng = random.Random(1000 * N + b)
+    for D in (2, 3, 4):
+        diagrams = set()
+        while len(diagrams) < D - 1:  # beta_12 is the only such diagram at D = 2
+            d = rand_diagram(rng, D)
+            if d.top_arcs() and d.bottom_arcs():
+                diagrams.add(d)
+        for d in sorted(diagrams, key=lambda d: d.pairs):
+            through, tarcs, barcs = d.through_strands(), d.top_arcs(), d.bottom_arcs()
+            expected = {}
+            for col in range(N**D):
+                top = decode_index(col, N, D)
+                for row in range(N**D):
+                    bottom = decode_index(row, N, D)
+                    if any(bottom[u - D - 1] != top[t - 1] for t, u in through):
+                        continue
+                    v = Fraction(eta_sign(d)) ** b
+                    for m, p in tarcs:
+                        v *= form.lower_entry(top[p - 1], top[m - 1])
+                    for k, l in barcs:
+                        v *= form.upper_entry(bottom[l - D - 1], bottom[k - D - 1])
+                    if v:
+                        expected.setdefault(col, {})[row] = v
+            assert diagram_to_map(d, form).cols == expected, d.pairs
+
+
 @pytest.mark.parametrize("D,N,b", [(2, 3, 0), (2, 2, 1)])
 def test_element_map_is_multiplicative(rng, D, N, b):
     form = GradedForm(N, b)
@@ -193,7 +227,7 @@ def test_kernel_of_a3_is_traceless_space(N, b):
 def test_traceless_projector_d2_n3():
     form = GradedForm(3, 0)
     rep = traceless_projector(2, form)
-    expected = TensorMap.identity(3, 2) - ad_matrix(2, form).scaled(Fraction(1, 3))
+    expected = element_to_map(BrauerElement.one(2) - casimir_ad(2).scaled(Fraction(1, 3)), form)
     assert rep.projector == expected
     assert rep.trace == 8
     assert rep.idempotent
