@@ -66,18 +66,23 @@ def _propagator_from_spec(spec: dict, D: int, b: int, N: Optional[int]) -> Propa
 
     Either a diagram-basis table {"terms": [...]} or a named projector
     {"projector": {"lambda": [...], "scale": "p/q"}}; the projector form
-    needs a concrete N to extract the spectrum.
+    needs a concrete N to extract the spectrum.  Every field is checked
+    before the projector is built.
     """
     if "terms" in spec:
         return Propagator.from_json({"D": D, "terms": spec["terms"]})
     if "projector" in spec:
         proj = spec["projector"]
+        lam = _field(proj, "lambda", lambda rows: YoungDiagram(tuple(int(r) for r in rows)))
+        scale = _field(proj, "scale", lambda x: Fraction(str(x))) if "scale" in proj else None
+        if lam.size != D:
+            raise ValueError(f"field 'lambda': a partition of {lam.size} does not match D = {D}")
         if N is None:
             raise ValueError("projector propagators need a concrete \"N\" in the model file")
-        lam = _field(proj, "lambda", lambda rows: YoungDiagram(tuple(int(r) for r in rows)))
-        element = rep_mod.decompose_projector_as_propagator(lam, GradedForm(N, b))
-        if "scale" in proj:
-            element = element.scaled(_field(proj, "scale", lambda x: Fraction(str(x))))
+        form = _field({"N": N}, "N", lambda n: GradedForm(n, b))
+        element = rep_mod.decompose_projector_as_propagator(lam, form)
+        if scale is not None:
+            element = element.scaled(scale)
         return Propagator.from_brauer_element(element)
     raise ValueError("propagator block needs either \"terms\" or \"projector\"")
 
@@ -163,7 +168,7 @@ def _cmd_projector(args) -> int:
 def _cmd_amplitude(args) -> int:
     graph = _read(args.graph, StrandedGraph.from_json)
     prop = _read_propagator(args.propagator, graph.D, args.b, None)
-    amp = gaussian_expectation(graph, prop, args.b, workers=args.threads)
+    amp = gaussian_expectation(graph, prop, args.b)
     if args.json:
         print(json.dumps({"b": args.b, "amplitude": amp.poly.to_coeff_map()}, sort_keys=True))
     else:
@@ -221,7 +226,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_expand(args) -> int:
     spec = _read(args.model, _model_from_json)
-    terms = perturbative_expansion(spec, args.order, workers=args.threads)
+    terms = perturbative_expansion(spec, args.order)
     rows = []
     for term in terms:
         label = (
@@ -246,6 +251,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    GradedForm(args.N, args.b)  # the oracle's form: a bad --N fails before any file is read
     graph = _read(args.graph, StrandedGraph.from_json)
     prop = _read_propagator(args.propagator, graph.D, args.b, args.N)
     pipeline = gaussian_expectation(graph, prop, args.b).poly(Fraction(args.N))
@@ -299,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="stranded-graph JSON file")
     p.add_argument("--propagator", required=True, help="propagator JSON file")
     p.add_argument("--b", type=int, choices=(0, 1), default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_amplitude)
 
@@ -318,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="perturbative expansion of a model")
     p.add_argument("--model", required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_expand)
 

@@ -300,14 +300,14 @@ def invariant_sign_normal_form(S: StrandedGraph, ref: DirectedPairing) -> Invari
 
 
 def _completions(
-    S: StrandedGraph, C: Propagator, pairings: Iterable[Tuple[Pair, ...]]
+    S: StrandedGraph, C: Propagator
 ) -> Iterator[Tuple[Tuple[Pair, ...], Tuple[int, ...], Tuple[Pair, ...]]]:
     """(vertex pairing, term choice, oriented color-0 strands) per completion.
 
-    One completion per vertex pairing, given as (smaller, larger) pairs
-    in sorted order, and per choice of a propagator term for each of its
-    edges.  For an edge (i, j), slots 1..D of the term land on vertex i
-    and D+1..2D on vertex j.
+    One completion per vertex pairing of `all_pairings`, given as
+    (smaller, larger) pairs in sorted order, and per choice of a
+    propagator term for each of its edges.  For an edge (i, j), slots
+    1..D of the term land on vertex i and D+1..2D on vertex j.
     """
     D = S.D
     oriented_terms = [t.oriented().pairs for t in C.terms]
@@ -315,7 +315,7 @@ def _completions(
     def place(slot: int, i: int, j: int) -> int:
         return (i - 1) * D + slot if slot <= D else (j - 1) * D + (slot - D)
 
-    for matching in pairings:
+    for matching in all_pairings(S.vertices):
         placed = [
             [tuple((place(x, i, j), place(y, i, j)) for x, y in term) for term in oriented_terms]
             for i, j in matching
@@ -339,7 +339,7 @@ def wick_expand(S: StrandedGraph, C: Propagator, b: int) -> Tuple[TwoColoredGrap
         return ()
     weights = C.weights_at_grading(b)
     out = []
-    for matching, choice, color0 in _completions(S, C, all_pairings(S.vertices)):
+    for matching, choice, color0 in _completions(S, C):
         weight = math.prod((weights[t] for t in choice), start=Poly.const(1))
         out.append(TwoColoredGraph(S, matching, color0, weight))
     return tuple(out)
@@ -368,23 +368,12 @@ def graph_amplitude(G: TwoColoredGraph, b: int) -> AmplitudePolynomial:
     return AmplitudePolynomial(G.weight * sign * Poly.monomial(total), b)
 
 
-def _face_census(S: StrandedGraph, C: Propagator, pairings: Sequence[Tuple[Pair, ...]]) -> Counter:
-    """Completions counted by (face count, sorted term choice)."""
-    strands = partner_map(S.strands)
-    census: Counter = Counter()
-    for _, choice, color0 in _completions(S, C, pairings):
-        faces = strand_walk(partner_map(color0), strands)[1]
-        census[faces, tuple(sorted(choice))] += 1
-    return census
+def _face_census(S: StrandedGraph, C: Propagator) -> Counter:
+    """Completions of S counted by (face count, sorted term choice).
 
-
-def _census(S: StrandedGraph, C: Propagator, workers: int = 1) -> Counter:
-    """The face census of S, which does not depend on the grading.
-
-    The empty graph has the one empty completion; an odd number of
-    vertices has none.  `workers` > 1 splits the vertex pairings across
-    processes, each of which returns its counts; the merged counts do
-    not depend on the split.
+    The census does not depend on the grading.  It is one streaming pass
+    over the completions.  The empty graph has the one empty completion;
+    an odd number of vertices has none.
     """
     if S.vertices == 0:
         return Counter({(0, ()): 1})
@@ -392,14 +381,12 @@ def _census(S: StrandedGraph, C: Propagator, workers: int = 1) -> Counter:
         raise ValueError("propagator strand count does not match the graph")
     if S.vertices % 2 != 0:
         return Counter()
-    pairings = list(all_pairings(S.vertices))
-    if workers <= 1 or len(pairings) < 2 * workers:
-        return _face_census(S, C, pairings)
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = [pairings[k::workers] for k in range(workers)]
-        return sum(pool.map(_face_census, [S] * workers, [C] * workers, chunks), Counter())
+    strands = partner_map(S.strands)
+    census: Counter = Counter()
+    for _, choice, color0 in _completions(S, C):
+        faces = strand_walk(partner_map(color0), strands)[1]
+        census[faces, tuple(sorted(choice))] += 1
+    return census
 
 
 def _evaluate(census: Counter, C: Propagator, b: int) -> AmplitudePolynomial:
@@ -412,19 +399,18 @@ def _evaluate(census: Counter, C: Propagator, b: int) -> AmplitudePolynomial:
     return AmplitudePolynomial(total, b)
 
 
-def gaussian_expectation(
-    S: StrandedGraph, C: Propagator, b: int, workers: int = 1
-) -> AmplitudePolynomial:
+def gaussian_expectation(S: StrandedGraph, C: Propagator, b: int) -> AmplitudePolynomial:
     """Sum of graph amplitudes over the full Wick expansion of S.
 
     A completion with F faces and chosen term weights w contributes
     prod(w) * ((-1)^b N)^F, so the sum only needs the number of
-    completions per face count and multiset of chosen terms; one `Poly`
-    is formed per such class.  S may be disconnected (a product of
+    completions per face count and multiset of chosen terms.  One
+    `_face_census` pass counts them and one `Poly` is formed per such
+    class.  S may be disconnected (a product of
     invariants is one disconnected invariant).  The empty graph has
     expectation 1; an odd number of vertices gives 0.
     """
-    return _evaluate(_census(S, C, workers), C, b)
+    return _evaluate(_face_census(S, C), C, b)
 
 
 @dataclass(frozen=True)
@@ -441,7 +427,7 @@ def duality_check(S: StrandedGraph, C: Propagator) -> DualityReport:
     z-dependence in the weights is re-read at the loop weight of the
     respective grading.
     """
-    census = _census(S, C)
+    census = _face_census(S, C)
     e0 = _evaluate(census, C, 0).poly
     e1 = _evaluate(census, C, 1).poly
     return DualityReport(equal=(e1 == e0.reflected()), orthogonal=e0, symplectic=e1)
@@ -493,9 +479,7 @@ class ExpansionTerm:
     amplitude: AmplitudePolynomial
 
 
-def perturbative_expansion(
-    model: ModelSpec, order: int, workers: int = 1
-) -> Tuple[ExpansionTerm, ...]:
+def perturbative_expansion(model: ModelSpec, order: int) -> Tuple[ExpansionTerm, ...]:
     """All terms with at most `order` interaction insertions.
 
     Each term is the Gaussian expectation of the disjoint union of its
@@ -519,7 +503,7 @@ def perturbative_expansion(
                 coeff *= per**p / Fraction(math.factorial(p))
                 for _ in range(p):
                     union = disjoint_union_graphs(union, it.graph)
-            amp = gaussian_expectation(union, model.propagator, model.b, workers=workers)
+            amp = gaussian_expectation(union, model.propagator, model.b)
             out.append(ExpansionTerm(tuple(couplings), coeff, amp))
     return tuple(out)
 

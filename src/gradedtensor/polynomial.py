@@ -36,10 +36,6 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    def __reduce__(self):
-        # custom __setattr__ breaks default slot pickling
-        return (Poly, (self.coeffs,))
-
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -441,10 +441,6 @@ class ProjectorReport:
     idempotent: bool
     element: BrauerElement
 
-    def __post_init__(self):
-        if self.idempotent and self.trace != self.rank:
-            raise ArithmeticError("idempotent map with trace != rank")
-
 
 def _check_traceless(element: BrauerElement, form: GradedForm, size_cap: int) -> TensorMap:
     """The element's tensor map, after checking that A_D annihilates its image."""
@@ -455,13 +451,17 @@ def _check_traceless(element: BrauerElement, form: GradedForm, size_cap: int) ->
 
 
 def _report(element: BrauerElement, form: GradedForm, size_cap: int) -> ProjectorReport:
+    """The element's map, checked to be a traceless idempotent, with its invariants.
+
+    An idempotent's rank equals its trace, so the rank is read off the
+    trace with no elimination.
+    """
     m = _check_traceless(element, form, size_cap)
+    if not m.is_idempotent():
+        raise ArithmeticError("projector is not idempotent")
+    trace = m.trace()
     return ProjectorReport(
-        projector=m,
-        trace=m.trace(),
-        rank=m.rank(),
-        idempotent=m.is_idempotent(),
-        element=element,
+        projector=m, trace=trace, rank=int(trace), idempotent=True, element=element
     )
 
 

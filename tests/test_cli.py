@@ -241,6 +241,9 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         ("propagator", {"terms": [dict(GOOD_PROP["terms"][0], gamma="1/0")]}, "field 'gamma': "),
         ("propagator", {"N": 3, "projector": {"lambda": [2], "scale": "1/0"}}, "field 'scale': "),
         ("propagator", {"terms": [dict(GOOD_PROP["terms"][0], gamma={"0": "1/0"})]}, "field 'gamma': "),
+        ("propagator", {"N": 3, "projector": {"lambda": [3]}}, "field 'lambda': "),
+        ("propagator", {"N": 0, "projector": {"lambda": [2]}}, "field 'N': "),
+        ("model", dict(QUARTIC_D2, b=1), "field 'N': "),
     ],
     ids=[
         "graph",
@@ -258,6 +261,9 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         "zero-gamma",
         "zero-scale",
         "zero-coeff-map",
+        "prop-lambda-size",
+        "prop-N-zero",
+        "model-N-odd-at-b1",
     ],
 )
 def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, contents, named):
@@ -275,6 +281,37 @@ def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, conten
     assert err.startswith(f"error: {paths[bad]}: ")
     if named is not None:
         assert named in err
+
+
+@pytest.mark.parametrize(
+    "projector",
+    [{"lambda": [3]}, {"lambda": [2], "scale": "x"}, {"lambda": [2], "scale": "1/0"}],
+    ids=["lambda-size", "scale", "zero-scale"],
+)
+def test_projector_block_is_checked_before_it_is_built(tmp_path, capsys, monkeypatch, projector):
+    from gradedtensor import representation
+
+    calls = []
+    monkeypatch.setattr(
+        representation, "decompose_projector_as_propagator", lambda *args: calls.append(args)
+    )
+    graph, prop = tmp_path / "graph.json", tmp_path / "prop.json"
+    graph.write_text(json.dumps(GOOD_GRAPH))
+    prop.write_text(json.dumps({"N": 3, "projector": projector}))
+    code, out, err = invoke(capsys, "amplitude", "--graph", str(graph), "--propagator", str(prop))
+    assert code == 2
+    assert err.startswith(f"error: {prop}: field ")
+    assert calls == []
+
+
+def test_oracle_check_bad_dimension_names_no_file(tmp_path, capsys):
+    # --N is an option, not a field of the propagator file
+    graph, prop = tmp_path / "graph.json", tmp_path / "prop.json"
+    graph.write_text(json.dumps(GOOD_GRAPH))
+    prop.write_text(json.dumps({"projector": {"lambda": [2]}}))
+    argv = ["oracle-check", "--graph", str(graph), "--propagator", str(prop), "--N", "3", "--b", "1"]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: symplectic form requires even N\n")
 
 
 @pytest.mark.parametrize("command", ["oracle-check", "duality-check"])
@@ -332,25 +369,3 @@ def test_byte_identical_across_hash_seeds(quartic_model, tmp_path):
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-
-
-def test_threads_flag(tmp_path, capsys):
-    graph = tmp_path / "g4.json"
-    graph.write_text(json.dumps(QUARTIC_D2["interactions"][0]["graph"]))
-    prop = tmp_path / "prop.json"
-    prop.write_text(
-        json.dumps({"terms": [{"pairs": [[1, 3], [2, 4]], "gamma": "1"}]})
-    )
-    base = invoke(capsys, "amplitude", "--graph", str(graph), "--propagator", str(prop))
-    threaded = invoke(
-        capsys,
-        "amplitude",
-        "--graph",
-        str(graph),
-        "--propagator",
-        str(prop),
-        "--threads",
-        "2",
-    )
-    assert base[0] == threaded[0] == 0
-    assert base[1] == threaded[1]

@@ -105,7 +105,7 @@ def test_mixed_symmetry_projectors_are_idempotent():
             for b in (0, 1):
                 rep = irreducible_projector(YoungDiagram(rows), GradedForm(4, b))
                 assert rep.idempotent, (rows, b)
-                assert rep.trace == rep.rank
+                assert rep.trace == rep.rank == rep.projector.rank()
 
 
 def test_pipeline_handles_disconnected_graphs_vs_oracle(rng):

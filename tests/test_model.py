@@ -4,6 +4,7 @@ import pytest
 
 from gradedtensor.combinatorics import DirectedPairing, all_pairings, double_factorial
 from gradedtensor.model import (
+    DualityReport,
     Interaction,
     ModelSpec,
     Propagator,
@@ -251,21 +252,6 @@ def test_duality_z_polynomial_propagator(rng):
         assert duality_check(g, C).equal
 
 
-G4 = StrandedGraph(2, 4, ((1, 3), (2, 5), (4, 7), (6, 8)))
-RING6 = StrandedGraph(2, 6, ((2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 1)))
-
-
-@pytest.mark.parametrize(
-    "g,b", [(G4, 1), (RING6, 0), (RING6, 1)], ids=["g4", "ring6-b0", "ring6-b1"]
-)
-def test_workers_split_matches_serial(g, b):
-    # g4 has 3 vertex pairings and stays serial; the ring's 15 reach the pool
-    C = identity_plus_swap()
-    serial = gaussian_expectation(g, C, b).poly
-    parallel = gaussian_expectation(g, C, b, workers=2).poly
-    assert serial == parallel
-
-
 def z_polynomial_table(rng, D: int) -> Propagator:
     """Four terms, one pairing repeated, with nonzero weights of degree 2 in z."""
     pairings = [rand_diagram(rng, D).pairs for _ in range(3)]
@@ -307,6 +293,21 @@ def test_duality_check_takes_one_census(rng, monkeypatch):
     assert len(calls) == 1
     assert report.orthogonal == gaussian_expectation(g, C, 0).poly
     assert report.symplectic == gaussian_expectation(g, C, 1).poly
+
+
+def test_census_rules_for_empty_odd_and_mismatched_graphs():
+    C = identity_plus_swap()
+    empty = StrandedGraph(2, 0, ())
+    odd = StrandedGraph(2, 3, ((1, 3), (2, 5), (4, 6)))
+    for b in (0, 1):
+        assert gaussian_expectation(empty, C, b).poly == Poly.const(1)
+        assert gaussian_expectation(odd, C, b).poly == Poly()
+        with pytest.raises(ValueError, match="strand count"):
+            gaussian_expectation(dipole(3), C, b)
+    assert duality_check(empty, C) == DualityReport(True, Poly.const(1), Poly.const(1))
+    assert duality_check(odd, C) == DualityReport(True, Poly(), Poly())
+    with pytest.raises(ValueError, match="strand count"):
+        duality_check(dipole(3), C)
 
 
 def quartic_model() -> ModelSpec:

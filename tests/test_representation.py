@@ -399,3 +399,13 @@ def test_dropped_eigenvalue_fails_traceless_check(monkeypatch):
         irreducible_projector(lam, form)
     with pytest.raises(ArithmeticError):
         decompose_projector_as_propagator(lam, form)
+
+
+def test_wrong_normalisation_fails_idempotence_check(monkeypatch):
+    # the rank is read off the trace, which only an idempotent makes valid
+    import gradedtensor.representation as rep_mod
+
+    norm = rep_mod.symmetrizer_norm
+    monkeypatch.setattr(rep_mod, "symmetrizer_norm", lambda lam: 2 * norm(lam))
+    with pytest.raises(ArithmeticError, match="not idempotent"):
+        irreducible_projector(YoungDiagram((2, 1)), GradedForm(3, 0))
