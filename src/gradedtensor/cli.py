@@ -79,22 +79,34 @@ def _propagator_from_spec(spec: dict, D: int, b: int, N: Optional[int]) -> Propa
             raise ValueError(f"field 'lambda': a partition of {lam.size} does not match D = {D}")
         if N is None:
             raise ValueError("projector propagators need a concrete \"N\" in the model file")
-        form = _field({"N": N}, "N", lambda n: GradedForm(n, b))
-        element = rep_mod.decompose_projector_as_propagator(lam, form)
+        element = rep_mod.decompose_projector_as_propagator(lam, GradedForm(N, b))
         if scale is not None:
             element = element.scaled(scale)
         return Propagator.from_brauer_element(element)
     raise ValueError("propagator block needs either \"terms\" or \"projector\"")
 
 
+def _dimension(data: dict, b: int, given: Optional[int] = None) -> Optional[int]:
+    """A JSON file's own "N", checked against the form of grading b.
+
+    A null or missing "N" falls back to `given` (the --N option, if any);
+    one that differs from it is an error, not a second dimension.
+    """
+    if data.get("N") is None:
+        return given
+
+    def parse(value) -> int:
+        n = GradedForm(int(value), b).N
+        if given is not None and n != given:
+            raise ValueError(f"{n} differs from --N {given}")
+        return n
+
+    return _field(data, "N", parse)
+
+
 def _read_propagator(path: str, D: int, b: int, N: Optional[int]) -> Propagator:
-    """A propagator file; its own "N", when present and not null, replaces `N`."""
-
-    def parse(data: dict) -> Propagator:
-        own = _field(data, "N", int) if data.get("N") is not None else N
-        return _propagator_from_spec(data, D, b, own)
-
-    return _read(path, parse)
+    """A propagator file, with its own "N" (see `_dimension`)."""
+    return _read(path, lambda data: _propagator_from_spec(data, D, b, _dimension(data, b, N)))
 
 
 def _model_from_json(data: dict) -> ModelSpec:
@@ -103,7 +115,7 @@ def _model_from_json(data: dict) -> ModelSpec:
 
     D = _field(data, "D", int)
     b = _field(data, "b", int) if "b" in data else 0
-    N = _field(data, "N", int) if data.get("N") is not None else None
+    N = _dimension(data, b)
     prop = _field(data, "propagator", lambda spec: _propagator_from_spec(spec, D, b, N))
     found = _field(data, "interactions", interactions) if "interactions" in data else ()
     return ModelSpec(D, b, prop, found)

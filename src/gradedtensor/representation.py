@@ -44,8 +44,8 @@ class GradedForm:
     """The bilinear form of the model: Kronecker delta (b=0) or the
     canonical symplectic form (b=1, N even), with its inverse.
 
-    Entries are stored sparsely over 0-based indices; both the form and
-    its inverse have exactly N nonzero entries.
+    Entries are the ints +-1, stored sparsely over 0-based indices; both
+    the form and its inverse have exactly N nonzero entries.
     """
 
     __slots__ = ("N", "b", "lower", "upper")
@@ -59,19 +59,19 @@ class GradedForm:
             raise ValueError("symplectic form requires even N")
         self.N = N
         self.b = b
-        lower: Dict[Tuple[int, int], Fraction] = {}
-        upper: Dict[Tuple[int, int], Fraction] = {}
+        lower: Dict[Tuple[int, int], int] = {}
+        upper: Dict[Tuple[int, int], int] = {}
         if b == 0:
             for a in range(N):
-                lower[(a, a)] = Fraction(1)
-                upper[(a, a)] = Fraction(1)
+                lower[(a, a)] = 1
+                upper[(a, a)] = 1
         else:
             half = N // 2
             for a in range(half):
-                lower[(a, a + half)] = Fraction(1)
-                lower[(a + half, a)] = Fraction(-1)
-                upper[(a, a + half)] = Fraction(-1)
-                upper[(a + half, a)] = Fraction(1)
+                lower[(a, a + half)] = 1
+                lower[(a + half, a)] = -1
+                upper[(a, a + half)] = -1
+                upper[(a + half, a)] = 1
         self.lower = lower
         self.upper = upper
 
@@ -80,13 +80,13 @@ class GradedForm:
         """The loop weight carried by this form: (-1)^b N."""
         return Fraction(-self.N if self.b else self.N)
 
-    def lower_entry(self, i: int, j: int) -> Fraction:
-        return self.lower.get((i, j), Fraction(0))
+    def lower_entry(self, i: int, j: int) -> int:
+        return self.lower.get((i, j), 0)
 
-    def upper_entry(self, i: int, j: int) -> Fraction:
-        return self.upper.get((i, j), Fraction(0))
+    def upper_entry(self, i: int, j: int) -> int:
+        return self.upper.get((i, j), 0)
 
-    def upper_nonzeros(self) -> List[Tuple[int, int, Fraction]]:
+    def upper_nonzeros(self) -> List[Tuple[int, int, int]]:
         return [(i, j, v) for (i, j), v in sorted(self.upper.items())]
 
     def __repr__(self):
@@ -99,15 +99,18 @@ class GradedForm:
 class TensorMap:
     """An exact-rational linear map on the N^D-dimensional tensor space.
 
-    Stored column-sparse: cols[j] maps row index to a nonzero Fraction.
+    Integer numerators over one positive common denominator: cols[j] maps
+    row index to a nonzero int, and entry (i, j) is cols[j][i] / den.
+    Stored column-sparse.
     """
 
-    __slots__ = ("N", "D", "size", "cols")
+    __slots__ = ("N", "D", "size", "cols", "den")
 
-    def __init__(self, N: int, D: int, cols: Dict[int, Dict[int, Fraction]]):
+    def __init__(self, N: int, D: int, cols: Dict[int, Dict[int, int]], den: int = 1):
         self.N = N
         self.D = D
         self.size = N**D
+        self.den = den
         self.cols = {
             j: {i: v for i, v in col.items() if v != 0}
             for j, col in cols.items()
@@ -116,7 +119,7 @@ class TensorMap:
 
     @classmethod
     def identity(cls, N: int, D: int) -> "TensorMap":
-        return cls(N, D, {j: {j: Fraction(1)} for j in range(N**D)})
+        return cls(N, D, {j: {j: 1} for j in range(N**D)})
 
     def _check_compatible(self, other: "TensorMap"):
         if (self.N, self.D) != (other.N, other.D):
@@ -125,40 +128,50 @@ class TensorMap:
     def compose(self, other: "TensorMap") -> "TensorMap":
         """self after other, i.e. the matrix product self @ other."""
         self._check_compatible(other)
-        cols: Dict[int, Dict[int, Fraction]] = {}
+        cols: Dict[int, Dict[int, int]] = {}
         for j, col in other.cols.items():
-            acc: Dict[int, Fraction] = {}
+            acc: Dict[int, int] = {}
             for mid, v in col.items():
                 left = self.cols.get(mid)
                 if not left:
                     continue
                 for i, w in left.items():
-                    acc[i] = acc.get(i, Fraction(0)) + v * w
+                    acc[i] = acc.get(i, 0) + v * w
             if acc:
                 cols[j] = acc
-        return TensorMap(self.N, self.D, cols)
+        return TensorMap(self.N, self.D, cols, self.den * other.den)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TensorMap)
-            and (self.N, self.D) == (other.N, other.D)
-            and self.cols == other.cols
-        )
+        """Equal entries, compared as numerators cross-multiplied by the
+        other map's denominator."""
+        if not isinstance(other, TensorMap) or (self.N, self.D) != (other.N, other.D):
+            return False
+        if self.den == other.den:
+            return self.cols == other.cols
+        if self.cols.keys() != other.cols.keys():
+            return False
+        for j, col in self.cols.items():
+            theirs = other.cols[j]
+            if col.keys() != theirs.keys():
+                return False
+            if any(v * other.den != theirs[i] * self.den for i, v in col.items()):
+                return False
+        return True
 
     def is_zero(self) -> bool:
         return not self.cols
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.cols.get(j, {}).get(i, Fraction(0))
+        return Fraction(self.cols.get(j, {}).get(i, 0), self.den)
 
     def trace(self) -> Fraction:
-        return sum((col[j] for j, col in self.cols.items() if j in col), Fraction(0))
+        return Fraction(sum(col[j] for j, col in self.cols.items() if j in col), self.den)
 
     def dense_rows(self) -> List[List[Fraction]]:
         rows = [[Fraction(0)] * self.size for _ in range(self.size)]
         for j, col in self.cols.items():
             for i, v in col.items():
-                rows[i][j] = v
+                rows[i][j] = Fraction(v, self.den)
         return rows
 
     def rank(self) -> int:
@@ -222,10 +235,8 @@ def _check_cap(N: int, D: int, size_cap: int):
 # -- diagram and element actions ---------------------------------------------
 
 
-def _add_action(
-    cols: Dict[int, Dict[int, Fraction]], d: BrauerDiagram, c: Fraction, form: GradedForm
-):
-    """Add c times the action of d into cols (column -> row -> entry).
+def _add_action(cols: Dict[int, Dict[int, int]], d: BrauerDiagram, c: int, form: GradedForm):
+    """Add the integer c times the action of d into cols (column -> row -> entry).
 
     Each pair of d is one factor that fixes the index values at both its
     points, so a choice of one nonzero factor per pair is one nonzero
@@ -235,7 +246,7 @@ def _add_action(
     N, D = form.N, d.D
     # (column, row) code of index value 1 at each point
     unit = {q: (N ** (D - q), 0) if q <= D else (0, N ** (2 * D - q)) for q in range(1, 2 * D + 1)}
-    delta = {(x, x): Fraction(1) for x in range(N)}
+    delta = {(x, x): 1 for x in range(N)}
     per_pair = []
     for m, p in d.pairs:
         # (i, j) -> g puts i at the right point p and j at the left point m
@@ -275,17 +286,19 @@ def element_to_map(
 ) -> TensorMap:
     """Linear extension of the diagram action, with z evaluated at (-1)^b N.
 
-    Every term with a nonzero coefficient adds its diagram's entries, one
+    Each coefficient is evaluated once; the map's denominator is the lcm
+    of their denominators, so every term adds integer entries, one
     nonzero form entry per pair (see `diagram_to_map`), into one column
     dict; no N^D scan and no map per diagram.
     """
     _check_cap(form.N, e.D, size_cap)
-    cols: Dict[int, Dict[int, Fraction]] = {}
-    for d, coeff in e.terms.items():
-        c = coeff(form.z_value)
+    values = {d: coeff(form.z_value) for d, coeff in e.terms.items()}
+    den = math.lcm(*(c.denominator for c in values.values()))
+    cols: Dict[int, Dict[int, int]] = {}
+    for d, c in values.items():
         if c:
-            _add_action(cols, d, c, form)
-    return TensorMap(form.N, e.D, cols)
+            _add_action(cols, d, c.numerator * (den // c.denominator), form)
+    return TensorMap(form.N, e.D, cols, den)
 
 
 # -- spectra and projectors ---------------------------------------------------
@@ -303,7 +316,7 @@ def _matvec(m: TensorMap, v: Dict[int, Fraction]) -> Dict[int, Fraction]:
             continue
         for i, w in col.items():
             out[i] = out.get(i, Fraction(0)) + c * w
-    return {i: c for i, c in out.items() if c != 0}
+    return {i: c / m.den for i, c in out.items() if c != 0}
 
 
 def _local_minimal_polynomial(m: TensorMap, start: Dict[int, Fraction]) -> Poly:

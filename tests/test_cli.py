@@ -244,6 +244,11 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         ("propagator", {"N": 3, "projector": {"lambda": [3]}}, "field 'lambda': "),
         ("propagator", {"N": 0, "projector": {"lambda": [2]}}, "field 'N': "),
         ("model", dict(QUARTIC_D2, b=1), "field 'N': "),
+        (
+            "model",
+            {"D": 2, "b": 1, "N": 3, "propagator": {"projector": {"lambda": [2]}}},
+            "model.json: field 'N': symplectic form requires even N",
+        ),
     ],
     ids=[
         "graph",
@@ -264,6 +269,7 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         "prop-lambda-size",
         "prop-N-zero",
         "model-N-odd-at-b1",
+        "model-N-top-level",
     ],
 )
 def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, contents, named):
@@ -312,6 +318,23 @@ def test_oracle_check_bad_dimension_names_no_file(tmp_path, capsys):
     argv = ["oracle-check", "--graph", str(graph), "--propagator", str(prop), "--N", "3", "--b", "1"]
     code, out, err = invoke(capsys, *argv)
     assert (code, out, err) == (2, "", "error: symplectic form requires even N\n")
+
+
+@pytest.mark.parametrize("own", [3, None, "missing"])
+def test_oracle_check_evaluates_one_dimension(tmp_path, capsys, own):
+    # the propagator file's table and both sides of the check are read at one N
+    graph, prop = tmp_path / "graph.json", tmp_path / "prop.json"
+    graph.write_text(json.dumps(GOOD_GRAPH))
+    spec = {"projector": {"lambda": [2]}}
+    prop.write_text(json.dumps(spec if own == "missing" else dict(spec, N=own)))
+    argv = ["oracle-check", "--graph", str(graph), "--propagator", str(prop), "--N", "2", "--json"]
+    code, out, err = invoke(capsys, *argv)
+    if own == 3:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {prop}: field 'N': ")
+    else:
+        assert code == 0
+        assert json.loads(out)["pipeline"] == "2"
 
 
 @pytest.mark.parametrize("command", ["oracle-check", "duality-check"])

@@ -141,17 +141,40 @@ def test_diagram_action_matches_its_definition(N, b):
             assert diagram_to_map(d, form).cols == expected, d.pairs
 
 
-@pytest.mark.parametrize("D,N,b", [(2, 3, 0), (2, 2, 1)])
+@pytest.mark.parametrize("D,N,b", [(2, 3, 0), (2, 2, 1), (3, 3, 0), (3, 2, 1)])
 def test_element_map_is_multiplicative(rng, D, N, b):
+    # coprime denominators 2 and 3 on the two factors
     form = GradedForm(N, b)
     for _ in range(30):
         e1 = BrauerElement.of_diagram(rand_diagram(rng, D), Fraction(1, 2)) + (
             BrauerElement.of_diagram(rand_diagram(rng, D), Poly((0, 1)))
         )
-        e2 = BrauerElement.of_diagram(rand_diagram(rng, D), 2)
+        e2 = BrauerElement.of_diagram(rand_diagram(rng, D), 2) + (
+            BrauerElement.of_diagram(rand_diagram(rng, D), Fraction(1, 3))
+        )
         lhs = element_to_map(multiply(e1, e2), form)
         rhs = element_to_map(e1, form).compose(element_to_map(e2, form))
         assert lhs == rhs
+
+
+def test_maps_over_different_denominators_compare_equal():
+    form = GradedForm(3, 0)
+    m = element_to_map(traceless_element(2, form), form)  # 1 - A/3
+    assert m.den == 3
+    scaled = TensorMap(3, 2, {j: {i: 5 * v for i, v in col.items()} for j, col in m.cols.items()}, 15)
+    assert scaled == m and m == scaled
+    assert scaled.dense_rows() == m.dense_rows()
+    assert (scaled.trace(), scaled.entry(0, 0)) == (m.trace(), m.entry(0, 0)) == (8, Fraction(2, 3))
+    assert m.compose(m).den == 9 and m.compose(m) == m
+    nudged = TensorMap(3, 2, {**scaled.cols, 0: {**scaled.cols[0], 0: scaled.cols[0][0] + 1}}, 15)
+    assert nudged != m and m != nudged
+
+
+def test_minimal_polynomial_reads_the_denominator():
+    form = GradedForm(3, 0)
+    m = element_to_map(traceless_element(2, form), form)
+    assert m.den == 3
+    assert minimal_polynomial(m) == Poly((0, -1, 1))  # x^2 - x, not that of 3P
 
 
 def test_zero_element_gives_zero_map():
