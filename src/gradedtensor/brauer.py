@@ -4,9 +4,11 @@ Points 1..D form the top row and D+1..2D the bottom row; a diagram is a
 perfect matching of the 2D points.  Products stack the left factor
 below the right one and straighten; every closed loop removed in the
 straightening contributes one factor of the formal loop weight z.
-Coefficients stay polynomial in z throughout, so one computation serves
-both gradings; z is evaluated to (-1)^b N only at representation or
-model boundaries.
+`multiply` keeps coefficients polynomial in z, so one computation serves
+both gradings.  The projector builders of `representation` need only
+z = (-1)^b N: they work on partner tuples (`partners`) and integer
+numerators, with two local products: `times_beta`, and the permutation
+relabelings `permuted_below` and `permuted_above`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .polynomial import Poly
 from .young import GroupAlgebraElement, Perm
 
 Pair = Tuple[int, int]
+# p[x] is the partner of point x, for the points x = 1..2D; p[0] = 0 pads
+# the tuple so that points index it directly.
+Partners = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,67 @@ def compose_diagrams(d1: BrauerDiagram, d2: BrauerDiagram) -> Tuple[BrauerDiagra
     return BrauerDiagram(D, pairs), loops
 
 
+# -- products on partner tuples ---------------------------------------------
+
+
+def partners(d: BrauerDiagram) -> Partners:
+    """The partner tuple of a diagram."""
+    p = [0] * (2 * d.D + 1)
+    for a, b in d.pairs:
+        p[a], p[b] = b, a
+    return tuple(p)
+
+
+def from_partners(p: Partners) -> BrauerDiagram:
+    return BrauerDiagram(len(p) // 2, tuple((x, y) for x, y in enumerate(p) if 0 < x < y))
+
+
+def times_beta(p: Partners, i: int, j: int) -> Tuple[Partners, int]:
+    """d*beta_ij (d below beta_ij) and its loop count, for d with partners p.
+
+    beta_ij's bottom arc (i', j') meets d's top points i and j.  If d
+    pairs them, that closes one loop and d is unchanged; otherwise it
+    joins their partners.  Either way beta_ij's top arc makes (i, j) a
+    top arc.  The same as `compose_diagrams(d, beta_ij(D, i, j))`.
+    """
+    a, b = p[i], p[j]
+    if a == j:
+        return p, 1
+    q = list(p)
+    q[a], q[b], q[i], q[j] = b, a, j, i
+    return tuple(q), 0
+
+
+def _relabeled(p: Partners, image: Partners) -> Partners:
+    """The diagram with each point x renamed image[x]."""
+    q = [0] * len(p)
+    for x, y in enumerate(p):
+        q[image[x]] = image[y]
+    return tuple(q)
+
+
+def permuted_below(p: Partners, sigma: Perm) -> Partners:
+    """sigma*d (sigma below d): d's bottom point D+1+k becomes D+1+sigma(k).
+
+    The same as `compose_diagrams(from_permutation(sigma), d)`, which
+    closes no loop."""
+    D = len(sigma)
+    return _relabeled(p, tuple(range(D + 1)) + tuple(D + 1 + s for s in sigma))
+
+
+def permuted_above(p: Partners, sigma: Perm) -> Partners:
+    """d*sigma (sigma above d): d's top point sigma(i)+1 becomes i+1.
+
+    The same as `compose_diagrams(d, from_permutation(sigma))`, which
+    closes no loop."""
+    D = len(sigma)
+    image = [0] * (2 * D + 1)
+    for i, s in enumerate(sigma):
+        image[s + 1] = i + 1
+    image[D + 1 :] = range(D + 1, 2 * D + 1)
+    return _relabeled(p, tuple(image))
+
+
 # -- linear combinations ----------------------------------------------------
 
 
@@ -207,10 +273,6 @@ class BrauerElement:
     def __repr__(self):
         parts = [f"({c.format('z')})*{d.pairs}" for d, c in sorted(self.terms.items(), key=lambda t: t[0].pairs)]
         return f"BrauerElement[D={self.D}]({' + '.join(parts) or '0'})"
-
-    def evaluated(self, z_value) -> Dict[BrauerDiagram, Fraction]:
-        """Coefficients with z evaluated at a rational value."""
-        return {d: c(z_value) for d, c in self.terms.items()}
 
     def to_json(self) -> dict:
         items = sorted(self.terms.items(), key=lambda t: t[0].pairs)

@@ -28,7 +28,7 @@ from .model import (
     gaussian_expectation,
     perturbative_expansion,
 )
-from .representation import GradedForm
+from .representation import GradedForm, grading_bit
 from .young import YoungDiagram, gl_dimension_poly, transpose
 
 EXIT_OK = 0
@@ -114,7 +114,7 @@ def _model_from_json(data: dict) -> ModelSpec:
         return tuple(Interaction(it["name"], StrandedGraph.from_json(it["graph"])) for it in items)
 
     D = _field(data, "D", int)
-    b = _field(data, "b", int) if "b" in data else 0
+    b = _field(data, "b", lambda value: grading_bit(int(value))) if "b" in data else 0
     N = _dimension(data, b)
     prop = _field(data, "propagator", lambda spec: _propagator_from_spec(spec, D, b, N))
     found = _field(data, "interactions", interactions) if "interactions" in data else ()
@@ -154,7 +154,7 @@ def _cmd_projector(args) -> int:
     report = rep_mod.irreducible_projector(lam, form, size_cap=args.size_cap)
     decomposition = None
     if args.decompose:
-        decomposition = rep_mod.propagator_table(report.element, form).to_json()
+        decomposition = report.element.to_json()
     if args.json:
         out = {
             "partition": list(lam.rows),

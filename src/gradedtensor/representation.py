@@ -3,8 +3,10 @@
 Everything here is exact rational linear algebra: diagram matrices,
 the closed-form integer spectrum of the arc-sum element, the universal
 traceless projector, the explicit symmetric-traceless product formula
-and irreducible-symmetry projectors.  The symplectic grading enters
-through the form (delta or omega) and the diagram grading sign.
+and irreducible-symmetry projectors.  The projector elements are built
+at the loop weight z0 = (-1)^b N in integers (`_ElementAtZ0`).  The
+symplectic grading enters through the form (delta or omega) and the
+diagram grading sign.
 """
 
 from __future__ import annotations
@@ -18,10 +20,15 @@ from typing import Dict, List, Set, Tuple
 from .brauer import (
     BrauerDiagram,
     BrauerElement,
+    Partners,
     casimir_ad,
-    embed_group_algebra,
     eta_sign,
-    multiply,
+    from_partners,
+    identity_diagram,
+    partners,
+    permuted_above,
+    permuted_below,
+    times_beta,
 )
 from .errors import CapExceededError
 from .polynomial import Poly
@@ -40,6 +47,13 @@ DEFAULT_SIZE_CAP = 20736  # N**D above this errors instead of thrashing
 # -- graded bilinear forms ---------------------------------------------------
 
 
+def grading_bit(b: int) -> int:
+    """b, checked to be a grading: 0 (orthogonal) or 1 (symplectic)."""
+    if b not in (0, 1):
+        raise ValueError("grading bit must be 0 or 1")
+    return b
+
+
 class GradedForm:
     """The bilinear form of the model: Kronecker delta (b=0) or the
     canonical symplectic form (b=1, N even), with its inverse.
@@ -51,8 +65,7 @@ class GradedForm:
     __slots__ = ("N", "b", "lower", "upper")
 
     def __init__(self, N: int, b: int):
-        if b not in (0, 1):
-            raise ValueError("grading bit must be 0 or 1")
+        grading_bit(b)
         if N < 1:
             raise ValueError("dimension must be positive")
         if b == 1 and N % 2 != 0:
@@ -478,20 +491,69 @@ def _report(element: BrauerElement, form: GradedForm, size_cap: int) -> Projecto
     )
 
 
+class _ElementAtZ0:
+    """A Brauer element under construction, read at the loop weight
+    z0 = (-1)^b N: integer numerators keyed by partner tuple (see
+    `brauer.partners`) over one common denominator.
+
+    Right factors (1 - A/alpha) and Young symmetrizers on either side
+    are local updates of each diagram, with no general Brauer product
+    and no polynomial in z.
+    """
+
+    __slots__ = ("D", "z0", "terms", "den")
+
+    def __init__(self, D: int, form: GradedForm):
+        self.D = D
+        self.z0 = int(form.z_value)
+        self.terms: Dict[Partners, int] = {partners(identity_diagram(D)): 1}
+        self.den = 1
+
+    def times_traceless_factor(self, alpha: int):
+        """self * (1 - A/alpha) = (alpha * self - sum_{i<j} self * beta_ij) / alpha."""
+        arcs = [(i, j) for i in range(1, self.D) for j in range(i + 1, self.D + 1)]
+        out = {p: alpha * c for p, c in self.terms.items()}
+        for p, c in self.terms.items():
+            for i, j in arcs:
+                q, loops = times_beta(p, i, j)
+                out[q] = out.get(q, 0) - c * self.z0**loops
+        self.terms = {p: c for p, c in out.items() if c}
+        self.den *= alpha
+
+    def symmetrized(self, lam: YoungDiagram, permuted):
+        """Multiply by c_lambda / n_lambda on the side of `permuted`:
+        `brauer.permuted_below` for c_lambda * self, `brauer.permuted_above`
+        for self * c_lambda."""
+        out: Dict[Partners, int] = {}
+        for sigma, c in young_symmetrizer(lam).terms.items():
+            for p, n in self.terms.items():
+                q = permuted(p, sigma)
+                out[q] = out.get(q, 0) + int(c) * n
+        self.terms = {p: c for p, c in out.items() if c}
+        self.den *= int(symmetrizer_norm(lam))
+
+    def element(self) -> BrauerElement:
+        """The element with constant coefficients numerator / den."""
+        return BrauerElement(
+            self.D, {from_partners(p): Fraction(c, self.den) for p, c in self.terms.items()}
+        )
+
+
+def _traceless(D: int, form: GradedForm) -> _ElementAtZ0:
+    out = _ElementAtZ0(D, form)
+    if D >= 2:
+        for alpha in sorted(ad_nonzero_eigenvalues(D, form)):
+            out.times_traceless_factor(alpha)
+    return out
+
+
 def traceless_element(D: int, form: GradedForm) -> BrauerElement:
-    """The universal traceless projector as a Brauer element.
+    """The universal traceless projector as a Brauer element at z0.
 
     The product over the nonzero eigenvalues alpha of (1 - A/alpha), with
     the closed-form eigenvalues for the given N and grading (no tensor map).
     """
-    one = BrauerElement.one(D)
-    if D < 2:
-        return one
-    a = casimir_ad(D)
-    out = one
-    for alpha in sorted(ad_nonzero_eigenvalues(D, form)):
-        out = multiply(out, one + a.scaled(Fraction(-1, alpha)))
-    return out
+    return _traceless(D, form).element()
 
 
 def traceless_projector(
@@ -502,26 +564,24 @@ def traceless_projector(
     return _report(traceless_element(D, form), form, size_cap)
 
 
-def symmetric_traceless_element(
-    D: int, form: GradedForm
-) -> BrauerElement:
-    """The explicit product formula removing trace modes after symmetrization.
+def _symmetric_traceless(D: int, form: GradedForm) -> _ElementAtZ0:
+    out = _ElementAtZ0(D, form)
+    for f in range(1, D // 2 + 1):
+        alpha = (out.z0 + 2 * (D - f - 1)) * f
+        if alpha == 0:
+            raise ValueError(f"degenerate N: denominator vanishes at factor f={f}")
+        out.times_traceless_factor(alpha)
+    return out
+
+
+def symmetric_traceless_element(D: int, form: GradedForm) -> BrauerElement:
+    """The explicit product formula removing trace modes after symmetrization,
+    as a Brauer element at z0.
 
     Factors (1 - A / (((-1)^b N + 2(D - f - 1)) f)) for f = 1 .. floor(D/2),
     read at the loop weight of the given grading.
     """
-    one = BrauerElement.one(D)
-    if D < 2:
-        return one
-    a = casimir_ad(D)
-    z0 = form.z_value
-    out = one
-    for f in range(1, D // 2 + 1):
-        denom = (z0 + 2 * (D - f - 1)) * f
-        if denom == 0:
-            raise ValueError(f"degenerate N: denominator vanishes at factor f={f}")
-        out = multiply(out, one + a.scaled(-1 / denom))
-    return out
+    return _symmetric_traceless(D, form).element()
 
 
 def symmetric_traceless_projector(
@@ -534,21 +594,21 @@ def symmetric_traceless_projector(
     in the signed representation.
     """
     _check_cap(form.N, D, size_cap)
-    factors = symmetric_traceless_element(D, form)
-    c_s = embed_group_algebra(young_symmetrizer(YoungDiagram((D,))), D)
-    element = multiply(factors, c_s.scaled(Fraction(1, math.factorial(D))))
-    return _report(element, form, size_cap)
+    out = _symmetric_traceless(D, form)
+    out.symmetrized(YoungDiagram((D,)), permuted_above)
+    return _report(out.element(), form, size_cap)
 
 
 def irreducible_element(
     lam: YoungDiagram, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
 ) -> BrauerElement:
     """c_lambda followed by the universal traceless projector, normalized
-    to be idempotent, as a Brauer element."""
+    to be idempotent, as a Brauer element at z0."""
     D = lam.size
     _check_cap(form.N, D, size_cap)
-    c = embed_group_algebra(young_symmetrizer(lam), D)
-    return multiply(c.scaled(1 / symmetrizer_norm(lam)), traceless_element(D, form))
+    out = _traceless(D, form)
+    out.symmetrized(lam, permuted_below)
+    return out.element()
 
 
 def irreducible_projector(
@@ -564,22 +624,13 @@ def check_table_cap(D: int):
         raise CapExceededError("propagator decomposition supported for |lambda| <= 4")
 
 
-def propagator_table(element: BrauerElement, form: GradedForm) -> BrauerElement:
-    """A projector element as a diagram-basis table with numeric weights.
-
-    Coefficients are evaluated at the loop weight (-1)^b N, so each term
-    is one undirected pairing of the 2D propagator slots with a rational
-    weight; the result is directly usable as a model propagator.
-    """
-    z = form.z_value
-    return BrauerElement(element.D, {d: Poly.const(c(z)) for d, c in element.terms.items()})
-
-
 def decompose_projector_as_propagator(
     lam: YoungDiagram, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
 ) -> BrauerElement:
-    """The irreducible projector as a propagator table, checked to have a traceless image."""
+    """The irreducible projector as a propagator table, checked to have a
+    traceless image: each term is one undirected pairing of the 2D
+    propagator slots with its rational weight at z0."""
     check_table_cap(lam.size)
     element = irreducible_element(lam, form, size_cap)
     _check_traceless(element, form, size_cap)
-    return propagator_table(element, form)
+    return element

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedtensor.brauer import (
     BrauerDiagram,
@@ -8,12 +10,17 @@ from gradedtensor.brauer import (
     compose_diagrams,
     embed_group_algebra,
     eta_sign,
+    from_partners,
     from_permutation,
     generator_beta,
     generator_sigma,
     identity_diagram,
     multiply,
+    partners,
+    permuted_above,
+    permuted_below,
     sigma_ij,
+    times_beta,
 )
 from gradedtensor.polynomial import Poly
 from gradedtensor.young import (
@@ -187,3 +194,31 @@ def test_diagram_json_round_trip():
     d = beta_ij(3, 1, 3)
     assert BrauerDiagram.from_json(d.to_json()) == d
     assert d.to_json() == {"D": 3, "pairs": [[1, 3], [2, 5], [4, 6]]}
+
+
+@st.composite
+def diagrams(draw, min_D=1):
+    D = draw(st.integers(min_D, 6))
+    pts = draw(st.permutations(range(1, 2 * D + 1)))
+    return BrauerDiagram(D, tuple((pts[2 * k], pts[2 * k + 1]) for k in range(D)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=diagrams(min_D=2), data=st.data())
+def test_arc_update_is_the_product_with_beta(d, data):
+    i = data.draw(st.integers(1, d.D - 1))
+    j = data.draw(st.integers(i + 1, d.D))
+    q, loops = times_beta(partners(d), i, j)
+    assert (from_partners(q), loops) == compose_diagrams(d, beta_ij(d.D, i, j))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=diagrams(), data=st.data())
+def test_permutation_products_are_relabelings(d, data):
+    sigma = tuple(data.draw(st.permutations(range(d.D))))
+    p = partners(d)
+    assert from_partners(p) == d
+    below = compose_diagrams(from_permutation(sigma), d)
+    above = compose_diagrams(d, from_permutation(sigma))
+    assert below == (from_partners(permuted_below(p, sigma)), 0)
+    assert above == (from_partners(permuted_above(p, sigma)), 0)

@@ -249,6 +249,8 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
             {"D": 2, "b": 1, "N": 3, "propagator": {"projector": {"lambda": [2]}}},
             "model.json: field 'N': symplectic form requires even N",
         ),
+        ("model", dict(QUARTIC_D2, b=5, propagator=GOOD_PROP), "field 'b': grading bit must be 0 or 1"),
+        ("model", dict(QUARTIC_D2, b=5, N=2), "field 'b': grading bit must be 0 or 1"),
     ],
     ids=[
         "graph",
@@ -270,6 +272,8 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         "prop-N-zero",
         "model-N-odd-at-b1",
         "model-N-top-level",
+        "model-b-terms",
+        "model-b-projector",
     ],
 )
 def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, contents, named):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -27,8 +28,10 @@ from gradedtensor.representation import (
     diagram_to_map,
     element_to_map,
     encode_index,
+    irreducible_element,
     irreducible_projector,
     minimal_polynomial,
+    symmetric_traceless_element,
     symmetric_traceless_projector,
     traceless_element,
     traceless_projector,
@@ -432,3 +435,112 @@ def test_wrong_normalisation_fails_idempotence_check(monkeypatch):
     monkeypatch.setattr(rep_mod, "symmetrizer_norm", lambda lam: 2 * norm(lam))
     with pytest.raises(ArithmeticError, match="not idempotent"):
         irreducible_projector(YoungDiagram((2, 1)), GradedForm(3, 0))
+
+
+# -- the integer builders against the symbolic Brauer products ----------------
+
+
+def reference_traceless_element(D, form):
+    """The product over the nonzero eigenvalues alpha of (1 - A/alpha),
+    by general Brauer products with coefficients polynomial in z."""
+    one = BrauerElement.one(D)
+    if D < 2:
+        return one
+    a = casimir_ad(D)
+    out = one
+    for alpha in sorted(ad_nonzero_eigenvalues(D, form)):
+        out = multiply(out, one + a.scaled(Fraction(-1, alpha)))
+    return out
+
+
+def reference_symmetric_traceless_element(D, form):
+    one = BrauerElement.one(D)
+    if D < 2:
+        return one
+    a = casimir_ad(D)
+    z0 = form.z_value
+    out = one
+    for f in range(1, D // 2 + 1):
+        denom = (z0 + 2 * (D - f - 1)) * f
+        if denom == 0:
+            raise ValueError(f"degenerate N: denominator vanishes at factor f={f}")
+        out = multiply(out, one + a.scaled(-1 / denom))
+    return out
+
+
+def reference_irreducible_element(lam, traceless):
+    c = embed_group_algebra(young_symmetrizer(lam), lam.size)
+    return multiply(c.scaled(1 / symmetrizer_norm(lam)), traceless)
+
+
+def at_z0(e, form):
+    """An element's coefficients at z0, zeros dropped."""
+    values = {d: c(form.z_value) for d, c in e.terms.items()}
+    return {d: c for d, c in values.items() if c}
+
+
+def assert_symmetric_traceless_matches(D, form):
+    try:
+        expected = at_z0(reference_symmetric_traceless_element(D, form), form)
+    except ValueError:
+        with pytest.raises(ValueError, match="degenerate N"):
+            symmetric_traceless_element(D, form)
+    else:
+        assert at_z0(symmetric_traceless_element(D, form), form) == expected
+
+
+GRADED_FORMS = [(N, b) for N in range(1, 7) for b in (0, 1) if not (b and N % 2)]
+
+
+@pytest.mark.parametrize("N,b", GRADED_FORMS)
+def test_integer_builders_match_symbolic_products(N, b):
+    form = GradedForm(N, b)
+    for D in (1, 2, 3, 4):
+        traceless = reference_traceless_element(D, form)
+        assert at_z0(traceless_element(D, form), form) == at_z0(traceless, form)
+        assert_symmetric_traceless_matches(D, form)
+        for rows in partitions(D):
+            lam = YoungDiagram(rows)
+            expected = at_z0(reference_irreducible_element(lam, traceless), form)
+            assert at_z0(irreducible_element(lam, form), form) == expected, rows
+
+
+@pytest.mark.parametrize("N,b", [(1, 0), (2, 0), (3, 0), (2, 1)])
+def test_integer_builders_match_symbolic_products_at_d5(N, b):
+    form = GradedForm(N, b)
+    expected = at_z0(reference_traceless_element(5, form), form)
+    assert at_z0(traceless_element(5, form), form) == expected
+    assert_symmetric_traceless_matches(5, form)
+
+
+def binomial(n, k):
+    return math.comb(n, k) if k >= 0 else 0
+
+
+def one_row_or_column_dimension(shape, k, N, b):
+    """Dimension of the O(N) (b=0) or Sp(N) (b=1) irrep of shape (k) or
+    (1^k) inside V^(tensor k), by the closed forms for symmetric and
+    antisymmetric traceless tensors."""
+    if shape == "row" and b == 0:
+        return binomial(N + k - 1, k) - binomial(N + k - 3, k - 2)
+    if shape == "column" and b == 0:
+        return binomial(N, k)
+    if shape == "row":  # b = 1: the signed action turns (k) into traceless (1^k)
+        return binomial(N, k) - binomial(N, k - 2) if 2 * k <= N else 0
+    return binomial(N + k - 1, k)  # (1^k) at b = 1: symmetric, no trace to remove
+
+
+@pytest.mark.parametrize(
+    "shape,k,N,b",
+    [
+        (shape, k, N, b)
+        for shape in ("row", "column")
+        for k in range(1, 6)
+        for (N, b) in GRADED_FORMS
+        if N**k <= 256
+    ],
+)
+def test_rank_matches_closed_form_dimension(shape, k, N, b):
+    lam = YoungDiagram((k,) if shape == "row" else (1,) * k)
+    rep = irreducible_projector(lam, GradedForm(N, b))
+    assert rep.rank == one_row_or_column_dimension(shape, k, N, b)
