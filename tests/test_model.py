@@ -1,8 +1,18 @@
+import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from gradedtensor.combinatorics import DirectedPairing, all_pairings, double_factorial
+from gradedtensor import model
+from gradedtensor.combinatorics import (
+    DirectedPairing,
+    all_pairings,
+    double_factorial,
+    partner_map,
+    strand_walk,
+)
 from gradedtensor.model import (
     DualityReport,
     Interaction,
@@ -23,7 +33,7 @@ from gradedtensor.model import (
 from gradedtensor.polynomial import Poly
 from gradedtensor.representation import GradedForm, decompose_projector_as_propagator
 from gradedtensor.young import YoungDiagram
-from conftest import rand_connected_graph, rand_diagram
+from conftest import rand_connected_graph, rand_diagram, rand_stranded_graph
 
 import itertools
 
@@ -275,24 +285,160 @@ def test_face_census_matches_per_graph_sum(rng, D, vertices):
         assert gaussian_expectation(g, C, b).poly == reference
 
 
-def test_duality_check_takes_one_census(rng, monkeypatch):
-    # the face census does not depend on the grading, so both sides share it
-    from gradedtensor import model
-
+def test_duality_check_takes_one_fold(rng, monkeypatch):
+    # the z-polynomial does not depend on the grading, so both sides share it
     calls = []
-    census = model._face_census
+    fold = model._wick_fold
 
     def counted(*args):
         calls.append(args)
-        return census(*args)
+        return fold(*args)
 
-    monkeypatch.setattr(model, "_face_census", counted)
+    monkeypatch.setattr(model, "_wick_fold", counted)
     g = rand_connected_graph(rng, 3, 4)
     C = z_polynomial_table(rng, 3)
     report = duality_check(g, C)
     assert len(calls) == 1
     assert report.orthogonal == gaussian_expectation(g, C, 0).poly
     assert report.symplectic == gaussian_expectation(g, C, 1).poly
+
+
+# -- the merged-state fold against the completion census ----------------------
+
+
+def reference_face_census(S: StrandedGraph, C: Propagator) -> Counter:
+    """Completions of S counted by (face count, sorted term choice).
+
+    One strand walk per completion of `_completions`; the empty graph has
+    the one empty completion and an odd number of vertices has none.
+    """
+    if S.vertices == 0:
+        return Counter({(0, ()): 1})
+    if S.vertices % 2 != 0:
+        return Counter()
+    strands = partner_map(S.strands)
+    census: Counter = Counter()
+    for _, choice, color0 in model._completions(S, C):
+        faces = strand_walk(partner_map(color0), strands)[1]
+        census[faces, tuple(sorted(choice))] += 1
+    return census
+
+
+def reference_expectation(census: Counter, C: Propagator, b: int) -> Poly:
+    """The census read at grading b: one `Poly` per (faces, terms) class."""
+    weights = C.weights_at_grading(b)
+    total = Poly()
+    for (faces, choice), count in census.items():
+        term = Poly.monomial(faces, -count if b * faces % 2 else count)
+        total = total + math.prod((weights[t] for t in choice), start=term)
+    return total
+
+
+def coprime_z_table(rng, D: int) -> Propagator:
+    """Four terms with z-polynomial weights over the coprime denominators
+    2, 3, 5 and 7.  The first term pairs slots 1, 2 of the first tensor
+    and D+1, D+2 of the second; one pairing is repeated."""
+    same_tensor = ((1, 2), (D + 1, D + 2)) + tuple((c, D + c) for c in range(3, D + 1))
+    pairings = [same_tensor, rand_diagram(rng, D).pairs, rand_diagram(rng, D).pairs]
+    pairings.append(pairings[1])
+    weights = [
+        Poly(tuple(Fraction(rng.choice([-2, -1, 1, 3]), q) for _ in range(3)))
+        for q in (2, 3, 5, 7)
+    ]
+    return Propagator(D, tuple(PropagatorTerm(p, w) for p, w in zip(pairings, weights)))
+
+
+def fold_cases():
+    """Seeded graphs: random matchings (strands inside one vertex and
+    disconnected pieces included), disjoint unions as `expand --order 2`
+    builds them, and explicit strands within one vertex."""
+    rng = random.Random(20261018)
+    cases = [
+        (f"random-d{D}-v{v}-{k}", rand_stranded_graph(rng, D, v))
+        for D, v in ((2, 4), (2, 6), (2, 8), (3, 2), (3, 4), (3, 6))
+        for k in range(2)
+    ]
+    g2, g3 = rand_connected_graph(rng, 2, 4), rand_connected_graph(rng, 3, 2)
+    cases.append(("union-d2-v8", disjoint_union_graphs(g2, g2)))
+    cases.append(("union-d3-v6", disjoint_union_graphs(g3, rand_connected_graph(rng, 3, 4))))
+    cases.append(("self-strands-d2-v4", StrandedGraph(2, 4, ((1, 2), (3, 5), (4, 7), (6, 8)))))
+    self_strands = ((1, 2), (3, 4), (5, 6), (7, 10), (8, 9), (11, 12))
+    cases.append(("self-strands-d3-v4", StrandedGraph(3, 4, self_strands)))
+    return cases
+
+
+FOLD_CASES = fold_cases()
+
+
+@pytest.mark.parametrize("name,graph", FOLD_CASES, ids=[name for name, _ in FOLD_CASES])
+def test_fold_matches_reference_census(name, graph):
+    C = coprime_z_table(random.Random(name), graph.D)
+    census = reference_face_census(graph, C)
+    assert census, "every case has completions"
+    for b in (0, 1):
+        assert gaussian_expectation(graph, C, b).poly == reference_expectation(census, C, b)
+    report = duality_check(graph, C)
+    assert report.orthogonal == reference_expectation(census, C, 0)
+    assert report.symplectic == reference_expectation(census, C, 1)
+
+
+def test_fold_of_vertices_without_slots():
+    # D=0: no strands and no faces, only vertex pairings and term weights
+    half, z = PropagatorTerm((), Poly.const(Fraction(1, 2))), PropagatorTerm((), Poly((0, 1)))
+    C = Propagator(0, (half, z))
+    for vertices in (2, 4, 6):
+        g = StrandedGraph(0, vertices, ())
+        census = reference_face_census(g, C)
+        for b in (0, 1):
+            assert gaussian_expectation(g, C, b).poly == reference_expectation(census, C, b)
+
+
+def test_fold_merges_equal_states(monkeypatch):
+    # D=2 v=8 with four terms has 105 * 4^4 = 26880 completions; the fold
+    # adds into a merged state 289 times, and stops early here if it does
+    # not merge
+    g = rand_connected_graph(random.Random(8), 2, 8)
+    C = coprime_z_table(random.Random(8), 2)
+    calls = []
+    add = model._add_product
+
+    def counted(*args):
+        calls.append(None)
+        assert len(calls) <= 1000, "the fold does not merge equal states"
+        return add(*args)
+
+    monkeypatch.setattr(model, "_add_product", counted)
+    assert gaussian_expectation(g, C, 0).poly == reference_expectation(
+        reference_face_census(g, C), C, 0
+    )
+
+
+def symmetric_d3_table() -> Propagator:
+    """The 15-term table of lambda = (3): 1/6 on each of the six pairings
+    that join the two tensors slot to slot, -1/15 on the nine others."""
+    def weight(m) -> Fraction:
+        return Fraction(1, 6) if all(a <= 3 < b for a, b in m) else Fraction(-1, 15)
+
+    return Propagator(3, tuple(PropagatorTerm(m, Poly.const(weight(m))) for m in all_pairings(6)))
+
+
+def test_two_tetrahedra_expectation():
+    # D=3 v=8 has 105 * 15^4 = 5.3M completions.  The literals were
+    # computed once with `reference_face_census` (about 80 s) and agree
+    # with the fold exactly.
+    tetrahedron = StrandedGraph(3, 4, ((1, 4), (2, 7), (3, 10), (5, 8), (6, 11), (9, 12)))
+    S = disjoint_union_graphs(tetrahedron, tetrahedron)
+    C = symmetric_d3_table()
+    orthogonal = Poly.from_coeff_map({
+        "1": "-308/5625", "2": "13511/5625", "3": "12599/16875", "4": "-7643/16875",
+        "5": "-173/6750", "6": "3343/54000", "7": "19/1800", "8": "1/3600",
+    })
+    symplectic = Poly.from_coeff_map({
+        "1": "308/5625", "2": "13511/5625", "3": "-12599/16875", "4": "-7643/16875",
+        "5": "173/6750", "6": "3343/54000", "7": "-19/1800", "8": "1/3600",
+    })
+    assert gaussian_expectation(S, C, 0).poly == orthogonal
+    assert gaussian_expectation(S, C, 1).poly == symplectic
 
 
 def test_census_rules_for_empty_odd_and_mismatched_graphs():
