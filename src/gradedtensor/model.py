@@ -23,9 +23,12 @@ from .combinatorics import (
     face_decomposition,
     pairing_sign,
 )
+from .errors import CapExceededError
 from .polynomial import Poly
 
 Pair = Tuple[int, int]
+
+ENUMERATE_TABLE_CAP = 100_000  # relabelings enumerate_invariants may compile
 
 
 def _field(data: dict, key: str, parse):
@@ -568,20 +571,60 @@ def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
 # -- enumeration of invariants -------------------------------------------------
 
 
-def _is_least(strands: Tuple[Pair, ...], D: int, vertices: int, slot_symmetry: bool) -> bool:
-    """True when no relabeling makes the sorted strand tuple smaller.
+Relabeling = Tuple[List[int], List[int]]  # (move, inverse) node lists
 
-    Relabelings permute the vertices and, with `slot_symmetry`, the D
-    slots of every vertex independently.
+
+def _relabelings(D: int, vertices: int, slot_perms: Sequence[Tuple[int, ...]]) -> List[Relabeling]:
+    """Every relabeling but the identity, as (move, inverse) node lists.
+
+    A relabeling permutes the vertices and the D slots of every vertex by
+    one of `slot_perms`, independently per vertex.  move[0] is a sentinel
+    above every node id: an open node (partner 0) moves to it.
     """
-    slot_perms = list(itertools.permutations(range(D))) if slot_symmetry else [tuple(range(D))]
+    n = D * vertices
+    identity = [n + 1] + list(range(1, n + 1))
+    table = []
     for vperm in itertools.permutations(range(vertices)):
-        for slot_choice in itertools.product(slot_perms, repeat=vertices):
-            move = [0] + [vperm[v] * D + c + 1 for v in range(vertices) for c in slot_choice[v]]
-            cand = tuple(sorted((min(move[a], move[b]), max(move[a], move[b])) for a, b in strands))
-            if cand < strands:
-                return False
-    return True
+        for slots in itertools.product(slot_perms, repeat=vertices):
+            move = [n + 1] + [vperm[v] * D + c + 1 for v in range(vertices) for c in slots[v]]
+            if move == identity:
+                continue
+            inverse = [0] * (n + 1)
+            for x in range(1, n + 1):
+                inverse[move[x]] = x
+            table.append((move, inverse))
+    return table
+
+
+def _undecided(
+    partner: List[int], first_open: int, table: List[Relabeling]
+) -> Optional[List[Relabeling]]:
+    """The relabelings of `table` that may still make a completion of the
+    matching prefix smaller, or None when one makes the prefix smaller.
+
+    `partner` holds the prefix, 0 for an open node, and every node below
+    `first_open` is closed.  Comparing the relabeled partner of node y,
+    move[partner[inverse[y]]], with partner[y] for y = 1, 2, ... compares
+    the sorted strand tuples.  A relabeling that reads larger at a closed
+    node is larger on every completion and is dropped; one that reads the
+    sentinel, at a node its prefix leaves open, is kept undecided.
+    """
+    n = len(partner) - 1
+    kept = []
+    for relabeling in table:
+        move, inverse = relabeling
+        for y in range(1, first_open):
+            q = move[partner[inverse[y]]]
+            if q != partner[y]:
+                break
+        else:
+            kept.append(relabeling)  # equal on the whole prefix
+            continue
+        if q < partner[y]:
+            return None
+        if q > n:
+            kept.append(relabeling)
+    return kept
 
 
 def enumerate_invariants(
@@ -592,18 +635,57 @@ def enumerate_invariants(
     Classes are taken under vertex relabeling; with `slot_symmetry` the
     D node slots of every vertex may additionally be permuted
     independently (appropriate when the propagator is fully symmetric).
-    Each class is given by its least strand set: a connected matching is
-    kept when no relabeling makes it smaller.  `all_pairings` yields the
-    matchings in increasing order, so the output is sorted.
+    Each class is given by its least strand set, found by orderly
+    generation: matchings grow in the order of `all_pairings`, the
+    smallest open node paired with each larger open node, so the k-th
+    strand placed is the k-th of the sorted strand tuple and the output
+    is sorted.  A prefix that a vertex relabeling makes smaller is
+    dropped with all its completions, since none of them can be least;
+    with `slot_symmetry` the whole group is checked on every connected
+    matching that survives.  The relabelings are compiled once per call:
+    v! (D!)^v of them with `slot_symmetry` and v! without.  Above
+    `ENUMERATE_TABLE_CAP` the call raises `CapExceededError` before
+    building any.
     """
+    if D < 1:
+        raise ValueError(f"D must be at least 1, got {D}")
     if vertices < 1:
         raise ValueError("need at least one vertex")
     n = D * vertices
     if n % 2 != 0:
         return ()
-    graphs = (StrandedGraph(D, vertices, matching) for matching in all_pairings(n))
-    return tuple(
-        g
-        for g in graphs
-        if g.is_connected() and _is_least(g.strands, D, vertices, slot_symmetry)
-    )
+    size = math.factorial(vertices) * (math.factorial(D) ** vertices if slot_symmetry else 1)
+    if size > ENUMERATE_TABLE_CAP:
+        raise CapExceededError(
+            f"enumerate needs {size} relabelings, above the cap {ENUMERATE_TABLE_CAP}"
+        )
+    vertex_moves = _relabelings(D, vertices, [tuple(range(D))])
+    full_moves = []
+    if slot_symmetry:
+        full_moves = _relabelings(D, vertices, list(itertools.permutations(range(D))))
+    partner = [0] * (n + 1)
+    strands: List[Pair] = []
+    out: List[StrandedGraph] = []
+
+    def extend(first: int, table: List[Relabeling]) -> None:
+        for other in range(first + 1, n + 1):
+            if partner[other]:
+                continue
+            partner[first], partner[other] = other, first
+            strands.append((first, other))
+            following = first + 1
+            while following <= n and partner[following]:
+                following += 1
+            kept = _undecided(partner, following, table)
+            if kept is not None:
+                if following <= n:
+                    extend(following, kept)
+                else:
+                    g = StrandedGraph(D, vertices, tuple(strands))
+                    if g.is_connected() and _undecided(partner, following, full_moves) is not None:
+                        out.append(g)
+            strands.pop()
+            partner[first] = partner[other] = 0
+
+    extend(1, vertex_moves)
+    return tuple(out)

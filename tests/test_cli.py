@@ -141,6 +141,21 @@ def test_enumerate_single_invariant(capsys):
     assert StrandedGraph.from_json(data[0]).strands == ((1, 2),)
 
 
+@pytest.mark.parametrize("D", ["0", "-2"])
+def test_enumerate_names_d_in_its_error(capsys, D):
+    code, out, err = invoke(capsys, "enumerate", "--D", D, "--vertices", "2")
+    assert code == 2
+    assert out == ""
+    assert f"D must be at least 1, got {D}" in err
+
+
+def test_enumerate_cap_exit_code(capsys):
+    code, out, err = invoke(capsys, "enumerate", "--D", "1", "--vertices", "10")
+    assert code == 3
+    assert out == ""
+    assert "3628800" in err and "cap" in err
+
+
 def test_expand_table(quartic_model, capsys):
     code, out, _ = invoke(
         capsys, "expand", "--model", quartic_model, "--order", "1", "--json"

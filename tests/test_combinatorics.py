@@ -122,7 +122,7 @@ def test_all_pairings_deterministic_order():
     second = list(all_pairings(6))
     assert first == second
     assert first[0] == ((1, 2), (3, 4), (5, 6))
-    # enumerate_invariants relies on this order for its sorted output
+    # enumerate_invariants grows matchings in this order, so its output is sorted
     for n in range(2, 13, 2):
         matchings = list(all_pairings(n))
         assert all(a < b for a, b in zip(matchings, matchings[1:]))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -13,6 +14,7 @@ from gradedtensor.combinatorics import (
     partner_map,
     strand_walk,
 )
+from gradedtensor.errors import CapExceededError
 from gradedtensor.model import (
     DualityReport,
     Interaction,
@@ -583,11 +585,83 @@ def _reference_classes(D, nv, slot_symmetry):
         if D * nv <= 8 and D * nv % 2 == 0
         for sym in (False, True)
     ]
-    + [(6, 2, False)],
+    + [(6, 2, False)]
+    + [(2, 5, sym) for sym in (False, True)]
+    + [(5, 2, sym) for sym in (False, True)]
+    + [(3, 4, False), (4, 3, False), (2, 6, False), (4, 3, True), (3, 4, True)],
 )
 def test_enumerate_matches_relabeling_minimum(D, nv, slot_symmetry):
     # classes, their printed representatives and their order
     assert enumerate_invariants(D, nv, slot_symmetry) == _reference_classes(D, nv, slot_symmetry)
+
+
+def test_enumerate_d4_v4_pinned():
+    # both values computed from the output of the per-matching search,
+    # which walked all 2,027,025 matchings in about two minutes
+    classes = enumerate_invariants(4, 4)
+    assert len(classes) == 78988
+    digest = hashlib.sha256(repr([g.strands for g in classes]).encode()).hexdigest()
+    assert digest == "ae1ac87e42ee3a5cf434c3c6e5b2ade8e947533a16ab1aaa80d1ba542f0f1a9e"
+
+
+def _is_least(strands, D, vertices, slot_symmetry):
+    """Per-matching reference: True when no relabeling makes the sorted
+    strand tuple smaller.  Relabelings permute the vertices and, with
+    `slot_symmetry`, the D slots of every vertex independently."""
+    slot_perms = list(itertools.permutations(range(D))) if slot_symmetry else [tuple(range(D))]
+    for vperm in itertools.permutations(range(vertices)):
+        for slot_choice in itertools.product(slot_perms, repeat=vertices):
+            move = [0] + [vperm[v] * D + c + 1 for v in range(vertices) for c in slot_choice[v]]
+            cand = tuple(sorted((min(move[a], move[b]), max(move[a], move[b])) for a, b in strands))
+            if cand < strands:
+                return False
+    return True
+
+
+def _table_size(D, nv, slot_symmetry):
+    return math.factorial(nv) * (math.factorial(D) ** nv if slot_symmetry else 1)
+
+
+@pytest.mark.parametrize(
+    "D,nv,slot_symmetry",
+    [
+        (D, nv, sym)
+        for D in range(1, 11)
+        for nv in range(1, 11)
+        if D * nv <= 10 and D * nv % 2 == 0
+        for sym in (False, True)
+        if _table_size(D, nv, sym) <= model.ENUMERATE_TABLE_CAP
+    ],
+)
+def test_enumerate_keeps_exactly_the_least_connected_matchings(D, nv, slot_symmetry):
+    kept = {g.strands for g in enumerate_invariants(D, nv, slot_symmetry)}
+    accepted = {
+        m
+        for m in all_pairings(D * nv)
+        if StrandedGraph(D, nv, m).is_connected() and _is_least(m, D, nv, slot_symmetry)
+    }
+    assert kept == accepted
+
+
+@pytest.mark.parametrize("D,nv,slot_symmetry", [(1, 10, False), (10, 1, True), (4, 4, True)])
+def test_enumerate_refuses_a_relabeling_table_above_the_cap(monkeypatch, D, nv, slot_symmetry):
+    size = _table_size(D, nv, slot_symmetry)
+    assert size > model.ENUMERATE_TABLE_CAP
+
+    def no_table(*args):
+        raise AssertionError("relabeling table built above the cap")
+
+    monkeypatch.setattr(model, "_relabelings", no_table)
+    with pytest.raises(CapExceededError) as info:
+        enumerate_invariants(D, nv, slot_symmetry)
+    assert str(size) in str(info.value)
+    assert str(model.ENUMERATE_TABLE_CAP) in str(info.value)
+
+
+@pytest.mark.parametrize("D", [0, -2])
+def test_enumerate_rejects_a_non_positive_d(D):
+    with pytest.raises(ValueError, match=f"D must be at least 1, got {D}"):
+        enumerate_invariants(D, 2)
 
 
 def test_propagator_json_round_trip():
