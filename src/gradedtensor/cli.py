@@ -266,8 +266,9 @@ def _cmd_oracle_check(args) -> int:
     GradedForm(args.N, args.b)  # the oracle's form: a bad --N fails before any file is read
     graph = _read(args.graph, StrandedGraph.from_json)
     prop = _read_propagator(args.propagator, graph.D, args.b, args.N)
-    pipeline = gaussian_expectation(graph, prop, args.b).poly(Fraction(args.N))
+    # the oracle first: its work cap fails before the pipeline runs
     numeric = oracle_mod.numeric_invariant_expectation(graph, prop, args.N, args.b)
+    pipeline = gaussian_expectation(graph, prop, args.b).poly(Fraction(args.N))
     agree = pipeline == numeric
     if args.json:
         print(

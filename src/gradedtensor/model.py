@@ -652,7 +652,7 @@ def enumerate_invariants(
     if vertices < 1:
         raise ValueError("need at least one vertex")
     n = D * vertices
-    if n % 2 != 0:
+    if n % 2 != 0 or (D == 1 and vertices > 2):  # D = 1: only the dipole is connected
         return ()
     size = math.factorial(vertices) * (math.factorial(D) ** vertices if slot_symmetry else 1)
     if size > ENUMERATE_TABLE_CAP:

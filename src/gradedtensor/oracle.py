@@ -15,13 +15,14 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .combinatorics import DirectedPairing, all_pairings, pairing_sign
+from .combinatorics import DirectedPairing, all_pairings, double_factorial, pairing_sign
 from .errors import CapExceededError
 from .model import Propagator, StrandedGraph, invariant_sign_normal_form
 from .representation import GradedForm, encode_index, row_reduce
 
 GENERATOR_CAP = 16          # exterior algebra dimension 2**16
 COVARIANCE_SIZE_CAP = 1024  # N**D cap for explicit covariance matrices
+WORK_CAP = 10**6           # oracle_work cap: index assignments x vertex pairings
 
 
 # -- explicit covariances ------------------------------------------------------
@@ -34,33 +35,40 @@ class ExplicitCovariance:
     tensor) and Y (second tensor), obtained by direct index substitution
     into the propagator's pairing terms; the matrix is symmetric when
     the component parity b*D is even and antisymmetric when odd.
+
+    Integer numerators over one positive common denominator: rows[x]
+    maps y to a nonzero int, and entry (x, y) is rows[x][y] / den.
     """
 
-    __slots__ = ("N", "D", "b", "size", "matrix")
+    __slots__ = ("N", "D", "b", "size", "rows", "den")
 
-    def __init__(self, N: int, D: int, b: int, matrix: List[List[Fraction]]):
+    def __init__(self, N: int, D: int, b: int, matrix: Sequence[Sequence], den: int = 1):
+        """`matrix` is dense, of ints or Fractions; entry (x, y) is matrix[x][y] / den."""
         self.N = N
         self.D = D
         self.b = b
         self.size = N**D
         if len(matrix) != self.size or any(len(row) != self.size for row in matrix):
             raise ValueError("covariance matrix has the wrong shape")
+        common = math.lcm(*{a.denominator for row in matrix for a in row})
+        rows = [{y: int(a * common) for y, a in enumerate(row) if a} for row in matrix]
         sign = -1 if (b * D) % 2 else 1
-        for x in range(self.size):
-            for y in range(x, self.size):
-                if matrix[y][x] != sign * matrix[x][y]:
+        for x, row in enumerate(rows):
+            for y, a in row.items():
+                if rows[y].get(x, 0) != sign * a:
                     raise ValueError(
                         "covariance does not match the component parity "
                         f"(expected {'anti' if sign < 0 else ''}symmetric)"
                     )
-        self.matrix = matrix
+        self.rows = rows
+        self.den = den * common
 
     @property
     def parity(self) -> int:
         return (self.b * self.D) % 2
 
     def entry(self, x: int, y: int) -> Fraction:
-        return self.matrix[x][y]
+        return Fraction(self.rows[x].get(y, 0), self.den)
 
     @classmethod
     def from_propagator(
@@ -72,18 +80,22 @@ class ExplicitCovariance:
         product of form.upper_entry over the term's oriented pairs, read at
         the slot values of X (slots 1..D) and Y (slots D+1..2D).  Every
         slot lies on exactly one pair, so only the choices of one nonzero
-        upper entry per pair are visited.
+        upper entry per pair are visited.  The sums are kept as integer
+        numerators over the lcm of the weights' denominators.
         """
         N, D = form.N, C.D
         if N**D > size_cap:
             raise CapExceededError(f"covariance size N^D = {N**D} exceeds cap {size_cap}")
         ref = DirectedPairing(2 * D, tuple((c, D + c) for c in range(1, D + 1)))
         upper = form.upper_nonzeros()
+        weights = [term.weight(form.z_value) for term in C.terms]
+        den = math.lcm(*(w.denominator for w in weights))
         size = N**D
-        matrix = [[Fraction(0)] * size for _ in range(size)]
-        for term in C.terms:
+        matrix = [[0] * size for _ in range(size)]
+        for term, weight in zip(C.terms, weights):
             oriented = term.oriented()
-            base = term.weight(form.z_value) * (pairing_sign(oriented, ref) if form.b else 1)
+            base = weight.numerator * (den // weight.denominator)
+            base *= pairing_sign(oriented, ref) if form.b else 1
             for choice in itertools.product(upper, repeat=D):
                 slots = [0] * (2 * D)
                 val = base
@@ -91,7 +103,7 @@ class ExplicitCovariance:
                     slots[i - 1], slots[j - 1] = u, v
                     val *= g
                 matrix[encode_index(slots[:D], N)][encode_index(slots[D:], N)] += val
-        return cls(N, D, form.b, matrix)
+        return cls(N, D, form.b, matrix, den)
 
 
 # -- bosonic moments -----------------------------------------------------------
@@ -201,14 +213,16 @@ def exterior_exp(quadratic: ExteriorElement) -> ExteriorElement:
 
 class _BerezinState:
     """Restriction of a (possibly singular) antisymmetric covariance to an
-    invertible principal block, plus the expanded Gaussian weight."""
+    invertible principal block, plus the expanded Gaussian weight.  Each
+    component, as a combination of the generators, is computed once."""
 
-    __slots__ = ("support", "inv_block", "weight", "normalization", "cov")
+    __slots__ = ("support", "inv_block", "weight", "normalization", "cov", "components")
 
     def __init__(self, cov: ExplicitCovariance):
         if cov.parity != 1:
             raise ValueError("Berezin integration needs odd component parity")
-        support = row_reduce([list(row) for row in cov.matrix])
+        dense = [[Fraction(row.get(y, 0)) for y in range(cov.size)] for row in cov.rows]
+        support = row_reduce(dense)
         r = len(support)
         if r % 2 != 0:
             raise ValueError("antisymmetric covariance must have even rank")
@@ -217,7 +231,7 @@ class _BerezinState:
         # [block | 1] reduces to [1 | block^-1], the quadratic form on the
         # supported components
         aug = [
-            [cov.matrix[i][j] for j in support] + [Fraction(int(i == k)) for k in support]
+            [cov.entry(i, j) for j in support] + [Fraction(int(i == k)) for k in support]
             for i in support
         ]
         if row_reduce(aug)[:r] != list(range(r)):
@@ -229,6 +243,7 @@ class _BerezinState:
         self.cov = cov
         self.support = support
         self.inv_block = inv_block
+        self.components: Dict[int, ExteriorElement] = {}
         self.weight = exterior_exp(quadratic)
         self.normalization = self.weight.top_coefficient()
         if self.normalization == 0:
@@ -236,11 +251,14 @@ class _BerezinState:
 
     def component(self, x: int) -> ExteriorElement:
         """The component T_x as a linear combination of the generators."""
-        row = [self.cov.matrix[x][j] for j in self.support]
-        return ExteriorElement(len(row), {
-            1 << m: sum((a * inv[m] for a, inv in zip(row, self.inv_block)), Fraction(0))
-            for m in range(len(row))
-        })
+        element = self.components.get(x)
+        if element is None:
+            row = [self.cov.entry(x, j) for j in self.support]
+            element = self.components[x] = ExteriorElement(len(row), {
+                1 << m: sum((a * inv[m] for a, inv in zip(row, self.inv_block)), Fraction(0))
+                for m in range(len(row))
+            })
+        return element
 
     def expectation(self, monomial: Sequence[int]) -> Fraction:
         """Expectation of an ordered product of components.
@@ -268,6 +286,27 @@ def berezin_expectation(cov: ExplicitCovariance, monomial: Sequence[int]) -> Fra
 # -- invariant expectations -----------------------------------------------------
 
 
+def oracle_work(S: StrandedGraph, N: int, b: int) -> int:
+    """The work `numeric_invariant_expectation` does on S: N^strands index
+    assignments (each form has N nonzero entries), times the (v-1)!! vertex
+    pairings of a bosonic moment; a fermionic moment is one Berezin product."""
+    pairings = 1 if (b * S.D) % 2 else double_factorial(S.vertices - 1)
+    return N ** len(S.strands) * pairings
+
+
+def _assignments(per_strand: List[List[tuple]], vertices: int, sign: int):
+    """(component codes in product order, sign times the form entries) per
+    index assignment, one choice of form entry per strand."""
+    for choice in itertools.product(*per_strand):
+        codes = [0] * vertices
+        weight = sign
+        for pk, ak, pl, al, g in choice:
+            codes[pk] += ak
+            codes[pl] += al
+            weight *= g
+        yield codes, weight
+
+
 def numeric_invariant_expectation(
     S: StrandedGraph,
     C: Propagator,
@@ -283,37 +322,61 @@ def numeric_invariant_expectation(
     ordered tensor product with the bosonic or fermionic rule as the
     component parity demands.  Shares no face or orientation machinery
     with the stranded-graph pipeline.
+
+    Each strand node is compiled once to its tensor position and the
+    digit weight of its slot, so a component code is a sum of ints.  A
+    bosonic moment sums, over the vertex pairings listed once, products
+    of integer covariance numerators; the total is divided by den^(v/2)
+    once at the end.  Above `WORK_CAP` (see `oracle_work`) the call
+    raises `CapExceededError` before building the covariance.
     """
     if S.vertices == 0:
         return Fraction(1)
     if S.vertices % 2 != 0:
         return Fraction(0)
     form = GradedForm(N, b)
+    work = oracle_work(S, N, b)
+    if work > WORK_CAP:
+        raise CapExceededError(f"oracle work {work} exceeds cap {WORK_CAP}")
     cov = ExplicitCovariance.from_propagator(C, form, size_cap)
     if ref is None:
         ref = DirectedPairing(
             S.vertices, tuple((v, v + 1) for v in range(1, S.vertices, 2))
         )
     normal = invariant_sign_normal_form(S, ref)
-    sign = Fraction(normal.sign if b else 1)
-    order = ref.flatten()  # tensor multiplication order
+    sign = normal.sign if b else 1
 
-    strands = normal.contractions.pairs
-    lower_nz = sorted(form.lower.items())  # [((i, j), value)]
+    # node (v - 1) * D + c -> (position of tensor v in the product, N^(D - c))
+    D = S.D
+    position = {v: p for p, v in enumerate(ref.flatten())}
+    place = [(0, 0)] + [
+        (position[(k - 1) // D + 1], N ** (D - 1 - (k - 1) % D))
+        for k in range(1, D * S.vertices + 1)
+    ]
+    lower = sorted(form.lower.items())  # [((i, j), value)]
+    # per strand, per form entry: (position, digit) at both ends and the entry
+    per_strand = []
+    for k, l in normal.contractions.pairs:
+        (pk, wk), (pl, wl) = place[k], place[l]
+        per_strand.append([(pk, i * wk, pl, j * wl, g) for (i, j), g in lower])
 
-    berezin = _BerezinState(cov) if (b * S.D) % 2 else None
-    total = Fraction(0)
-    for assignment in itertools.product(lower_nz, repeat=len(strands)):
-        node_value: Dict[int, int] = {}
-        weight = sign
-        for ((i, j), g), (k, l) in zip(assignment, strands):
-            node_value[k] = i
-            node_value[l] = j
-            weight *= g
-        components = []
-        for v in order:
-            idx = tuple(node_value[(v - 1) * S.D + c] for c in range(1, S.D + 1))
-            components.append(encode_index(idx, N))
-        moment = berezin.expectation(components) if berezin else bosonic_moment(cov, components)
-        total += weight * moment
-    return total
+    assignments = _assignments(per_strand, S.vertices, sign)
+
+    if (b * D) % 2:
+        berezin = _BerezinState(cov)
+        moments = (weight * berezin.expectation(codes) for codes, weight in assignments)
+        return sum(moments, Fraction(0))
+
+    pairings = [tuple((i - 1, j - 1) for i, j in m) for m in all_pairings(S.vertices)]
+    rows = cov.rows
+    total = 0
+    for codes, weight in assignments:
+        for pairing in pairings:
+            prod = weight
+            for i, j in pairing:
+                prod *= rows[codes[i]].get(codes[j], 0)
+                if not prod:
+                    break
+            else:
+                total += prod
+    return Fraction(total, cov.den ** (S.vertices // 2))

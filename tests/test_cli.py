@@ -150,10 +150,18 @@ def test_enumerate_names_d_in_its_error(capsys, D):
 
 
 def test_enumerate_cap_exit_code(capsys):
-    code, out, err = invoke(capsys, "enumerate", "--D", "1", "--vertices", "10")
+    code, out, err = invoke(capsys, "enumerate", "--D", "2", "--vertices", "9")
     assert code == 3
     assert out == ""
-    assert "3628800" in err and "cap" in err
+    assert "362880" in err and "cap" in err
+
+
+@pytest.mark.parametrize("vertices,classes", [(10, 0), (2, 1)])
+def test_enumerate_d1_needs_no_relabeling_table(capsys, vertices, classes):
+    # with D = 1 only the dipole is connected, so v = 10 is answered at once
+    code, out, _ = invoke(capsys, "enumerate", "--D", "1", "--vertices", str(vertices))
+    assert code == 0
+    assert out.splitlines()[0] == f"{classes} connected invariant(s) for D=1, vertices={vertices}"
 
 
 def test_expand_table(quartic_model, capsys):

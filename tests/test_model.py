@@ -525,6 +525,18 @@ def test_enumerate_odd_node_count_is_empty():
     assert enumerate_invariants(1, 3) == ()
 
 
+@pytest.mark.parametrize("slot_symmetry", [False, True])
+def test_enumerate_d1_past_two_vertices_is_empty_without_a_table(monkeypatch, slot_symmetry):
+    # with D = 1 every vertex has one node, so a matching on v > 2 vertices
+    # falls apart into dipoles; 10! relabelings would exceed the cap
+    def no_table(*args):
+        raise AssertionError("relabeling table built for D = 1")
+
+    monkeypatch.setattr(model, "_relabelings", no_table)
+    assert enumerate_invariants(1, 10, slot_symmetry) == ()
+    assert enumerate_invariants(1, 4, slot_symmetry) == ()
+
+
 def test_enumerate_class_orbits_cover_all_connected_matchings():
     # derived oracle: orbit sizes under vertex relabeling sum to the number
     # of connected matchings
@@ -643,7 +655,7 @@ def test_enumerate_keeps_exactly_the_least_connected_matchings(D, nv, slot_symme
     assert kept == accepted
 
 
-@pytest.mark.parametrize("D,nv,slot_symmetry", [(1, 10, False), (10, 1, True), (4, 4, True)])
+@pytest.mark.parametrize("D,nv,slot_symmetry", [(2, 9, False), (10, 1, True), (4, 4, True)])
 def test_enumerate_refuses_a_relabeling_table_above_the_cap(monkeypatch, D, nv, slot_symmetry):
     size = _table_size(D, nv, slot_symmetry)
     assert size > model.ENUMERATE_TABLE_CAP

@@ -1,10 +1,16 @@
+import ast
 import itertools
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
+from typing import Dict, Optional
 
 import pytest
 
+from gradedtensor import oracle
+from gradedtensor.cli import run
 from gradedtensor.errors import CapExceededError
 from gradedtensor.model import (
     Propagator,
@@ -12,21 +18,28 @@ from gradedtensor.model import (
     StrandedGraph,
     enumerate_invariants,
     gaussian_expectation,
+    invariant_sign_normal_form,
 )
 from gradedtensor.combinatorics import DirectedPairing, pairing_sign
 from gradedtensor.oracle import (
     ExplicitCovariance,
     ExteriorElement,
+    _BerezinState,
     berezin_expectation,
     bosonic_moment,
     exterior_exp,
     numeric_invariant_expectation,
 )
 from gradedtensor.polynomial import Poly
-from gradedtensor.representation import GradedForm, decompose_projector_as_propagator
+from gradedtensor.representation import (
+    GradedForm,
+    decompose_projector_as_propagator,
+    encode_index,
+)
 from gradedtensor.young import YoungDiagram
 
-from test_cross_validation import block_symmetric_pairings
+from conftest import rand_connected_graph
+from test_cross_validation import block_symmetric_pairings, random_symmetric_table
 from test_model import dipole, identity_plus_swap
 
 
@@ -274,3 +287,140 @@ def test_evaluated_invariant_is_a_class_function(rng):
             flipped = tuple((y, x) if rng.random() < 0.5 else (x, y) for x, y in g.strands)
             reoriented = g.with_orientation(flipped)
             assert numeric_invariant_expectation(reoriented, table, 2, b) == base
+
+
+# -- the Fraction loop the integer oracle replaced, kept as its reference ------
+
+
+def reference_invariant_expectation(
+    S: StrandedGraph, C: Propagator, N: int, b: int, ref: Optional[DirectedPairing] = None
+) -> Fraction:
+    """One Fraction moment per index assignment, components coded by
+    encode_index per vertex: the oracle loop before its integer rewrite."""
+    if S.vertices == 0:
+        return Fraction(1)
+    if S.vertices % 2 != 0:
+        return Fraction(0)
+    form = GradedForm(N, b)
+    cov = ExplicitCovariance.from_propagator(C, form)
+    if ref is None:
+        ref = DirectedPairing(
+            S.vertices, tuple((v, v + 1) for v in range(1, S.vertices, 2))
+        )
+    normal = invariant_sign_normal_form(S, ref)
+    sign = Fraction(normal.sign if b else 1)
+    order = ref.flatten()  # tensor multiplication order
+
+    strands = normal.contractions.pairs
+    lower_nz = sorted(form.lower.items())  # [((i, j), value)]
+
+    berezin = _BerezinState(cov) if (b * S.D) % 2 else None
+    total = Fraction(0)
+    for assignment in itertools.product(lower_nz, repeat=len(strands)):
+        node_value: Dict[int, int] = {}
+        weight = sign
+        for ((i, j), g), (k, l) in zip(assignment, strands):
+            node_value[k] = i
+            node_value[l] = j
+            weight *= g
+        components = []
+        for v in order:
+            idx = tuple(node_value[(v - 1) * S.D + c] for c in range(1, S.D + 1))
+            components.append(encode_index(idx, N))
+        moment = berezin.expectation(components) if berezin else bosonic_moment(cov, components)
+        total += weight * moment
+    return total
+
+
+@pytest.mark.parametrize("N,b", [(2, 0), (3, 0), (2, 1)])
+def test_integer_oracle_matches_its_fraction_reference(N, b):
+    # b = 1 runs the fermionic path at D = 3 and the symplectic bosonic
+    # path at D = 2 and 4
+    rng = random.Random(7000 + 10 * N + b)
+    shapes = [(2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (4, 2), (4, 4)]
+    for D, vertices in shapes:
+        g = rand_connected_graph(rng, D, vertices)
+        for table in (Propagator.identity(D), random_symmetric_table(rng, D)):
+            expected = reference_invariant_expectation(g, table, N, b)
+            assert numeric_invariant_expectation(g, table, N, b) == expected, (D, vertices)
+
+
+def test_integer_oracle_matches_its_reference_with_fractional_weights():
+    # weights with unlike denominators exercise the common denominator
+    rng = random.Random(7100)
+    pairings = block_symmetric_pairings(2)
+    table = Propagator(2, tuple(
+        PropagatorTerm(p, Poly.const(Fraction(w, d)))
+        for p, w, d in zip(pairings, (1, -2, 3), (2, 3, 4))
+    ))
+    for vertices in (2, 4):
+        g = rand_connected_graph(rng, 2, vertices)
+        for N, b in [(2, 0), (3, 0), (2, 1)]:
+            expected = reference_invariant_expectation(g, table, N, b)
+            assert numeric_invariant_expectation(g, table, N, b) == expected
+
+
+def test_covariance_is_integer_numerators_over_one_denominator():
+    cov = ExplicitCovariance(2, 1, 0, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 0]], den=5)
+    assert cov.den == 30
+    assert cov.rows == [{0: 3, 1: 2}, {0: 2}]
+    assert cov.entry(0, 1) == Fraction(1, 15)
+    assert cov.entry(1, 1) == 0
+
+
+def test_berezin_components_are_computed_once(monkeypatch):
+    cov = ExplicitCovariance.from_propagator(Propagator.identity(3), GradedForm(2, 1))
+    state = _BerezinState(cov)
+    first = state.component(3)
+    monkeypatch.setattr(ExplicitCovariance, "entry", lambda *args: pytest.fail("recomputed"))
+    assert state.component(3) is first
+    state.expectation([3, 3])
+
+
+def test_oracle_work_cap_raises_before_the_covariance(monkeypatch):
+    g = StrandedGraph(2, 4, ((1, 3), (2, 5), (4, 7), (6, 8)))
+    assert oracle.oracle_work(g, 3, 0) == 3**4 * 3
+    assert oracle.oracle_work(dipole(3), 2, 1) == 2**3  # fermionic: no vertex pairings
+    monkeypatch.setattr(
+        ExplicitCovariance, "from_propagator", lambda *a: pytest.fail("covariance built")
+    )
+    monkeypatch.setattr(oracle, "WORK_CAP", 242)
+    with pytest.raises(CapExceededError, match="243"):
+        numeric_invariant_expectation(g, identity_plus_swap(), 3, 0)
+
+
+def test_oracle_check_over_the_work_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # N = 32 keeps the covariance within its size cap, but the D = 2 v = 4
+    # graph then needs 32^4 * 3 index assignments and pairings
+    graph, prop = tmp_path / "graph.json", tmp_path / "prop.json"
+    graph.write_text(json.dumps(StrandedGraph(2, 4, ((1, 3), (2, 5), (4, 7), (6, 8))).to_json()))
+    prop.write_text(json.dumps(Propagator.identity(2).to_json()))
+    monkeypatch.setattr(
+        ExplicitCovariance, "from_propagator", lambda *a: pytest.fail("covariance built")
+    )
+    code = run(["oracle-check", "--graph", str(graph), "--propagator", str(prop), "--N", "32"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert str(32**4 * 3) in err and str(oracle.WORK_CAP) in err
+
+
+FORBIDDEN_IN_THE_ORACLE = {
+    "strand_walk",
+    "partner_map",
+    "face_decomposition",
+    "_wick_fold",
+    "gaussian_expectation",
+    "element_to_map",
+    "diagram_to_map",
+}
+
+
+def test_oracle_imports_no_pipeline_machinery():
+    source = pathlib.Path(oracle.__file__).read_text()
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert not used & FORBIDDEN_IN_THE_ORACLE
