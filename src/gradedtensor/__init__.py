@@ -32,7 +32,6 @@ from .brauer import (
 )
 from .errors import CapExceededError
 from .model import (
-    AmplitudePolynomial,
     DualityReport,
     Interaction,
     ModelSpec,

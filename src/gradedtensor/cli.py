@@ -151,7 +151,7 @@ def _cmd_projector(args) -> int:
     form = GradedForm(args.N, args.b)
     if args.decompose:
         rep_mod.check_table_cap(lam.size)
-    report = rep_mod.irreducible_projector(lam, form, size_cap=args.size_cap)
+    report = rep_mod.irreducible_projector(lam, form)
     decomposition = None
     if args.decompose:
         decomposition = report.element.to_json()
@@ -182,9 +182,9 @@ def _cmd_amplitude(args) -> int:
     prop = _read_propagator(args.propagator, graph.D, args.b, None)
     amp = gaussian_expectation(graph, prop, args.b)
     if args.json:
-        print(json.dumps({"b": args.b, "amplitude": amp.poly.to_coeff_map()}, sort_keys=True))
+        print(json.dumps({"b": args.b, "amplitude": amp.to_coeff_map()}, sort_keys=True))
     else:
-        print(amp.poly.format("N"))
+        print(amp.format("N"))
     return EXIT_OK
 
 
@@ -249,16 +249,14 @@ def _cmd_expand(args) -> int:
             {
                 "couplings": label,
                 "coefficient": str(term.coefficient),
-                "amplitude": term.amplitude.poly.to_coeff_map(),
+                "amplitude": term.amplitude.to_coeff_map(),
             }
         )
     if args.json:
         print(json.dumps(rows, sort_keys=True))
     else:
         for row, term in zip(rows, terms):
-            print(
-                f"{row['couplings']}: {row['coefficient']} * ({term.amplitude.poly.format('N')})"
-            )
+            print(f"{row['couplings']}: {row['coefficient']} * ({term.amplitude.format('N')})")
     return EXIT_OK
 
 
@@ -268,7 +266,7 @@ def _cmd_oracle_check(args) -> int:
     prop = _read_propagator(args.propagator, graph.D, args.b, args.N)
     # the oracle first: its work cap fails before the pipeline runs
     numeric = oracle_mod.numeric_invariant_expectation(graph, prop, args.N, args.b)
-    pipeline = gaussian_expectation(graph, prop, args.b).poly(Fraction(args.N))
+    pipeline = gaussian_expectation(graph, prop, args.b)(Fraction(args.N))
     agree = pipeline == numeric
     if args.json:
         print(
@@ -310,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--b", type=int, choices=(0, 1), default=0)
     p.add_argument("--decompose", action="store_true", help="emit the diagram-basis table")
-    p.add_argument("--size-cap", type=int, default=rep_mod.DEFAULT_SIZE_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_projector)
 

@@ -2,4 +2,4 @@
 
 
 class CapExceededError(Exception):
-    """A requested computation exceeds the configured size cap."""
+    """A requested computation exceeds one of the fixed size caps."""

@@ -132,10 +132,14 @@ class StrandedGraph:
     def from_json(cls, data: dict) -> "StrandedGraph":
         D = _field(data, "D", int)
         nv = _field(data, "vertices", int)
-        strands = _field(data, "strands", lambda pairs: tuple(
-            ((int(va) - 1) * D + int(ia), (int(vb) - 1) * D + int(ib))
-            for (va, ia), (vb, ib) in pairs
-        ))
+
+        def node(end) -> int:
+            v, c = map(int, end)
+            if not (1 <= v <= nv and 1 <= c <= D):
+                raise ValueError(f"endpoint [{v}, {c}] needs vertex 1..{nv} and slot 1..{D}")
+            return (v - 1) * D + c
+
+        strands = _field(data, "strands", lambda pairs: tuple((node(a), node(b)) for a, b in pairs))
         return cls(D, nv, strands)
 
 
@@ -163,7 +167,8 @@ class PropagatorTerm:
     weight: Poly
 
     def __post_init__(self):
-        object.__setattr__(self, "pairing", tuple(sorted((min(p), max(p)) for p in self.pairing)))
+        # BrauerDiagram checks the pairing is a perfect matching of 1..2D and sorts it
+        object.__setattr__(self, "pairing", BrauerDiagram(len(self.pairing), self.pairing).pairs)
         if not isinstance(self.weight, Poly):
             object.__setattr__(self, "weight", Poly.const(self.weight))
 
@@ -248,22 +253,6 @@ class TwoColoredGraph:
     def reoriented_color0(self, flips: Iterable[int]) -> "TwoColoredGraph":
         flipped = self.color0_pairing().reorient(flips).pairs
         return TwoColoredGraph(self.graph, self.vertex_pairing, flipped, self.weight)
-
-
-@dataclass(frozen=True)
-class AmplitudePolynomial:
-    """An exact polynomial in the formal dimension N with its grading."""
-
-    poly: Poly
-    b: int
-
-    def format(self) -> str:
-        return self.poly.format("N")
-
-    def __eq__(self, other):
-        if isinstance(other, AmplitudePolynomial):
-            return self.poly == other.poly and self.b == other.b
-        return self.poly == other
 
 
 def _promote_vertex_pairing(m0: DirectedPairing, D: int) -> DirectedPairing:
@@ -358,7 +347,7 @@ def count_faces(G: TwoColoredGraph) -> Tuple[int, int, int]:
     return (faces.total, faces.even_count, faces.odd_count)
 
 
-def graph_amplitude(G: TwoColoredGraph, b: int) -> AmplitudePolynomial:
+def graph_amplitude(G: TwoColoredGraph, b: int) -> Poly:
     """weight * ((-1)^b N)^faces, assembled from the two parity factors.
 
     The grading sign of the color-0 against color-1 pairing contributes
@@ -368,7 +357,7 @@ def graph_amplitude(G: TwoColoredGraph, b: int) -> AmplitudePolynomial:
     """
     total, even, odd = count_faces(G)
     sign = Fraction(-1 if (b * (even + odd)) % 2 else 1)
-    return AmplitudePolynomial(G.weight * sign * Poly.monomial(total), b)
+    return G.weight * sign * Poly.monomial(total)
 
 
 def _add_product(acc: List[int], p: Sequence[int], q: Sequence[int]) -> None:
@@ -446,7 +435,7 @@ def _wick_fold(S: StrandedGraph, C: Propagator) -> Poly:
     return Poly(Fraction(c, scale) for c in states.get(((), (0,) * (n + 1)), []))
 
 
-def gaussian_expectation(S: StrandedGraph, C: Propagator, b: int) -> AmplitudePolynomial:
+def gaussian_expectation(S: StrandedGraph, C: Propagator, b: int) -> Poly:
     """Sum of graph amplitudes over the full Wick expansion of S.
 
     A completion with F faces and chosen term weights w contributes
@@ -457,7 +446,7 @@ def gaussian_expectation(S: StrandedGraph, C: Propagator, b: int) -> AmplitudePo
     graph has expectation 1; an odd number of vertices gives 0.
     """
     z = _wick_fold(S, C)
-    return AmplitudePolynomial(z.reflected() if b else z, b)
+    return z.reflected() if b else z
 
 
 @dataclass(frozen=True)
@@ -525,7 +514,7 @@ class ExpansionTerm:
 
     couplings: Tuple[Tuple[str, int], ...]
     coefficient: Fraction
-    amplitude: AmplitudePolynomial
+    amplitude: Poly
 
 
 def perturbative_expansion(model: ModelSpec, order: int) -> Tuple[ExpansionTerm, ...]:

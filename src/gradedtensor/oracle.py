@@ -71,9 +71,7 @@ class ExplicitCovariance:
         return Fraction(self.rows[x].get(y, 0), self.den)
 
     @classmethod
-    def from_propagator(
-        cls, C: Propagator, form: GradedForm, size_cap: int = COVARIANCE_SIZE_CAP
-    ) -> "ExplicitCovariance":
+    def from_propagator(cls, C: Propagator, form: GradedForm) -> "ExplicitCovariance":
         """The covariance of C under `form`, from its nonzero entries only.
 
         Entry (X, Y) sums, over the terms, gamma(z0) * sign times the
@@ -84,8 +82,8 @@ class ExplicitCovariance:
         numerators over the lcm of the weights' denominators.
         """
         N, D = form.N, C.D
-        if N**D > size_cap:
-            raise CapExceededError(f"covariance size N^D = {N**D} exceeds cap {size_cap}")
+        if N**D > COVARIANCE_SIZE_CAP:
+            raise CapExceededError(f"covariance size N^D = {N**D} exceeds cap {COVARIANCE_SIZE_CAP}")
         ref = DirectedPairing(2 * D, tuple((c, D + c) for c in range(1, D + 1)))
         upper = form.upper_nonzeros()
         weights = [term.weight(form.z_value) for term in C.terms]
@@ -313,7 +311,6 @@ def numeric_invariant_expectation(
     N: int,
     b: int,
     ref: Optional[DirectedPairing] = None,
-    size_cap: int = COVARIANCE_SIZE_CAP,
 ) -> Fraction:
     """Evaluate a Gaussian invariant expectation by direct index summation.
 
@@ -338,7 +335,7 @@ def numeric_invariant_expectation(
     work = oracle_work(S, N, b)
     if work > WORK_CAP:
         raise CapExceededError(f"oracle work {work} exceeds cap {WORK_CAP}")
-    cov = ExplicitCovariance.from_propagator(C, form, size_cap)
+    cov = ExplicitCovariance.from_propagator(C, form)
     if ref is None:
         ref = DirectedPairing(
             S.vertices, tuple((v, v + 1) for v in range(1, S.vertices, 2))

@@ -41,7 +41,7 @@ from .young import (
     young_symmetrizer,
 )
 
-DEFAULT_SIZE_CAP = 20736  # N**D above this errors instead of thrashing
+SIZE_CAP = 20736  # N**D above this errors instead of thrashing
 
 
 # -- graded bilinear forms ---------------------------------------------------
@@ -240,9 +240,9 @@ def decode_index(code: int, N: int, D: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _check_cap(N: int, D: int, size_cap: int):
-    if N**D > size_cap:
-        raise CapExceededError(f"N^D = {N**D} exceeds the size cap {size_cap}")
+def _check_cap(N: int, D: int):
+    if N**D > SIZE_CAP:
+        raise CapExceededError(f"N^D = {N**D} exceeds the size cap {SIZE_CAP}")
 
 
 # -- diagram and element actions ---------------------------------------------
@@ -278,9 +278,7 @@ def _add_action(cols: Dict[int, Dict[int, int]], d: BrauerDiagram, c: int, form:
         dst[row] = dst.get(row, 0) + val
 
 
-def diagram_to_map(
-    d: BrauerDiagram, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
-) -> TensorMap:
+def diagram_to_map(d: BrauerDiagram, form: GradedForm) -> TensorMap:
     """Matrix of a single diagram's action on tensor components.
 
     Input indices b sit on the top row, output indices a on the bottom
@@ -291,12 +289,10 @@ def diagram_to_map(
     canonical orientation that defines eta, which keeps the action
     multiplicative.  The one-term case of `element_to_map`.
     """
-    return element_to_map(BrauerElement.of_diagram(d), form, size_cap)
+    return element_to_map(BrauerElement.of_diagram(d), form)
 
 
-def element_to_map(
-    e: BrauerElement, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
-) -> TensorMap:
+def element_to_map(e: BrauerElement, form: GradedForm) -> TensorMap:
     """Linear extension of the diagram action, with z evaluated at (-1)^b N.
 
     Each coefficient is evaluated once; the map's denominator is the lcm
@@ -304,7 +300,7 @@ def element_to_map(
     nonzero form entry per pair (see `diagram_to_map`), into one column
     dict; no N^D scan and no map per diagram.
     """
-    _check_cap(form.N, e.D, size_cap)
+    _check_cap(form.N, e.D)
     values = {d: coeff(form.z_value) for d, coeff in e.terms.items()}
     den = math.lcm(*(c.denominator for c in values.values()))
     cols: Dict[int, Dict[int, int]] = {}
@@ -317,8 +313,8 @@ def element_to_map(
 # -- spectra and projectors ---------------------------------------------------
 
 
-def ad_matrix(D: int, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP) -> TensorMap:
-    return element_to_map(casimir_ad(D), form, size_cap)
+def ad_matrix(D: int, form: GradedForm) -> TensorMap:
+    return element_to_map(casimir_ad(D), form)
 
 
 def _matvec(m: TensorMap, v: Dict[int, Fraction]) -> Dict[int, Fraction]:
@@ -468,21 +464,21 @@ class ProjectorReport:
     element: BrauerElement
 
 
-def _check_traceless(element: BrauerElement, form: GradedForm, size_cap: int) -> TensorMap:
+def _check_traceless(element: BrauerElement, form: GradedForm) -> TensorMap:
     """The element's tensor map, after checking that A_D annihilates its image."""
-    m = element_to_map(element, form, size_cap)
-    if element.D >= 2 and not ad_matrix(element.D, form, size_cap).compose(m).is_zero():
+    m = element_to_map(element, form)
+    if element.D >= 2 and not ad_matrix(element.D, form).compose(m).is_zero():
         raise ArithmeticError("projector image is not traceless")
     return m
 
 
-def _report(element: BrauerElement, form: GradedForm, size_cap: int) -> ProjectorReport:
+def _report(element: BrauerElement, form: GradedForm) -> ProjectorReport:
     """The element's map, checked to be a traceless idempotent, with its invariants.
 
     An idempotent's rank equals its trace, so the rank is read off the
     trace with no elimination.
     """
-    m = _check_traceless(element, form, size_cap)
+    m = _check_traceless(element, form)
     if not m.is_idempotent():
         raise ArithmeticError("projector is not idempotent")
     trace = m.trace()
@@ -556,12 +552,10 @@ def traceless_element(D: int, form: GradedForm) -> BrauerElement:
     return _traceless(D, form).element()
 
 
-def traceless_projector(
-    D: int, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
-) -> ProjectorReport:
+def traceless_projector(D: int, form: GradedForm) -> ProjectorReport:
     """Projector onto tensors annihilated by every form contraction."""
-    _check_cap(form.N, D, size_cap)
-    return _report(traceless_element(D, form), form, size_cap)
+    _check_cap(form.N, D)
+    return _report(traceless_element(D, form), form)
 
 
 def _symmetric_traceless(D: int, form: GradedForm) -> _ElementAtZ0:
@@ -584,38 +578,32 @@ def symmetric_traceless_element(D: int, form: GradedForm) -> BrauerElement:
     return _symmetric_traceless(D, form).element()
 
 
-def symmetric_traceless_projector(
-    D: int, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
-) -> ProjectorReport:
+def symmetric_traceless_projector(D: int, form: GradedForm) -> ProjectorReport:
     """The product formula composed with the normalized full symmetrizer.
 
     This is the propagator of the symmetric traceless model; at b = 1
     the same formula is read at loop weight -N and the symmetrizer acts
     in the signed representation.
     """
-    _check_cap(form.N, D, size_cap)
+    _check_cap(form.N, D)
     out = _symmetric_traceless(D, form)
     out.symmetrized(YoungDiagram((D,)), permuted_above)
-    return _report(out.element(), form, size_cap)
+    return _report(out.element(), form)
 
 
-def irreducible_element(
-    lam: YoungDiagram, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
-) -> BrauerElement:
+def irreducible_element(lam: YoungDiagram, form: GradedForm) -> BrauerElement:
     """c_lambda followed by the universal traceless projector, normalized
     to be idempotent, as a Brauer element at z0."""
     D = lam.size
-    _check_cap(form.N, D, size_cap)
+    _check_cap(form.N, D)
     out = _traceless(D, form)
     out.symmetrized(lam, permuted_below)
     return out.element()
 
 
-def irreducible_projector(
-    lam: YoungDiagram, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
-) -> ProjectorReport:
+def irreducible_projector(lam: YoungDiagram, form: GradedForm) -> ProjectorReport:
     """Projector for an irreducible symmetry type, with its invariants."""
-    return _report(irreducible_element(lam, form, size_cap), form, size_cap)
+    return _report(irreducible_element(lam, form), form)
 
 
 def check_table_cap(D: int):
@@ -624,13 +612,11 @@ def check_table_cap(D: int):
         raise CapExceededError("propagator decomposition supported for |lambda| <= 4")
 
 
-def decompose_projector_as_propagator(
-    lam: YoungDiagram, form: GradedForm, size_cap: int = DEFAULT_SIZE_CAP
-) -> BrauerElement:
+def decompose_projector_as_propagator(lam: YoungDiagram, form: GradedForm) -> BrauerElement:
     """The irreducible projector as a propagator table, checked to have a
     traceless image: each term is one undirected pairing of the 2D
     propagator slots with its rational weight at z0."""
     check_table_cap(lam.size)
-    element = irreducible_element(lam, form, size_cap)
-    _check_traceless(element, form, size_cap)
+    element = irreducible_element(lam, form)
+    _check_traceless(element, form)
     return element

@@ -84,9 +84,17 @@ def test_projector_decomposition(capsys):
 
 
 def test_projector_cap_exit_code(capsys):
-    code, _, err = invoke(capsys, "projector", "2", "--N", "200", "--size-cap", "100")
+    # N^D = 40000 is above representation.SIZE_CAP
+    code, out, err = invoke(capsys, "projector", "2", "--N", "200")
     assert code == 3
+    assert out == ""
     assert "cap" in err
+
+
+def test_projector_size_cap_is_not_an_option(capsys):
+    code, out, _ = invoke(capsys, "projector", "2", "--N", "3", "--size-cap", "100")
+    assert code == 2
+    assert out == ""
 
 
 def test_projector_decomposition_cap_exit_code(capsys):
@@ -274,6 +282,15 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         ),
         ("model", dict(QUARTIC_D2, b=5, propagator=GOOD_PROP), "field 'b': grading bit must be 0 or 1"),
         ("model", dict(QUARTIC_D2, b=5, N=2), "field 'b': grading bit must be 0 or 1"),
+        ("propagator", {"terms": [{"pairs": [[1, 2], [1, 2]], "gamma": "1"}]}, "field 'terms': "),
+        ("propagator", {"terms": [{"pairs": [[1, 3], [5, 4]], "gamma": "1"}]}, "field 'terms': "),
+        (
+            "graph",
+            dict(GOOD_GRAPH, strands=[[[1, 1], [1, 2]], [[1, 3], [1, 4]]]),
+            "field 'strands': ",
+        ),
+        ("graph", dict(GOOD_GRAPH, strands=[[[1, 1], [2, 0]], [[1, 2], [2, 2]]]), "field 'strands': "),
+        ("graph", dict(GOOD_GRAPH, strands=[[[1, 1], [3, 1]], [[1, 2], [2, 2]]]), "field 'strands': "),
     ],
     ids=[
         "graph",
@@ -297,6 +314,11 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         "model-N-top-level",
         "model-b-terms",
         "model-b-projector",
+        "terms-repeated-pair",
+        "terms-slot-out-of-range",
+        "strands-slot-above-D",
+        "strands-slot-zero",
+        "strands-vertex-above-vertices",
     ],
 )
 def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, contents, named):

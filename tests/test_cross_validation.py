@@ -64,7 +64,7 @@ def test_random_tables_pipeline_vs_oracle_d2(N, b):
         vertices = rng.choice((2, 4))
         g = rand_connected_graph(rng, 2, vertices)
         table = random_symmetric_table(rng, 2)
-        pipeline = gaussian_expectation(g, table, b).poly(Fraction(N))
+        pipeline = gaussian_expectation(g, table, b)(Fraction(N))
         assert numeric_invariant_expectation(g, table, N, b) == pipeline
 
 
@@ -73,7 +73,7 @@ def test_random_tables_pipeline_vs_oracle_fermionic():
     for _ in range(8):
         g = rand_connected_graph(rng, 3, 2)
         table = random_symmetric_table(rng, 3)
-        pipeline = gaussian_expectation(g, table, 1).poly(Fraction(2))
+        pipeline = gaussian_expectation(g, table, 1)(Fraction(2))
         assert numeric_invariant_expectation(g, table, 2, 1) == pipeline
 
 
@@ -86,7 +86,7 @@ def test_random_tables_pipeline_vs_oracle_d1_fermionic():
     quadratic = StrandedGraph(1, 2, ((1, 2),))
     four_point = StrandedGraph(1, 4, ((1, 3), (2, 4)))
     for g in (quadratic, four_point):
-        pipeline = gaussian_expectation(g, table, 1).poly(Fraction(2))
+        pipeline = gaussian_expectation(g, table, 1)(Fraction(2))
         assert numeric_invariant_expectation(g, table, 2, 1) == pipeline
 
 
@@ -115,5 +115,5 @@ def test_pipeline_handles_disconnected_graphs_vs_oracle(rng):
     g1 = rand_connected_graph(rng, 2, 2)
     g2 = rand_connected_graph(rng, 2, 2)
     union = disjoint_union_graphs(g1, g2)
-    pipeline = gaussian_expectation(union, table, 0).poly(Fraction(3))
+    pipeline = gaussian_expectation(union, table, 0)(Fraction(3))
     assert numeric_invariant_expectation(union, table, 3, 0) == pipeline

@@ -232,7 +232,7 @@ def test_oracle_matches_pipeline_bosonic(N):
         decompose_projector_as_propagator(YoungDiagram((2,)), GradedForm(N, 0))
     )
     for g in enumerate_invariants(2, 2):
-        pipeline = gaussian_expectation(g, prop, 0).poly(Fraction(N))
+        pipeline = gaussian_expectation(g, prop, 0)(Fraction(N))
         assert numeric_invariant_expectation(g, prop, N, 0) == pipeline
 
 
@@ -241,7 +241,7 @@ def test_oracle_matches_pipeline_b1_even_d():
         decompose_projector_as_propagator(YoungDiagram((1, 1)), GradedForm(2, 1))
     )
     for g in enumerate_invariants(2, 2):
-        pipeline = gaussian_expectation(g, prop, 1).poly(Fraction(2))
+        pipeline = gaussian_expectation(g, prop, 1)(Fraction(2))
         assert numeric_invariant_expectation(g, prop, 2, 1) == pipeline
 
 
@@ -249,7 +249,7 @@ def test_oracle_matches_pipeline_fermionic_quadratic():
     # b=1, D=3, N=2: odd parity, full Berezin integration over 8 generators
     prop = Propagator.identity(3)
     g = dipole(3)
-    pipeline = gaussian_expectation(g, prop, 1).poly(Fraction(2))
+    pipeline = gaussian_expectation(g, prop, 1)(Fraction(2))
     assert pipeline == -8
     assert numeric_invariant_expectation(g, prop, 2, 1) == pipeline
 

@@ -18,7 +18,7 @@ from gradedtensor.brauer import (
 from gradedtensor.errors import CapExceededError
 from gradedtensor.polynomial import Poly
 from gradedtensor.representation import (
-    DEFAULT_SIZE_CAP,
+    SIZE_CAP,
     GradedForm,
     TensorMap,
     ad_matrix,
@@ -396,16 +396,17 @@ def test_trace_of_symmetrizer_at_b1_realizes_duality():
 
 
 def test_size_cap_enforced():
+    assert 28**3 > SIZE_CAP and 145**2 > SIZE_CAP
     with pytest.raises(CapExceededError):
-        diagram_to_map(identity_diagram(3), GradedForm(3, 0), size_cap=10)
+        diagram_to_map(identity_diagram(3), GradedForm(28, 0))
     with pytest.raises(CapExceededError):
-        traceless_projector(2, GradedForm(5, 0), size_cap=20)
+        traceless_projector(2, GradedForm(145, 0))
 
 
 def test_spectrum_builds_no_tensor_map():
-    # N^D = 46656 is above DEFAULT_SIZE_CAP; the closed form needs no map
+    # N^D = 46656 is above SIZE_CAP; the closed form needs no map
     form = GradedForm(6, 0)
-    assert form.N**6 > DEFAULT_SIZE_CAP
+    assert form.N**6 > SIZE_CAP
     eigs = ad_nonzero_eigenvalues(6, form)
     # lambda = (6), mu = empty, f = 3: c((6)) + 3 (N - 1) = 15 + 15
     assert 30 in eigs
