@@ -7,8 +7,8 @@ straightening contributes one factor of the formal loop weight z.
 `multiply` keeps coefficients polynomial in z, so one computation serves
 both gradings.  The projector builders of `representation` need only
 z = (-1)^b N: they work on partner tuples (`partners`) and integer
-numerators, with two local products: `times_beta`, and the permutation
-relabelings `permuted_below` and `permuted_above`.
+numerators, with two local products: `times_beta` and the transposition
+`transposed`.
 """
 
 from __future__ import annotations
@@ -166,7 +166,9 @@ def times_beta(p: Partners, i: int, j: int) -> Tuple[Partners, int]:
     beta_ij's bottom arc (i', j') meets d's top points i and j.  If d
     pairs them, that closes one loop and d is unchanged; otherwise it
     joins their partners.  Either way beta_ij's top arc makes (i, j) a
-    top arc.  The same as `compose_diagrams(d, beta_ij(D, i, j))`.
+    top arc.  The same as `compose_diagrams(d, beta_ij(D, i, j))`; the
+    update at d's bottom points, `times_beta(p, D + i, D + j)`, is
+    beta_ij*d (beta_ij below d), `compose_diagrams(beta_ij(D, i, j), d)`.
     """
     a, b = p[i], p[j]
     if a == j:
@@ -176,34 +178,19 @@ def times_beta(p: Partners, i: int, j: int) -> Tuple[Partners, int]:
     return tuple(q), 0
 
 
-def _relabeled(p: Partners, image: Partners) -> Partners:
-    """The diagram with each point x renamed image[x]."""
-    q = [0] * len(p)
-    for x, y in enumerate(p):
-        q[image[x]] = image[y]
+def transposed(p: Partners, x: int, y: int) -> Partners:
+    """The diagram with its points x and y swapped, for d with partners p.
+
+    At top points i, j this is d*sigma_ij (sigma_ij above d), and at
+    bottom points D+i, D+j it is sigma_ij*d (sigma_ij below d); neither
+    closes a loop.
+    """
+    a, b = p[x], p[y]
+    if a == y:
+        return p
+    q = list(p)
+    q[x], q[y], q[a], q[b] = b, a, y, x
     return tuple(q)
-
-
-def permuted_below(p: Partners, sigma: Perm) -> Partners:
-    """sigma*d (sigma below d): d's bottom point D+1+k becomes D+1+sigma(k).
-
-    The same as `compose_diagrams(from_permutation(sigma), d)`, which
-    closes no loop."""
-    D = len(sigma)
-    return _relabeled(p, tuple(range(D + 1)) + tuple(D + 1 + s for s in sigma))
-
-
-def permuted_above(p: Partners, sigma: Perm) -> Partners:
-    """d*sigma (sigma above d): d's top point sigma(i)+1 becomes i+1.
-
-    The same as `compose_diagrams(d, from_permutation(sigma))`, which
-    closes no loop."""
-    D = len(sigma)
-    image = [0] * (2 * D + 1)
-    for i, s in enumerate(sigma):
-        image[s + 1] = i + 1
-    image[D + 1 :] = range(D + 1, 2 * D + 1)
-    return _relabeled(p, tuple(image))
 
 
 # -- linear combinations ----------------------------------------------------

@@ -23,6 +23,7 @@ from .model import (
     Propagator,
     StrandedGraph,
     _field,
+    _size,
     duality_check,
     enumerate_invariants,
     gaussian_expectation,
@@ -113,7 +114,7 @@ def _model_from_json(data: dict) -> ModelSpec:
     def interactions(items) -> tuple:
         return tuple(Interaction(it["name"], StrandedGraph.from_json(it["graph"])) for it in items)
 
-    D = _field(data, "D", int)
+    D = _field(data, "D", _size)
     b = _field(data, "b", lambda value: grading_bit(int(value))) if "b" in data else 0
     N = _dimension(data, b)
     prop = _field(data, "propagator", lambda spec: _propagator_from_spec(spec, D, b, N))

@@ -40,6 +40,14 @@ def _field(data: dict, key: str, parse):
         raise ValueError(f"field '{key}': {exc}") from exc
 
 
+def _size(value) -> int:
+    """A count read from JSON: an integer that is not negative."""
+    n = int(value)
+    if n < 0:
+        raise ValueError(f"must not be negative, got {n}")
+    return n
+
+
 # -- stranded graphs ----------------------------------------------------------
 
 
@@ -56,6 +64,8 @@ class StrandedGraph:
     orientation: Optional[Tuple[Pair, ...]] = None
 
     def __post_init__(self):
+        if self.D < 0 or self.vertices < 0:
+            raise ValueError("D and vertices must not be negative")
         canon = tuple(sorted((min(p), max(p)) for p in self.strands))
         object.__setattr__(self, "strands", canon)
         n = self.node_count
@@ -90,21 +100,9 @@ class StrandedGraph:
 
     def is_connected(self) -> bool:
         """Connectivity of the vertex graph induced by the strands."""
-        if self.vertices <= 1:
-            return True
-        parent = list(range(self.vertices + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.strands:
-            ra, rb = find(self.vertex_of(a)), find(self.vertex_of(b))
-            parent[ra] = rb
-        roots = {find(v) for v in range(1, self.vertices + 1)}
-        return len(roots) == 1
+        D = self.D
+        vertex_of = [0] + [(x - 1) // D for x in range(1, self.node_count + 1)]
+        return _connected(self.vertices, self.strands, vertex_of)
 
     def relabel_vertices(self, perm: Sequence[int]) -> "StrandedGraph":
         """Apply a permutation of vertices (0-based images) to the graph."""
@@ -119,19 +117,19 @@ class StrandedGraph:
         return StrandedGraph(self.D, self.vertices, strands)
 
     def to_json(self) -> dict:
+        D = self.D
         return {
-            "D": self.D,
+            "D": D,
             "vertices": self.vertices,
             "strands": [
-                [[self.vertex_of(a), self.slot_of(a)], [self.vertex_of(b), self.slot_of(b)]]
-                for a, b in self.strands
+                [[(x - 1) // D + 1, (x - 1) % D + 1] for x in pair] for pair in self.strands
             ],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "StrandedGraph":
-        D = _field(data, "D", int)
-        nv = _field(data, "vertices", int)
+        D = _field(data, "D", _size)
+        nv = _field(data, "vertices", _size)
 
         def node(end) -> int:
             v, c = map(int, end)
@@ -141,6 +139,20 @@ class StrandedGraph:
 
         strands = _field(data, "strands", lambda pairs: tuple((node(a), node(b)) for a, b in pairs))
         return cls(D, nv, strands)
+
+
+def _connected(vertices: int, strands: Iterable[Pair], vertex_of: Sequence[int]) -> bool:
+    """Whether the strands join all the vertices 0..vertices-1, where
+    vertex_of[x] is the vertex of node x: a union-find that counts roots."""
+    parent = list(range(vertices))
+    for a, b in strands:
+        ra, rb = vertex_of[a], vertex_of[b]
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
+        parent[ra] = rb
+    return sum(parent[v] == v for v in range(vertices)) <= 1
 
 
 def disjoint_union_graphs(g1: StrandedGraph, g2: StrandedGraph) -> StrandedGraph:
@@ -228,7 +240,7 @@ class Propagator:
             return PropagatorTerm(pairs, _field(item, "gamma", weight))
 
         D = _field(data, "D", int)
-        return cls(D, _field(data, "terms", lambda items: tuple(map(term, items))))
+        return _field(data, "terms", lambda items: cls(D, tuple(map(term, items))))
 
 
 # -- two-colored graphs and amplitudes ----------------------------------------
@@ -652,6 +664,7 @@ def enumerate_invariants(
     full_moves = []
     if slot_symmetry:
         full_moves = _relabelings(D, vertices, list(itertools.permutations(range(D))))
+    vertex_of = [0] + [(x - 1) // D for x in range(1, n + 1)]
     partner = [0] * (n + 1)
     strands: List[Pair] = []
     out: List[StrandedGraph] = []
@@ -669,10 +682,11 @@ def enumerate_invariants(
             if kept is not None:
                 if following <= n:
                     extend(following, kept)
-                else:
-                    g = StrandedGraph(D, vertices, tuple(strands))
-                    if g.is_connected() and _undecided(partner, following, full_moves) is not None:
-                        out.append(g)
+                elif (
+                    _connected(vertices, strands, vertex_of)
+                    and _undecided(partner, following, full_moves) is not None
+                ):
+                    out.append(StrandedGraph(D, vertices, tuple(strands)))
             strands.pop()
             partner[first] = partner[other] = 0
 

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .brauer import (
     BrauerDiagram,
@@ -26,19 +26,18 @@ from .brauer import (
     from_partners,
     identity_diagram,
     partners,
-    permuted_above,
-    permuted_below,
     times_beta,
+    transposed,
 )
 from .errors import CapExceededError
 from .polynomial import Poly
 from .young import (
+    CanonicalTableau,
     YoungDiagram,
     content_sum,
     lr_coefficient,
     partitions,
     symmetrizer_norm,
-    young_symmetrizer,
 )
 
 SIZE_CAP = 20736  # N**D above this errors instead of thrashing
@@ -464,21 +463,30 @@ class ProjectorReport:
     element: BrauerElement
 
 
-def _check_traceless(element: BrauerElement, form: GradedForm) -> TensorMap:
-    """The element's tensor map, after checking that A_D annihilates its image."""
-    m = element_to_map(element, form)
-    if element.D >= 2 and not ad_matrix(element.D, form).compose(m).is_zero():
+def _check_traceless(x: "_ElementAtZ0", form: GradedForm, m: Optional[TensorMap] = None):
+    """Check that A_D annihilates the image of x's map m (built here if needed).
+
+    A_D * x is computed first in B_D at z0: if it is zero, so is A.P on
+    the tensor space, since the action is a homomorphism.  B_D need not
+    act faithfully at small N, so a nonzero A_D * x is decided on the maps.
+    """
+    if not x.ad_times():
+        return
+    if m is None:
+        m = element_to_map(x.element(), form)
+    if not ad_matrix(x.D, form).compose(m).is_zero():
         raise ArithmeticError("projector image is not traceless")
-    return m
 
 
-def _report(element: BrauerElement, form: GradedForm) -> ProjectorReport:
-    """The element's map, checked to be a traceless idempotent, with its invariants.
+def _report(x: "_ElementAtZ0", form: GradedForm) -> ProjectorReport:
+    """x's map, checked to be a traceless idempotent, with its invariants.
 
     An idempotent's rank equals its trace, so the rank is read off the
     trace with no elimination.
     """
-    m = _check_traceless(element, form)
+    element = x.element()
+    m = element_to_map(element, form)
+    _check_traceless(x, form, m)
     if not m.is_idempotent():
         raise ArithmeticError("projector is not idempotent")
     trace = m.trace()
@@ -487,14 +495,18 @@ def _report(element: BrauerElement, form: GradedForm) -> ProjectorReport:
     )
 
 
+def _arcs(D: int) -> List[Tuple[int, int]]:
+    return [(i, j) for i in range(1, D) for j in range(i + 1, D + 1)]
+
+
 class _ElementAtZ0:
     """A Brauer element under construction, read at the loop weight
     z0 = (-1)^b N: integer numerators keyed by partner tuple (see
     `brauer.partners`) over one common denominator.
 
-    Right factors (1 - A/alpha) and Young symmetrizers on either side
-    are local updates of each diagram, with no general Brauer product
-    and no polynomial in z.
+    Right factors (1 - A/alpha), Young symmetrizers on either side and
+    the product A * self are local updates of each diagram, with no
+    general Brauer product and no polynomial in z.
     """
 
     __slots__ = ("D", "z0", "terms", "den")
@@ -507,7 +519,7 @@ class _ElementAtZ0:
 
     def times_traceless_factor(self, alpha: int):
         """self * (1 - A/alpha) = (alpha * self - sum_{i<j} self * beta_ij) / alpha."""
-        arcs = [(i, j) for i in range(1, self.D) for j in range(i + 1, self.D + 1)]
+        arcs = _arcs(self.D)
         out = {p: alpha * c for p, c in self.terms.items()}
         for p, c in self.terms.items():
             for i, j in arcs:
@@ -516,16 +528,48 @@ class _ElementAtZ0:
         self.terms = {p: c for p, c in out.items() if c}
         self.den *= alpha
 
-    def symmetrized(self, lam: YoungDiagram, permuted):
-        """Multiply by c_lambda / n_lambda on the side of `permuted`:
-        `brauer.permuted_below` for c_lambda * self, `brauer.permuted_above`
-        for self * c_lambda."""
+    def ad_times(self) -> Dict[Partners, int]:
+        """The numerators of A * self (A below self) over self.den, zeros
+        dropped: beta_ij below a diagram acts at its bottom points D+i, D+j."""
+        points = [(self.D + i, self.D + j) for i, j in _arcs(self.D)]
         out: Dict[Partners, int] = {}
-        for sigma, c in young_symmetrizer(lam).terms.items():
-            for p, n in self.terms.items():
-                q = permuted(p, sigma)
-                out[q] = out.get(q, 0) + int(c) * n
+        for p, c in self.terms.items():
+            for x, y in points:
+                q, loops = times_beta(p, x, y)
+                out[q] = out.get(q, 0) + c * self.z0**loops
+        return {p: c for p, c in out.items() if c}
+
+    def _times_transpositions(self, points: List[Tuple[int, int]], sign: int):
+        """self times (1 + sign * sum of the transpositions swapping each pair of points)."""
+        out = dict(self.terms)
+        for p, c in self.terms.items():
+            for x, y in points:
+                q = transposed(p, x, y)
+                out[q] = out.get(q, 0) + sign * c
         self.terms = {p: c for p, c in out.items() if c}
+
+    def symmetrized(self, lam: YoungDiagram, below: bool):
+        """Multiply by c_lambda / n_lambda: c_lambda * self if `below`,
+        else self * c_lambda.
+
+        c_lambda = a_lambda * b_lambda for the canonical tableau, applied
+        as transposition factors (Jucys, Rep. Math. Phys. 5 (1974) 107;
+        Murphy, J. Algebra 69 (1981) 287): each row gives
+        prod_k (1 + sum_{i<k in the row} (i k)) and each column
+        prod_k (1 - sum_{i<k in the column} (i k)).  (i k) below self
+        swaps the bottom points D+i and D+k, above self the top points i
+        and k.  Equal diagrams merge after every factor, so a factor costs
+        k - 1 relabelings per diagram, not one per term of c_lambda.
+        """
+        tableau = CanonicalTableau(lam)
+        rows = [(row, 1) for row in tableau.rows_of_entries()]
+        columns = [(column, -1) for column in tableau.columns_of_entries()]
+        # c * self = a * (b * self): the columns act first; self * c = (self * a) * b
+        shift = self.D if below else 0
+        for block, sign in columns + rows if below else rows + columns:
+            for k in range(1, len(block)):
+                pairs = [(block[i] + shift, block[k] + shift) for i in range(k)]
+                self._times_transpositions(pairs, sign)
         self.den *= int(symmetrizer_norm(lam))
 
     def element(self) -> BrauerElement:
@@ -555,7 +599,7 @@ def traceless_element(D: int, form: GradedForm) -> BrauerElement:
 def traceless_projector(D: int, form: GradedForm) -> ProjectorReport:
     """Projector onto tensors annihilated by every form contraction."""
     _check_cap(form.N, D)
-    return _report(traceless_element(D, form), form)
+    return _report(_traceless(D, form), form)
 
 
 def _symmetric_traceless(D: int, form: GradedForm) -> _ElementAtZ0:
@@ -587,23 +631,26 @@ def symmetric_traceless_projector(D: int, form: GradedForm) -> ProjectorReport:
     """
     _check_cap(form.N, D)
     out = _symmetric_traceless(D, form)
-    out.symmetrized(YoungDiagram((D,)), permuted_above)
-    return _report(out.element(), form)
+    out.symmetrized(YoungDiagram((D,)), below=False)
+    return _report(out, form)
+
+
+def _irreducible(lam: YoungDiagram, form: GradedForm) -> _ElementAtZ0:
+    _check_cap(form.N, lam.size)
+    out = _traceless(lam.size, form)
+    out.symmetrized(lam, below=True)
+    return out
 
 
 def irreducible_element(lam: YoungDiagram, form: GradedForm) -> BrauerElement:
     """c_lambda followed by the universal traceless projector, normalized
     to be idempotent, as a Brauer element at z0."""
-    D = lam.size
-    _check_cap(form.N, D)
-    out = _traceless(D, form)
-    out.symmetrized(lam, permuted_below)
-    return out.element()
+    return _irreducible(lam, form).element()
 
 
 def irreducible_projector(lam: YoungDiagram, form: GradedForm) -> ProjectorReport:
     """Projector for an irreducible symmetry type, with its invariants."""
-    return _report(irreducible_element(lam, form), form)
+    return _report(_irreducible(lam, form), form)
 
 
 def check_table_cap(D: int):
@@ -617,6 +664,6 @@ def decompose_projector_as_propagator(lam: YoungDiagram, form: GradedForm) -> Br
     traceless image: each term is one undirected pairing of the 2D
     propagator slots with its rational weight at z0."""
     check_table_cap(lam.size)
-    element = irreducible_element(lam, form)
-    _check_traceless(element, form)
-    return element
+    x = _irreducible(lam, form)
+    _check_traceless(x, form)
+    return x.element()

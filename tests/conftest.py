@@ -9,10 +9,11 @@ try:
 except ImportError:  # running from a source checkout without installation
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from gradedtensor.brauer import BrauerDiagram, BrauerElement
+from gradedtensor.brauer import BrauerDiagram, BrauerElement, Partners
 from gradedtensor.combinatorics import DirectedPairing
 from gradedtensor.model import StrandedGraph
 from gradedtensor.polynomial import Poly
+from gradedtensor.young import Perm
 from fractions import Fraction
 
 
@@ -59,3 +60,37 @@ def rand_connected_graph(rng: random.Random, D: int, vertices: int) -> StrandedG
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+# -- whole-permutation relabelings of partner tuples, the references for
+# -- `brauer.transposed` and the factored symmetrizer
+
+
+def _relabeled(p: Partners, image: Partners) -> Partners:
+    """The diagram with each point x renamed image[x]."""
+    q = [0] * len(p)
+    for x, y in enumerate(p):
+        q[image[x]] = image[y]
+    return tuple(q)
+
+
+def permuted_below(p: Partners, sigma: Perm) -> Partners:
+    """sigma*d (sigma below d): d's bottom point D+1+k becomes D+1+sigma(k).
+
+    The same as `compose_diagrams(from_permutation(sigma), d)`, which
+    closes no loop."""
+    D = len(sigma)
+    return _relabeled(p, tuple(range(D + 1)) + tuple(D + 1 + s for s in sigma))
+
+
+def permuted_above(p: Partners, sigma: Perm) -> Partners:
+    """d*sigma (sigma above d): d's top point sigma(i)+1 becomes i+1.
+
+    The same as `compose_diagrams(d, from_permutation(sigma))`, which
+    closes no loop."""
+    D = len(sigma)
+    image = [0] * (2 * D + 1)
+    for i, s in enumerate(sigma):
+        image[s + 1] = i + 1
+    image[D + 1 :] = range(D + 1, 2 * D + 1)
+    return _relabeled(p, tuple(image))

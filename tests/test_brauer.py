@@ -17,10 +17,9 @@ from gradedtensor.brauer import (
     identity_diagram,
     multiply,
     partners,
-    permuted_above,
-    permuted_below,
     sigma_ij,
     times_beta,
+    transposed,
 )
 from gradedtensor.polynomial import Poly
 from gradedtensor.young import (
@@ -32,7 +31,7 @@ from gradedtensor.young import (
     perm_sign,
     young_symmetrizer,
 )
-from conftest import rand_diagram, rand_element
+from conftest import permuted_above, permuted_below, rand_diagram, rand_element
 
 
 Z = Poly.x()
@@ -222,3 +221,27 @@ def test_permutation_products_are_relabelings(d, data):
     above = compose_diagrams(d, from_permutation(sigma))
     assert below == (from_partners(permuted_below(p, sigma)), 0)
     assert above == (from_partners(permuted_above(p, sigma)), 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=diagrams(min_D=2), data=st.data())
+def test_bottom_arc_update_is_the_product_with_beta_below(d, data):
+    i = data.draw(st.integers(1, d.D - 1))
+    j = data.draw(st.integers(i + 1, d.D))
+    q, loops = times_beta(partners(d), d.D + i, d.D + j)
+    assert (from_partners(q), loops) == compose_diagrams(beta_ij(d.D, i, j), d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=diagrams(min_D=2), data=st.data())
+def test_transposition_swaps_two_points(d, data):
+    D = d.D
+    i = data.draw(st.integers(1, D - 1))
+    j = data.draw(st.integers(i + 1, D))
+    p = partners(d)
+    swap = list(range(D))
+    swap[i - 1], swap[j - 1] = j - 1, i - 1
+    assert transposed(p, D + i, D + j) == permuted_below(p, tuple(swap))
+    assert transposed(p, i, j) == permuted_above(p, tuple(swap))
+    assert (from_partners(transposed(p, D + i, D + j)), 0) == compose_diagrams(sigma_ij(D, i, j), d)
+    assert (from_partners(transposed(p, i, j)), 0) == compose_diagrams(d, sigma_ij(D, i, j))

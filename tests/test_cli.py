@@ -291,6 +291,14 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         ),
         ("graph", dict(GOOD_GRAPH, strands=[[[1, 1], [2, 0]], [[1, 2], [2, 2]]]), "field 'strands': "),
         ("graph", dict(GOOD_GRAPH, strands=[[[1, 1], [3, 1]], [[1, 2], [2, 2]]]), "field 'strands': "),
+        ("graph", {"D": 2, "vertices": -1, "strands": []}, "field 'vertices': must not be"),
+        ("graph", {"D": -2, "vertices": 1, "strands": []}, "field 'D': must not be negative"),
+        ("model", dict(QUARTIC_D2, D=-2), "field 'D': must not be negative"),
+        (
+            "propagator",
+            {"terms": [{"pairs": [[1, 4], [2, 5], [3, 6]], "gamma": "1"}]},
+            "field 'terms': propagator term has wrong slot count",
+        ),
     ],
     ids=[
         "graph",
@@ -319,6 +327,10 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         "strands-slot-above-D",
         "strands-slot-zero",
         "strands-vertex-above-vertices",
+        "graph-vertices-negative",
+        "graph-D-negative",
+        "model-D-negative",
+        "terms-slot-count",
     ],
 )
 def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, contents, named):
@@ -336,6 +348,33 @@ def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, conten
     assert err.startswith(f"error: {paths[bad]}: ")
     if named is not None:
         assert named in err
+
+
+@pytest.mark.parametrize(
+    "graph,prop,printed",
+    [
+        ({"D": 2, "vertices": 0, "strands": []}, GOOD_PROP, "1\n"),
+        ({"D": 0, "vertices": 0, "strands": []}, {"terms": []}, "1\n"),
+    ],
+    ids=["no-vertices", "no-slots"],
+)
+def test_zero_sizes_stay_valid(tmp_path, capsys, graph, prop, printed):
+    gpath, ppath = tmp_path / "graph.json", tmp_path / "prop.json"
+    gpath.write_text(json.dumps(graph))
+    ppath.write_text(json.dumps(prop))
+    code, out, _ = invoke(capsys, "amplitude", "--graph", str(gpath), "--propagator", str(ppath))
+    assert (code, out) == (0, printed)
+
+
+def test_oracle_check_rejects_negative_vertices(tmp_path, capsys):
+    gpath, ppath = tmp_path / "graph.json", tmp_path / "prop.json"
+    gpath.write_text(json.dumps({"D": 2, "vertices": -1, "strands": []}))
+    ppath.write_text(json.dumps(GOOD_PROP))
+    code, out, err = invoke(
+        capsys, "oracle-check", "--N", "2", "--graph", str(gpath), "--propagator", str(ppath)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {gpath}: field 'vertices': ")
 
 
 @pytest.mark.parametrize(

@@ -62,10 +62,18 @@ def test_graph_validation_and_json():
     assert g.to_json()["strands"] == [[[1, 1], [2, 1]], [[1, 2], [2, 2]]]
     with pytest.raises(ValueError):
         StrandedGraph(2, 2, ((1, 2), (2, 3)))
+    for D, vertices in ((2, -1), (-2, 1)):
+        with pytest.raises(ValueError, match="must not be negative"):
+            StrandedGraph(D, vertices, ())
+    assert StrandedGraph(2, 0, ()).to_json() == {"D": 2, "vertices": 0, "strands": []}
+    assert StrandedGraph(0, 3, ()).vertices == 3
 
 
 def test_connectivity():
     assert dipole(2).is_connected()
+    assert StrandedGraph(2, 0, ()).is_connected()
+    assert StrandedGraph(0, 1, ()).is_connected()
+    assert not StrandedGraph(0, 2, ()).is_connected()
     self_traced = StrandedGraph(2, 2, ((1, 2), (3, 4)))
     assert not self_traced.is_connected()
     partial = StrandedGraph(3, 2, ((1, 2), (3, 6), (4, 5)))

@@ -13,6 +13,7 @@ from gradedtensor.brauer import (
     from_permutation,
     identity_diagram,
     multiply,
+    partners,
     sigma_ij,
 )
 from gradedtensor.errors import CapExceededError
@@ -27,6 +28,8 @@ from gradedtensor.representation import (
     decompose_projector_as_propagator,
     diagram_to_map,
     element_to_map,
+    _ElementAtZ0,
+    _traceless,
     encode_index,
     irreducible_element,
     irreducible_projector,
@@ -45,7 +48,7 @@ from gradedtensor.young import (
     transpose,
     young_symmetrizer,
 )
-from conftest import rand_diagram
+from conftest import permuted_above, permuted_below, rand_diagram
 
 
 def omega_entries(N):
@@ -545,3 +548,71 @@ def test_rank_matches_closed_form_dimension(shape, k, N, b):
     lam = YoungDiagram((k,) if shape == "row" else (1,) * k)
     rep = irreducible_projector(lam, GradedForm(N, b))
     assert rep.rank == one_row_or_column_dimension(shape, k, N, b)
+
+
+# -- the factored symmetrizer and the traceless check in B_D -----------------
+
+
+def reference_symmetrized(x, lam, permuted):
+    """(terms, den) of c_lambda / n_lambda on the side of `permuted`, one
+    relabeling of every diagram per term sigma of c_lambda."""
+    out = {}
+    for sigma, c in young_symmetrizer(lam).terms.items():
+        for p, n in x.terms.items():
+            q = permuted(p, sigma)
+            out[q] = out.get(q, 0) + int(c) * n
+    return {p: c for p, c in out.items() if c}, x.den * int(symmetrizer_norm(lam))
+
+
+def assert_factored_symmetrizer_matches(D, form):
+    for rows in partitions(D):
+        lam = YoungDiagram(rows)
+        for below, permuted in ((True, permuted_below), (False, permuted_above)):
+            x = _traceless(D, form)
+            expected = reference_symmetrized(x, lam, permuted)
+            x.symmetrized(lam, below)
+            assert (x.terms, x.den) == expected, (rows, below)
+
+
+@pytest.mark.parametrize("N,b", [(2, 0), (2, 1), (3, 0), (4, 1)])
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_factored_symmetrizer_matches_the_sum_over_permutations(D, N, b):
+    assert_factored_symmetrizer_matches(D, GradedForm(N, b))
+
+
+def test_factored_symmetrizer_matches_the_sum_over_permutations_at_d5():
+    assert_factored_symmetrizer_matches(5, GradedForm(2, 1))
+
+
+@pytest.mark.parametrize("N,b", [(2, 0), (3, 0), (2, 1), (4, 1)])
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_algebra_traceless_check_multiplies_a_below(D, N, b):
+    # A * e in B_D at z0 must map to the composite A.P, on elements that are
+    # not projectors, so that a zero product implies A.P = 0
+    form = GradedForm(N, b)
+    rng = random.Random(7 * D + 3 * N + b)
+    for _ in range(4):
+        x = _ElementAtZ0(D, form)
+        diagrams = [partners(rand_diagram(rng, D)) for _ in range(4)]
+        x.terms = {p: rng.choice((-3, -2, -1, 1, 2, 3)) for p in diagrams}
+        product = _ElementAtZ0(D, form)
+        product.terms = x.ad_times()
+        expected = ad_matrix(D, form).compose(element_to_map(x.element(), form))
+        assert element_to_map(product.element(), form) == expected
+
+
+@pytest.mark.parametrize("rows,N,b,calls", [((2, 1), 3, 0, 0), ((2, 2), 2, 0, 1)])
+def test_tensor_map_of_a_only_where_the_algebra_check_fails(monkeypatch, rows, N, b, calls):
+    import gradedtensor.representation as rep_mod
+
+    made = []
+    full = rep_mod.ad_matrix
+
+    def counted(*args):
+        made.append(args)
+        return full(*args)
+
+    monkeypatch.setattr(rep_mod, "ad_matrix", counted)
+    rep = irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
+    assert rep.idempotent
+    assert len(made) == calls
