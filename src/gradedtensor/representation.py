@@ -4,9 +4,10 @@ Everything here is exact rational linear algebra: diagram matrices,
 the closed-form integer spectrum of the arc-sum element, the universal
 traceless projector, the explicit symmetric-traceless product formula
 and irreducible-symmetry projectors.  The projector elements are built
-at the loop weight z0 = (-1)^b N in integers (`_ElementAtZ0`).  The
-symplectic grading enters through the form (delta or omega) and the
-diagram grading sign.
+at the loop weight z0 = (-1)^b N in integers (`_ElementAtZ0`), and their
+reports are read there too; a tensor map is built only where B_D does not
+act faithfully.  The symplectic grading enters through the form (delta or
+omega) and the diagram grading sign.
 """
 
 from __future__ import annotations
@@ -15,17 +16,19 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .brauer import (
     BrauerDiagram,
     BrauerElement,
     Partners,
     casimir_ad,
+    closure_loops,
     eta_sign,
     from_partners,
     identity_diagram,
     partners,
+    partners_eta,
     times_beta,
     transposed,
 )
@@ -247,28 +250,35 @@ def _check_cap(N: int, D: int):
 # -- diagram and element actions ---------------------------------------------
 
 
-def _add_action(cols: Dict[int, Dict[int, int]], d: BrauerDiagram, c: int, form: GradedForm):
-    """Add the integer c times the action of d into cols (column -> row -> entry).
+def _add_action(
+    cols: Dict[int, Dict[int, int]],
+    D: int,
+    pairs: Iterable[Tuple[int, int]],
+    c: int,
+    form: GradedForm,
+):
+    """Add the integer c times the action of the diagram with these pairs
+    (smaller point first) into cols (column -> row -> entry); c already
+    carries the grading sign.
 
-    Each pair of d is one factor that fixes the index values at both its
+    Each pair is one factor that fixes the index values at both its
     points, so a choice of one nonzero factor per pair is one nonzero
     entry.  Column digits are the top-row indices b, row digits the
     bottom-row indices a.
     """
-    N, D = form.N, d.D
+    N = form.N
     # (column, row) code of index value 1 at each point
     unit = {q: (N ** (D - q), 0) if q <= D else (0, N ** (2 * D - q)) for q in range(1, 2 * D + 1)}
     delta = {(x, x): 1 for x in range(N)}
     per_pair = []
-    for m, p in d.pairs:
+    for m, p in pairs:
         # (i, j) -> g puts i at the right point p and j at the left point m
         entries = delta if m <= D < p else form.lower if p <= D else form.upper
         (cm, rm), (cp, rp) = unit[m], unit[p]
         per_pair.append([(i * cp + j * cm, i * rp + j * rm, g) for (i, j), g in entries.items()])
-    start = c * eta_sign(d) if form.b else c
     for choice in itertools.product(*per_pair):
         col = row = 0
-        val = start
+        val = c
         for dc, dr, g in choice:
             col += dc
             row += dr
@@ -305,7 +315,8 @@ def element_to_map(e: BrauerElement, form: GradedForm) -> TensorMap:
     cols: Dict[int, Dict[int, int]] = {}
     for d, c in values.items():
         if c:
-            _add_action(cols, d, c.numerator * (den // c.denominator), form)
+            c = c.numerator * (den // c.denominator)
+            _add_action(cols, d.D, d.pairs, c * eta_sign(d) if form.b else c, form)
     return TensorMap(form.N, e.D, cols, den)
 
 
@@ -454,44 +465,75 @@ def ad_nonzero_eigenvalues(D: int, form: GradedForm) -> Set[int]:
 
 @dataclass(frozen=True)
 class ProjectorReport:
-    """A constructed projector with its exact invariants."""
+    """A constructed projector P, checked to be a traceless idempotent,
+    with its exact invariants.
 
-    projector: TensorMap
+    The checks and the trace are read in B_D at z0 wherever A_D * e = 0
+    there: then each factor (1 - A/alpha) of the traceless product T fixes
+    e, so T * e = e and e * e = (c_lambda / n_lambda) * e, which is checked
+    to equal e (see `_report`).  The map P itself is built only on demand
+    (`projector`).
+    """
+
     trace: Fraction
     rank: int
     idempotent: bool
     element: BrauerElement
+    form: GradedForm
+
+    @property
+    def projector(self) -> TensorMap:
+        """P as an N^D x N^D map, built from `element` on each access."""
+        return element_to_map(self.element, self.form)
 
 
-def _check_traceless(x: "_ElementAtZ0", form: GradedForm, m: Optional[TensorMap] = None):
-    """Check that A_D annihilates the image of x's map m (built here if needed).
+def _check_traceless(x: "_ElementAtZ0") -> Optional[TensorMap]:
+    """Check that A_D annihilates the image of x's map.
 
     A_D * x is computed first in B_D at z0: if it is zero, so is A.P on
-    the tensor space, since the action is a homomorphism.  B_D need not
-    act faithfully at small N, so a nonzero A_D * x is decided on the maps.
+    the tensor space, since the action is a homomorphism, and None is
+    returned.  B_D need not act faithfully at small N, so a nonzero
+    A_D * x is decided on the maps, and x's map is returned.
     """
     if not x.ad_times():
-        return
-    if m is None:
-        m = element_to_map(x.element(), form)
-    if not ad_matrix(x.D, form).compose(m).is_zero():
+        return None
+    m = x.tensor_map()
+    if not ad_matrix(x.D, x.form).compose(m).is_zero():
         raise ArithmeticError("projector image is not traceless")
+    return m
 
 
-def _report(x: "_ElementAtZ0", form: GradedForm) -> ProjectorReport:
-    """x's map, checked to be a traceless idempotent, with its invariants.
+def _report(x: "_ElementAtZ0") -> ProjectorReport:
+    """x checked to be a traceless idempotent, with its invariants.
 
-    An idempotent's rank equals its trace, so the rank is read off the
-    trace with no elimination.
+    Where A_D * e = 0 in B_D at z0, no tensor map is built.  e is
+    (c_lambda / n_lambda) * T (`irreducible_projector`) or
+    T * (c_(D) / D!) (`symmetric_traceless_projector`), with T a product
+    of factors (1 - A/alpha).  A * e = 0 means that every factor fixes e,
+    so T * e = e, and e * e is (c_lambda / n_lambda) * e in the first case
+    and T * (c_(D) / D!) * e in the second: either way e is idempotent
+    once (c_lambda / n_lambda) * e = e, which one more symmetrizer pass on
+    a copy of x checks exactly.  For the plain traceless projector e = T,
+    and e * e = T * e = e follows from A * e = 0 alone.  The trace is
+    `_ElementAtZ0.trace`.
+
+    Otherwise B_D does not act faithfully at this N, and x's map is the
+    fallback: A.P = 0, P.P = P and the trace are all read on it.  An
+    idempotent's rank equals its trace, so the rank is read off the trace
+    with no elimination.
     """
     element = x.element()
-    m = element_to_map(element, form)
-    _check_traceless(x, form, m)
-    if not m.is_idempotent():
+    m = _check_traceless(x)
+    if m is None:
+        idempotent = x.lam is None or x.fixed_by_symmetrizer()
+        trace = x.trace()
+    else:
+        idempotent = m.is_idempotent()
+        trace = m.trace()
+    if not idempotent:
         raise ArithmeticError("projector is not idempotent")
-    trace = m.trace()
     return ProjectorReport(
-        projector=m, trace=trace, rank=int(trace), idempotent=True, element=element
+        trace=trace, rank=int(trace), idempotent=True, element=element, form=x.form
     )
 
 
@@ -506,16 +548,19 @@ class _ElementAtZ0:
 
     Right factors (1 - A/alpha), Young symmetrizers on either side and
     the product A * self are local updates of each diagram, with no
-    general Brauer product and no polynomial in z.
+    general Brauer product and no polynomial in z.  `lam` is the shape of
+    the symmetrizer applied, if any.
     """
 
-    __slots__ = ("D", "z0", "terms", "den")
+    __slots__ = ("D", "form", "z0", "terms", "den", "lam")
 
     def __init__(self, D: int, form: GradedForm):
         self.D = D
+        self.form = form
         self.z0 = int(form.z_value)
         self.terms: Dict[Partners, int] = {partners(identity_diagram(D)): 1}
         self.den = 1
+        self.lam: Optional[YoungDiagram] = None
 
     def times_traceless_factor(self, alpha: int):
         """self * (1 - A/alpha) = (alpha * self - sum_{i<j} self * beta_ij) / alpha."""
@@ -571,6 +616,39 @@ class _ElementAtZ0:
                 pairs = [(block[i] + shift, block[k] + shift) for i in range(k)]
                 self._times_transpositions(pairs, sign)
         self.den *= int(symmetrizer_norm(lam))
+        self.lam = lam
+
+    def fixed_by_symmetrizer(self) -> bool:
+        """(c_lambda / n_lambda) * self == self exactly, for self's lam."""
+        other = _ElementAtZ0(self.D, self.form)
+        other.terms, other.den = dict(self.terms), self.den
+        other.symmetrized(self.lam, below=True)
+        return other.terms.keys() == self.terms.keys() and all(
+            c * self.den == self.terms[p] * other.den for p, c in other.terms.items()
+        )
+
+    def trace(self) -> Fraction:
+        """The trace of self's action on the tensor space, with no map.
+
+        A diagram d acts with trace (-1)^(b D) z0^L(d), L(d) its loops
+        closed by the identity (`brauer.closure_loops`); the grading sign
+        eta(d) does not enter.  At b = 0 each loop is a delta cycle, a
+        factor N; on a permutation at b = 1 it is sign(sigma) N^L with
+        sign(sigma) = (-1)^(D - L).
+        """
+        total = sum(c * self.z0 ** closure_loops(p) for p, c in self.terms.items())
+        return Fraction(-total if self.form.b and self.D % 2 else total, self.den)
+
+    def tensor_map(self) -> TensorMap:
+        """self's map, filled from the partner tuples over self.den, one
+        nonzero form entry per pair as in `element_to_map`."""
+        form = self.form
+        _check_cap(form.N, self.D)
+        cols: Dict[int, Dict[int, int]] = {}
+        for p, c in self.terms.items():
+            pairs = [(x, y) for x, y in enumerate(p) if 0 < x < y]
+            _add_action(cols, self.D, pairs, c * partners_eta(p) if form.b else c, form)
+        return TensorMap(form.N, self.D, cols, self.den)
 
     def element(self) -> BrauerElement:
         """The element with constant coefficients numerator / den."""
@@ -597,9 +675,13 @@ def traceless_element(D: int, form: GradedForm) -> BrauerElement:
 
 
 def traceless_projector(D: int, form: GradedForm) -> ProjectorReport:
-    """Projector onto tensors annihilated by every form contraction."""
+    """Projector onto tensors annihilated by every form contraction.
+
+    e = T is idempotent once A * e = 0: each factor (1 - A/alpha) of T
+    then fixes e, so e * e = T * e = e, with no further check.
+    """
     _check_cap(form.N, D)
-    return _report(_traceless(D, form), form)
+    return _report(_traceless(D, form))
 
 
 def _symmetric_traceless(D: int, form: GradedForm) -> _ElementAtZ0:
@@ -632,7 +714,7 @@ def symmetric_traceless_projector(D: int, form: GradedForm) -> ProjectorReport:
     _check_cap(form.N, D)
     out = _symmetric_traceless(D, form)
     out.symmetrized(YoungDiagram((D,)), below=False)
-    return _report(out, form)
+    return _report(out)
 
 
 def _irreducible(lam: YoungDiagram, form: GradedForm) -> _ElementAtZ0:
@@ -650,7 +732,7 @@ def irreducible_element(lam: YoungDiagram, form: GradedForm) -> BrauerElement:
 
 def irreducible_projector(lam: YoungDiagram, form: GradedForm) -> ProjectorReport:
     """Projector for an irreducible symmetry type, with its invariants."""
-    return _report(_irreducible(lam, form), form)
+    return _report(_irreducible(lam, form))
 
 
 def check_table_cap(D: int):
@@ -665,5 +747,5 @@ def decompose_projector_as_propagator(lam: YoungDiagram, form: GradedForm) -> Br
     propagator slots with its rational weight at z0."""
     check_table_cap(lam.size)
     x = _irreducible(lam, form)
-    _check_traceless(x, form)
+    _check_traceless(x)
     return x.element()

@@ -3,6 +3,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 try:
     import gradedtensor  # noqa: F401
@@ -27,6 +28,13 @@ def rand_diagram(rng: random.Random, D: int) -> BrauerDiagram:
     pts = list(range(1, 2 * D + 1))
     rng.shuffle(pts)
     return BrauerDiagram(D, tuple((pts[2 * i], pts[2 * i + 1]) for i in range(D)))
+
+
+@st.composite
+def diagrams(draw, min_D=1, max_D=6):
+    D = draw(st.integers(min_D, max_D))
+    pts = draw(st.permutations(range(1, 2 * D + 1)))
+    return BrauerDiagram(D, tuple((pts[2 * k], pts[2 * k + 1]) for k in range(D)))
 
 
 def rand_element(rng: random.Random, D: int, n_terms: int = 2, z_degree: int = 0) -> BrauerElement:

@@ -7,6 +7,7 @@ from gradedtensor.brauer import (
     BrauerElement,
     beta_ij,
     casimir_ad,
+    closure_loops,
     compose_diagrams,
     embed_group_algebra,
     eta_sign,
@@ -17,10 +18,12 @@ from gradedtensor.brauer import (
     identity_diagram,
     multiply,
     partners,
+    partners_eta,
     sigma_ij,
     times_beta,
     transposed,
 )
+from gradedtensor.combinatorics import DirectedPairing, face_decomposition, pairing_sign
 from gradedtensor.polynomial import Poly
 from gradedtensor.young import (
     GroupAlgebraElement,
@@ -31,7 +34,7 @@ from gradedtensor.young import (
     perm_sign,
     young_symmetrizer,
 )
-from conftest import permuted_above, permuted_below, rand_diagram, rand_element
+from conftest import diagrams, permuted_above, permuted_below, rand_diagram, rand_element
 
 
 Z = Poly.x()
@@ -195,13 +198,6 @@ def test_diagram_json_round_trip():
     assert d.to_json() == {"D": 3, "pairs": [[1, 3], [2, 5], [4, 6]]}
 
 
-@st.composite
-def diagrams(draw, min_D=1):
-    D = draw(st.integers(min_D, 6))
-    pts = draw(st.permutations(range(1, 2 * D + 1)))
-    return BrauerDiagram(D, tuple((pts[2 * k], pts[2 * k + 1]) for k in range(D)))
-
-
 @settings(max_examples=300, deadline=None)
 @given(d=diagrams(min_D=2), data=st.data())
 def test_arc_update_is_the_product_with_beta(d, data):
@@ -245,3 +241,22 @@ def test_transposition_swaps_two_points(d, data):
     assert transposed(p, i, j) == permuted_above(p, tuple(swap))
     assert (from_partners(transposed(p, D + i, D + j)), 0) == compose_diagrams(sigma_ij(D, i, j), d)
     assert (from_partners(transposed(p, i, j)), 0) == compose_diagrams(d, sigma_ij(D, i, j))
+
+
+def straight_down(D):
+    """{(1, D+1), ..., (D, 2D)}: top points paired straight down."""
+    return DirectedPairing(2 * D, tuple((i, D + i) for i in range(1, D + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=diagrams())
+def test_eta_is_the_pairing_sign_against_straight_down(d):
+    expected = pairing_sign(d.oriented(), straight_down(d.D))
+    assert eta_sign(d) == partners_eta(partners(d)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=diagrams())
+def test_closure_loops_are_the_faces_against_straight_down(d):
+    assert closure_loops(partners(d)) == face_decomposition(d.oriented(), straight_down(d.D)).total
+

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from gradedtensor.brauer import (
     BrauerElement,
@@ -48,7 +49,7 @@ from gradedtensor.young import (
     transpose,
     young_symmetrizer,
 )
-from conftest import permuted_above, permuted_below, rand_diagram
+from conftest import diagrams, permuted_above, permuted_below, rand_diagram
 
 
 def omega_entries(N):
@@ -616,3 +617,81 @@ def test_tensor_map_of_a_only_where_the_algebra_check_fails(monkeypatch, rows, N
     rep = irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
     assert rep.idempotent
     assert len(made) == calls
+
+
+# -- reports read in B_D at z0 against the map route ---------------------------
+
+
+def one_term(d, form):
+    x = _ElementAtZ0(d.D, form)
+    x.terms = {partners(d): 1}
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=diagrams(max_D=5))
+def test_closed_form_diagram_trace_matches_the_map(d):
+    for N, b in [(1, 0), (2, 0), (3, 0), (2, 1), (4, 1)]:
+        form = GradedForm(N, b)
+        assert one_term(d, form).trace() == diagram_to_map(d, form).trace(), (N, b)
+
+
+@pytest.mark.parametrize("N,b", [(2, 0), (3, 0), (2, 1), (4, 1)])
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_partner_fill_matches_element_to_map(D, N, b):
+    form = GradedForm(N, b)
+    rng = random.Random(11 * D + 5 * N + b)
+    for den in (1, 2, 6):
+        x = _ElementAtZ0(D, form)
+        x.terms = {partners(rand_diagram(rng, D)): rng.choice((-3, -1, 1, 2)) for _ in range(4)}
+        x.den = den
+        assert x.tensor_map() == element_to_map(x.element(), form)
+
+
+def assert_report_matches_its_map(rep):
+    m = element_to_map(rep.element, rep.form)
+    assert (rep.trace, rep.rank, rep.idempotent) == (m.trace(), m.trace(), m.is_idempotent())
+
+
+@pytest.mark.parametrize("N,b", GRADED_FORMS)
+def test_algebra_report_matches_the_map_route(N, b):
+    form = GradedForm(N, b)
+    for n in range(2, 6 if N <= 3 else 5):
+        for rows in partitions(n):
+            assert_report_matches_its_map(irreducible_projector(YoungDiagram(rows), form))
+    for D in range(1, 5):
+        assert_report_matches_its_map(traceless_projector(D, form))
+        try:
+            rep = symmetric_traceless_projector(D, form)
+        except ValueError:  # degenerate N, e.g. D = 3 at Sp(2)
+            continue
+        assert_report_matches_its_map(rep)
+
+
+class MapBuilt(Exception):
+    pass
+
+
+def refuse_maps(monkeypatch):
+    """Make building any tensor map of a Brauer element raise MapBuilt."""
+    import gradedtensor.representation as rep_mod
+
+    def refuse(*args):
+        raise MapBuilt
+
+    monkeypatch.setattr(rep_mod, "element_to_map", refuse)
+    monkeypatch.setattr(rep_mod, "_add_action", refuse)
+
+
+@pytest.mark.parametrize("rows,N,rank", [((5,), 4, 36), ((3, 2), 4, 24), ((6,), 3, 13)])
+def test_algebra_report_builds_no_tensor_map(monkeypatch, rows, N, rank):
+    refuse_maps(monkeypatch)
+    rep = irreducible_projector(YoungDiagram(rows), GradedForm(N, 0))
+    assert (rep.trace, rep.rank, rep.idempotent) == (rank, rank, True)
+
+
+def test_unfaithful_algebra_falls_back_to_the_map(monkeypatch):
+    # A * e != 0 in B_D for (2,2) at O(2), although A.P = 0 on the tensors
+    refuse_maps(monkeypatch)
+    with pytest.raises(MapBuilt):
+        irreducible_projector(YoungDiagram((2, 2)), GradedForm(2, 0))
