@@ -8,8 +8,7 @@ straightening contributes one factor of the formal loop weight z.
 both gradings.  The projector builders of `representation` need only
 z = (-1)^b N: they work on partner tuples (`partners`) and integer
 numerators, with two local products, `times_beta` and the transposition
-`transposed`, and two readings, `closure_loops` for the trace and
-`partners_eta` for the grading sign.
+`transposed`, and one reading, `closure_loops`, for the trace.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .combinatorics import DirectedPairing, partner_map, strand_walk
+from .combinatorics import DirectedPairing, pairing_sign, partner_map, strand_walk
 from .polynomial import Poly
-from .young import GroupAlgebraElement, Perm, perm_sign
+from .young import GroupAlgebraElement, Perm
 
 Pair = Tuple[int, int]
 # p[x] is the partner of point x, for the points x = 1..2D; p[0] = 0 pads
@@ -216,27 +215,6 @@ def closure_loops(p: Partners) -> int:
     return loops
 
 
-def partners_eta(p: Partners) -> int:
-    """The grading sign `eta_sign` of the diagram with partners p.
-
-    The sign of the permutation taking the canonically oriented pairs
-    (through strands top to bottom, top arcs left to right, bottom arcs
-    right to left), flattened, to the straight-down reference sequence
-    1, D+1, 2, D+2, ...  The order in which the pairs are listed does not
-    change it.
-    """
-    D = len(p) // 2
-    image = [0] * (2 * D)
-    k = 0
-    for x in range(1, 2 * D + 1):
-        y = p[x]
-        if x < y:
-            a, b = (y, x) if x > D else (x, y)
-            image[a - 1], image[b - 1] = k, D + k
-            k += 1
-    return perm_sign(tuple(image))
-
-
 # -- linear combinations ----------------------------------------------------
 
 
@@ -347,15 +325,19 @@ def casimir_ad(D: int) -> BrauerElement:
     return BrauerElement(D, terms)
 
 
+def reference_pairing(D: int) -> DirectedPairing:
+    """{(1, D+1), ..., (D, 2D)}: top points paired straight down."""
+    return DirectedPairing(2 * D, tuple((i, D + i) for i in range(1, D + 1)))
+
+
 def eta_sign(d: BrauerDiagram) -> int:
     """The grading sign of a diagram's action in the signed representation.
 
-    The pairing sign of the canonically oriented diagram (`oriented`)
-    against the straight-down reference pairing {(1, D+1), ..., (D, 2D)},
-    read on the partner tuple (`partners_eta`); for permutation diagrams
-    this is the permutation's sign.
+    Computed as the pairing sign of the canonically oriented diagram
+    against the straight-down reference pairing; for permutation
+    diagrams this is the permutation's sign.
     """
-    return partners_eta(partners(d))
+    return pairing_sign(d.oriented(), reference_pairing(d.D))
 
 
 def embed_group_algebra(e: GroupAlgebraElement, D: int) -> BrauerElement:

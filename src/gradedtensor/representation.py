@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .brauer import (
     BrauerDiagram,
@@ -28,7 +28,6 @@ from .brauer import (
     from_partners,
     identity_diagram,
     partners,
-    partners_eta,
     times_beta,
     transposed,
 )
@@ -250,35 +249,28 @@ def _check_cap(N: int, D: int):
 # -- diagram and element actions ---------------------------------------------
 
 
-def _add_action(
-    cols: Dict[int, Dict[int, int]],
-    D: int,
-    pairs: Iterable[Tuple[int, int]],
-    c: int,
-    form: GradedForm,
-):
-    """Add the integer c times the action of the diagram with these pairs
-    (smaller point first) into cols (column -> row -> entry); c already
-    carries the grading sign.
+def _add_action(cols: Dict[int, Dict[int, int]], d: BrauerDiagram, c: int, form: GradedForm):
+    """Add the integer c times the action of d into cols (column -> row -> entry).
 
-    Each pair is one factor that fixes the index values at both its
+    Each pair of d is one factor that fixes the index values at both its
     points, so a choice of one nonzero factor per pair is one nonzero
     entry.  Column digits are the top-row indices b, row digits the
     bottom-row indices a.
     """
-    N = form.N
+    N, D = form.N, d.D
     # (column, row) code of index value 1 at each point
     unit = {q: (N ** (D - q), 0) if q <= D else (0, N ** (2 * D - q)) for q in range(1, 2 * D + 1)}
     delta = {(x, x): 1 for x in range(N)}
     per_pair = []
-    for m, p in pairs:
+    for m, p in d.pairs:
         # (i, j) -> g puts i at the right point p and j at the left point m
         entries = delta if m <= D < p else form.lower if p <= D else form.upper
         (cm, rm), (cp, rp) = unit[m], unit[p]
         per_pair.append([(i * cp + j * cm, i * rp + j * rm, g) for (i, j), g in entries.items()])
+    start = c * eta_sign(d) if form.b else c
     for choice in itertools.product(*per_pair):
         col = row = 0
-        val = c
+        val = start
         for dc, dr, g in choice:
             col += dc
             row += dr
@@ -315,8 +307,7 @@ def element_to_map(e: BrauerElement, form: GradedForm) -> TensorMap:
     cols: Dict[int, Dict[int, int]] = {}
     for d, c in values.items():
         if c:
-            c = c.numerator * (den // c.denominator)
-            _add_action(cols, d.D, d.pairs, c * eta_sign(d) if form.b else c, form)
+            _add_action(cols, d, c.numerator * (den // c.denominator), form)
     return TensorMap(form.N, e.D, cols, den)
 
 
@@ -487,35 +478,37 @@ class ProjectorReport:
         return element_to_map(self.element, self.form)
 
 
-def _check_traceless(x: "_ElementAtZ0") -> Optional[TensorMap]:
-    """Check that A_D annihilates the image of x's map.
+def _check_traceless(x: "_ElementAtZ0", element: BrauerElement) -> Optional[TensorMap]:
+    """Check that A_D annihilates the image of the map of x, whose
+    `BrauerElement` is element.
 
     A_D * x is computed first in B_D at z0: if it is zero, so is A.P on
     the tensor space, since the action is a homomorphism, and None is
     returned.  B_D need not act faithfully at small N, so a nonzero
-    A_D * x is decided on the maps, and x's map is returned.
+    A_D * x is decided on the maps, and the element's map is returned.
     """
     if not x.ad_times():
         return None
-    m = x.tensor_map()
+    m = element_to_map(element, x.form)
     if not ad_matrix(x.D, x.form).compose(m).is_zero():
         raise ArithmeticError("projector image is not traceless")
     return m
 
 
-def _report(x: "_ElementAtZ0") -> ProjectorReport:
-    """x checked to be a traceless idempotent, with its invariants.
+def _report(x: "_ElementAtZ0", lam: Optional[YoungDiagram]) -> ProjectorReport:
+    """x checked to be a traceless idempotent, with its invariants; lam is
+    the shape of the symmetrizer applied to x, None if there is none.
 
     Where A_D * e = 0 in B_D at z0, no tensor map is built.  e is
     (c_lambda / n_lambda) * T (`irreducible_projector`) or
-    T * (c_(D) / D!) (`symmetric_traceless_projector`), with T a product
-    of factors (1 - A/alpha).  A * e = 0 means that every factor fixes e,
-    so T * e = e, and e * e is (c_lambda / n_lambda) * e in the first case
-    and T * (c_(D) / D!) * e in the second: either way e is idempotent
-    once (c_lambda / n_lambda) * e = e, which one more symmetrizer pass on
-    a copy of x checks exactly.  For the plain traceless projector e = T,
-    and e * e = T * e = e follows from A * e = 0 alone.  The trace is
-    `_ElementAtZ0.trace`.
+    T * (c_(D) / D!) (`symmetric_traceless_projector`, lam = (D)), with T
+    a product of factors (1 - A/alpha).  A * e = 0 means that every factor
+    fixes e, so T * e = e, and e * e is (c_lambda / n_lambda) * e in the
+    first case and T * (c_(D) / D!) * e in the second: either way e is
+    idempotent once (c_lambda / n_lambda) * e = e, which one more
+    symmetrizer pass on a copy of x checks exactly.  For the plain
+    traceless projector e = T, and e * e = T * e = e follows from A * e = 0
+    alone.  The trace is `_ElementAtZ0.trace`.
 
     Otherwise B_D does not act faithfully at this N, and x's map is the
     fallback: A.P = 0, P.P = P and the trace are all read on it.  An
@@ -523,9 +516,9 @@ def _report(x: "_ElementAtZ0") -> ProjectorReport:
     with no elimination.
     """
     element = x.element()
-    m = _check_traceless(x)
+    m = _check_traceless(x, element)
     if m is None:
-        idempotent = x.lam is None or x.fixed_by_symmetrizer()
+        idempotent = lam is None or x.fixed_by_symmetrizer(lam)
         trace = x.trace()
     else:
         idempotent = m.is_idempotent()
@@ -548,11 +541,10 @@ class _ElementAtZ0:
 
     Right factors (1 - A/alpha), Young symmetrizers on either side and
     the product A * self are local updates of each diagram, with no
-    general Brauer product and no polynomial in z.  `lam` is the shape of
-    the symmetrizer applied, if any.
+    general Brauer product and no polynomial in z.
     """
 
-    __slots__ = ("D", "form", "z0", "terms", "den", "lam")
+    __slots__ = ("D", "form", "z0", "terms", "den")
 
     def __init__(self, D: int, form: GradedForm):
         self.D = D
@@ -560,7 +552,6 @@ class _ElementAtZ0:
         self.z0 = int(form.z_value)
         self.terms: Dict[Partners, int] = {partners(identity_diagram(D)): 1}
         self.den = 1
-        self.lam: Optional[YoungDiagram] = None
 
     def times_traceless_factor(self, alpha: int):
         """self * (1 - A/alpha) = (alpha * self - sum_{i<j} self * beta_ij) / alpha."""
@@ -616,13 +607,12 @@ class _ElementAtZ0:
                 pairs = [(block[i] + shift, block[k] + shift) for i in range(k)]
                 self._times_transpositions(pairs, sign)
         self.den *= int(symmetrizer_norm(lam))
-        self.lam = lam
 
-    def fixed_by_symmetrizer(self) -> bool:
-        """(c_lambda / n_lambda) * self == self exactly, for self's lam."""
+    def fixed_by_symmetrizer(self, lam: YoungDiagram) -> bool:
+        """(c_lambda / n_lambda) * self == self exactly."""
         other = _ElementAtZ0(self.D, self.form)
         other.terms, other.den = dict(self.terms), self.den
-        other.symmetrized(self.lam, below=True)
+        other.symmetrized(lam, below=True)
         return other.terms.keys() == self.terms.keys() and all(
             c * self.den == self.terms[p] * other.den for p, c in other.terms.items()
         )
@@ -638,17 +628,6 @@ class _ElementAtZ0:
         """
         total = sum(c * self.z0 ** closure_loops(p) for p, c in self.terms.items())
         return Fraction(-total if self.form.b and self.D % 2 else total, self.den)
-
-    def tensor_map(self) -> TensorMap:
-        """self's map, filled from the partner tuples over self.den, one
-        nonzero form entry per pair as in `element_to_map`."""
-        form = self.form
-        _check_cap(form.N, self.D)
-        cols: Dict[int, Dict[int, int]] = {}
-        for p, c in self.terms.items():
-            pairs = [(x, y) for x, y in enumerate(p) if 0 < x < y]
-            _add_action(cols, self.D, pairs, c * partners_eta(p) if form.b else c, form)
-        return TensorMap(form.N, self.D, cols, self.den)
 
     def element(self) -> BrauerElement:
         """The element with constant coefficients numerator / den."""
@@ -681,7 +660,7 @@ def traceless_projector(D: int, form: GradedForm) -> ProjectorReport:
     then fixes e, so e * e = T * e = e, with no further check.
     """
     _check_cap(form.N, D)
-    return _report(_traceless(D, form))
+    return _report(_traceless(D, form), None)
 
 
 def _symmetric_traceless(D: int, form: GradedForm) -> _ElementAtZ0:
@@ -713,8 +692,9 @@ def symmetric_traceless_projector(D: int, form: GradedForm) -> ProjectorReport:
     """
     _check_cap(form.N, D)
     out = _symmetric_traceless(D, form)
-    out.symmetrized(YoungDiagram((D,)), below=False)
-    return _report(out)
+    lam = YoungDiagram((D,))
+    out.symmetrized(lam, below=False)
+    return _report(out, lam)
 
 
 def _irreducible(lam: YoungDiagram, form: GradedForm) -> _ElementAtZ0:
@@ -732,7 +712,7 @@ def irreducible_element(lam: YoungDiagram, form: GradedForm) -> BrauerElement:
 
 def irreducible_projector(lam: YoungDiagram, form: GradedForm) -> ProjectorReport:
     """Projector for an irreducible symmetry type, with its invariants."""
-    return _report(_irreducible(lam, form))
+    return _report(_irreducible(lam, form), lam)
 
 
 def check_table_cap(D: int):
@@ -747,5 +727,6 @@ def decompose_projector_as_propagator(lam: YoungDiagram, form: GradedForm) -> Br
     propagator slots with its rational weight at z0."""
     check_table_cap(lam.size)
     x = _irreducible(lam, form)
-    _check_traceless(x)
-    return x.element()
+    element = x.element()
+    _check_traceless(x, element)
+    return element

@@ -18,12 +18,12 @@ from gradedtensor.brauer import (
     identity_diagram,
     multiply,
     partners,
-    partners_eta,
+    reference_pairing,
     sigma_ij,
     times_beta,
     transposed,
 )
-from gradedtensor.combinatorics import DirectedPairing, face_decomposition, pairing_sign
+from gradedtensor.combinatorics import face_decomposition
 from gradedtensor.polynomial import Poly
 from gradedtensor.young import (
     GroupAlgebraElement,
@@ -243,20 +243,7 @@ def test_transposition_swaps_two_points(d, data):
     assert (from_partners(transposed(p, i, j)), 0) == compose_diagrams(d, sigma_ij(D, i, j))
 
 
-def straight_down(D):
-    """{(1, D+1), ..., (D, 2D)}: top points paired straight down."""
-    return DirectedPairing(2 * D, tuple((i, D + i) for i in range(1, D + 1)))
-
-
 @settings(max_examples=300, deadline=None)
 @given(d=diagrams())
-def test_eta_is_the_pairing_sign_against_straight_down(d):
-    expected = pairing_sign(d.oriented(), straight_down(d.D))
-    assert eta_sign(d) == partners_eta(partners(d)) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(d=diagrams())
-def test_closure_loops_are_the_faces_against_straight_down(d):
-    assert closure_loops(partners(d)) == face_decomposition(d.oriented(), straight_down(d.D)).total
-
+def test_closure_loops_are_the_faces_against_the_reference_pairing(d):
+    assert closure_loops(partners(d)) == face_decomposition(d.oriented(), reference_pairing(d.D)).total

@@ -636,18 +636,6 @@ def test_closed_form_diagram_trace_matches_the_map(d):
         assert one_term(d, form).trace() == diagram_to_map(d, form).trace(), (N, b)
 
 
-@pytest.mark.parametrize("N,b", [(2, 0), (3, 0), (2, 1), (4, 1)])
-@pytest.mark.parametrize("D", [2, 3, 4])
-def test_partner_fill_matches_element_to_map(D, N, b):
-    form = GradedForm(N, b)
-    rng = random.Random(11 * D + 5 * N + b)
-    for den in (1, 2, 6):
-        x = _ElementAtZ0(D, form)
-        x.terms = {partners(rand_diagram(rng, D)): rng.choice((-3, -1, 1, 2)) for _ in range(4)}
-        x.den = den
-        assert x.tensor_map() == element_to_map(x.element(), form)
-
-
 def assert_report_matches_its_map(rep):
     m = element_to_map(rep.element, rep.form)
     assert (rep.trace, rep.rank, rep.idempotent) == (m.trace(), m.trace(), m.is_idempotent())
