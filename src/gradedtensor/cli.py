@@ -9,6 +9,7 @@ verdict-true, 1 verdict-false, 2 usage error, 3 size cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -292,7 +293,16 @@ def _cmd_oracle_check(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Building it costs about a millisecond, more than many commands take,
+    and `run` may be called many times in one process.  Parsing leaves the
+    parser unchanged, and it looks up sys.stdout and sys.stderr only when
+    it writes, so redirected output, usage errors and --help behave as
+    with a fresh parser.
+    """
     parser = argparse.ArgumentParser(
         prog="gradedtensor",
         description="Exact combinatorics of graded orthogonal/symplectic tensor models.",

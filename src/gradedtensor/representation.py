@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -462,15 +462,22 @@ class ProjectorReport:
     The checks and the trace are read in B_D at z0 wherever A_D * e = 0
     there: then each factor (1 - A/alpha) of the traceless product T fixes
     e, so T * e = e and e * e = (c_lambda / n_lambda) * e, which is checked
-    to equal e (see `_report`).  The map P itself is built only on demand
-    (`projector`).
+    to equal e (see `_report`).  The report keeps a snapshot of e's integer
+    numerators over its denominator, left out of equality; the
+    `BrauerElement` (`element`) and the map P (`projector`) are built from
+    it only on demand.
     """
 
     trace: Fraction
     rank: int
     idempotent: bool
-    element: BrauerElement
     form: GradedForm
+    _snapshot: "_ElementAtZ0" = field(compare=False, repr=False)
+
+    @property
+    def element(self) -> BrauerElement:
+        """e as a `BrauerElement` at z0, built from the snapshot on each access."""
+        return self._snapshot.element()
 
     @property
     def projector(self) -> TensorMap:
@@ -478,18 +485,18 @@ class ProjectorReport:
         return element_to_map(self.element, self.form)
 
 
-def _check_traceless(x: "_ElementAtZ0", element: BrauerElement) -> Optional[TensorMap]:
-    """Check that A_D annihilates the image of the map of x, whose
-    `BrauerElement` is element.
+def _check_traceless(x: "_ElementAtZ0") -> Optional[TensorMap]:
+    """Check that A_D annihilates the image of the map of x.
 
     A_D * x is computed first in B_D at z0: if it is zero, so is A.P on
     the tensor space, since the action is a homomorphism, and None is
-    returned.  B_D need not act faithfully at small N, so a nonzero
-    A_D * x is decided on the maps, and the element's map is returned.
+    returned with no `BrauerElement` built.  B_D need not act faithfully
+    at small N, so a nonzero A_D * x is decided on the maps: x is
+    converted to its element, and the element's map is returned.
     """
     if not x.ad_times():
         return None
-    m = element_to_map(element, x.form)
+    m = element_to_map(x.element(), x.form)
     if not ad_matrix(x.D, x.form).compose(m).is_zero():
         raise ArithmeticError("projector image is not traceless")
     return m
@@ -514,9 +521,12 @@ def _report(x: "_ElementAtZ0", lam: Optional[YoungDiagram]) -> ProjectorReport:
     fallback: A.P = 0, P.P = P and the trace are all read on it.  An
     idempotent's rank equals its trace, so the rank is read off the trace
     with no elimination.
+
+    The report keeps a copy of x's numerators and denominator, not x
+    itself; x is converted to a `BrauerElement` here only for the
+    fallback map.
     """
-    element = x.element()
-    m = _check_traceless(x, element)
+    m = _check_traceless(x)
     if m is None:
         idempotent = lam is None or x.fixed_by_symmetrizer(lam)
         trace = x.trace()
@@ -526,7 +536,7 @@ def _report(x: "_ElementAtZ0", lam: Optional[YoungDiagram]) -> ProjectorReport:
     if not idempotent:
         raise ArithmeticError("projector is not idempotent")
     return ProjectorReport(
-        trace=trace, rank=int(trace), idempotent=True, element=element, form=x.form
+        trace=trace, rank=int(trace), idempotent=True, form=x.form, _snapshot=x.copy()
     )
 
 
@@ -608,10 +618,15 @@ class _ElementAtZ0:
                 self._times_transpositions(pairs, sign)
         self.den *= int(symmetrizer_norm(lam))
 
-    def fixed_by_symmetrizer(self, lam: YoungDiagram) -> bool:
-        """(c_lambda / n_lambda) * self == self exactly."""
+    def copy(self) -> "_ElementAtZ0":
+        """A copy with its own terms, unaffected by later updates of self."""
         other = _ElementAtZ0(self.D, self.form)
         other.terms, other.den = dict(self.terms), self.den
+        return other
+
+    def fixed_by_symmetrizer(self, lam: YoungDiagram) -> bool:
+        """(c_lambda / n_lambda) * self == self exactly."""
+        other = self.copy()
         other.symmetrized(lam, below=True)
         return other.terms.keys() == self.terms.keys() and all(
             c * self.den == self.terms[p] * other.den for p, c in other.terms.items()
@@ -727,6 +742,5 @@ def decompose_projector_as_propagator(lam: YoungDiagram, form: GradedForm) -> Br
     propagator slots with its rational weight at z0."""
     check_table_cap(lam.size)
     x = _irreducible(lam, form)
-    element = x.element()
-    _check_traceless(x, element)
-    return element
+    _check_traceless(x)
+    return x.element()

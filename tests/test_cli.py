@@ -480,3 +480,88 @@ def test_byte_identical_across_hash_seeds(quartic_model, tmp_path):
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# -- one parser per process ---------------------------------------------------------
+
+
+def test_every_subcommand_in_one_process_matches_a_fresh_interpreter(
+    quartic_model, tmp_path, capsys
+):
+    import subprocess
+    import sys
+
+    graph, prop = tmp_path / "graph.json", tmp_path / "prop.json"
+    graph.write_text(json.dumps(GOOD_GRAPH))
+    prop.write_text(json.dumps(GOOD_PROP))
+    files = ["--graph", str(graph), "--propagator", str(prop)]
+    argvs = [
+        ["dim", "2,1"],
+        ["projector", "2,1", "--N", "3", "--decompose", "--json"],
+        ["amplitude", *files, "--b", "1"],
+        ["duality-check", "--model", quartic_model, "--json"],
+        ["enumerate", "--D", "2", "--vertices", "4"],
+        ["expand", "--model", quartic_model, "--order", "2"],
+        ["oracle-check", *files, "--N", "2", "--json"],
+    ]
+    for argv in argvs:
+        code, out, _ = invoke(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gradedtensor.cli", *argv], capture_output=True
+        )
+        assert (code, out.encode()) == (fresh.returncode, fresh.stdout), argv[0]
+        assert code == 0 and out, argv[0]
+
+
+def test_usage_error_after_a_successful_call(capsys):
+    code, first, _ = invoke(capsys, "projector", "2", "--N", "3")
+    assert code == 0
+    code, out, err = invoke(capsys, "projector", "2")
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --N" in err
+    assert invoke(capsys, "projector", "2", "--N", "3") == (0, first, "")
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = invoke(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: gradedtensor")
+    code, out, _ = invoke(capsys, "projector", "--help")
+    assert code == 0
+    assert "--decompose" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--model", "model.json", "--order", "2", "--threads", "2"],
+        ["amplitude", "--graph", "g.json", "--propagator", "p.json", "--threads", "2"],
+    ],
+)
+def test_threads_stays_a_usage_error(capsys, argv):
+    assert invoke(capsys, "dim", "2")[0] == 0
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    import argparse
+
+    from gradedtensor import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert invoke(capsys, "dim", "2")[0] == 0
+    assert invoke(capsys, "projector", "2")[0] == 2
+    assert invoke(capsys, "projector", "2", "--N", "3")[0] == 0
+    # the top-level parser once, and one subparser per subcommand with it
+    assert built.count("gradedtensor") == 1
+    assert len(built) == 8

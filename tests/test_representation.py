@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -44,6 +45,7 @@ from gradedtensor.young import (
     YoungDiagram,
     all_perms,
     gl_dimension_poly,
+    hook_length,
     partitions,
     symmetrizer_norm,
     transpose,
@@ -551,6 +553,70 @@ def test_rank_matches_closed_form_dimension(shape, k, N, b):
     assert rep.rank == one_row_or_column_dimension(shape, k, N, b)
 
 
+def el_samra_king_dimension(lam, N, b):
+    """Dimension of the O(N) irrep [lam] (b=0) or the Sp(N) irrep <lam>
+    (b=1), by El Samra & King, J. Phys. A 12 (1979) 2317: the product over
+    the boxes (i, j) of lam of (N + r_ij) / h_ij, h_ij the hook length and
+
+        O(N):  r_ij = lam_i + lam_j - i - j          (i <= j)
+               r_ij = -lam'_i - lam'_j + i + j - 2   (i > j)
+        Sp(N): r_ij = lam_i + lam_j - i - j + 2      (i > j)
+               r_ij = -lam'_i - lam'_j + i + j       (i <= j)
+
+    with lam_i = 0 past the last row.  It holds for lam'_1 + lam'_2 <= N
+    (O(N)) and lam'_1 <= N/2 (Sp(N))."""
+    cols = transpose(lam).rows
+    row = lambda i: lam.rows[i - 1] if i <= len(lam.rows) else 0
+    col = lambda j: cols[j - 1] if j <= len(cols) else 0
+    out = Fraction(1)
+    for i, j in lam.boxes():
+        if b == 0:
+            r = row(i) + row(j) - i - j if i <= j else -col(i) - col(j) + i + j - 2
+        else:
+            r = row(i) + row(j) - i - j + 2 if i > j else -col(i) - col(j) + i + j
+        out *= Fraction(N + r, hook_length(lam, i, j))
+    return out
+
+
+def smallest_stable_dimension(lam, b):
+    """The least N at which el_samra_king_dimension holds for the irrep
+    that lam's projector reaches: O(N) [lam] at b = 0 and, since the
+    signed action turns c_lam into c_lam', Sp(N) <lam'> at b = 1."""
+    if b:
+        return 2 * lam.rows[0]
+    return sum(transpose(lam).rows[:2])
+
+
+def test_el_samra_king_matches_one_row_and_column_dimensions():
+    for N, b in [(N, b) for N in range(1, 13) for b in (0, 1) if not (b and N % 2)]:
+        for shape in ("row", "column"):
+            for k in range(1, 6):
+                lam = YoungDiagram((k,) if shape == "row" else (1,) * k)
+                if N >= smallest_stable_dimension(lam, b):
+                    irrep = transpose(lam) if b else lam
+                    expected = one_row_or_column_dimension(shape, k, N, b)
+                    assert el_samra_king_dimension(irrep, N, b) == expected, (shape, k, N, b)
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_rank_matches_el_samra_king_dimension(b):
+    # at the least N where the closed form holds, for every lam |- 2..5
+    # with N^|lam| under the size cap: at b = 1 that leaves out (5) and
+    # (4,1), whose Sp(N) irreps need N = 10 and 8
+    checked = 0
+    for k in range(2, 6):
+        for rows in partitions(k):
+            lam = YoungDiagram(rows)
+            N = smallest_stable_dimension(lam, b)
+            if N**k > SIZE_CAP:
+                continue
+            rep = irreducible_projector(lam, GradedForm(N, b))
+            irrep = transpose(lam) if b else lam
+            assert rep.rank == el_samra_king_dimension(irrep, N, b), (rows, N)
+            checked += 1
+    assert checked == (15 if b else 17)
+
+
 # -- the factored symmetrizer and the traceless check in B_D -----------------
 
 
@@ -683,3 +749,69 @@ def test_unfaithful_algebra_falls_back_to_the_map(monkeypatch):
     refuse_maps(monkeypatch)
     with pytest.raises(MapBuilt):
         irreducible_projector(YoungDiagram((2, 2)), GradedForm(2, 0))
+
+
+# -- the report's element, built only when it is read ----------------------------
+
+
+def count_element_builds(monkeypatch):
+    """Count the conversions of an `_ElementAtZ0` to a `BrauerElement`."""
+    made = []
+    full = _ElementAtZ0.element
+
+    def counted(self):
+        made.append(self.D)
+        return full(self)
+
+    monkeypatch.setattr(_ElementAtZ0, "element", counted)
+    return made
+
+
+@pytest.mark.parametrize("argv", [["2,1", "--N", "3"], ["2", "--N", "4", "--b", "1"]])
+@pytest.mark.parametrize("decompose,builds", [(False, 0), (True, 1)])
+def test_projector_builds_its_element_only_to_decompose(
+    monkeypatch, capsys, argv, decompose, builds
+):
+    from gradedtensor.cli import run
+
+    made = count_element_builds(monkeypatch)
+    assert run(["projector", *argv, "--json"] + (["--decompose"] if decompose else [])) == 0
+    assert ("decomposition" in json.loads(capsys.readouterr().out)) == decompose
+    assert len(made) == builds
+
+
+@pytest.mark.parametrize("N,b", GRADED_FORMS)
+def test_report_element_is_the_irreducible_element(N, b):
+    form = GradedForm(N, b)
+    for n in range(2, 5):
+        for rows in partitions(n):
+            lam = YoungDiagram(rows)
+            assert irreducible_projector(lam, form).element == irreducible_element(lam, form)
+
+
+@pytest.mark.parametrize("rows,N,b", [((2, 2), 2, 0), ((4,), 2, 1)])
+def test_fallback_report_is_unchanged(monkeypatch, rows, N, b):
+    made = count_element_builds(monkeypatch)
+    rep = irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
+    assert (rep.trace, rep.rank, rep.idempotent) == (0, 0, True)
+    assert len(made) == 1  # only for the fallback map
+    assert rep.projector.is_zero()
+
+
+def test_report_keeps_a_snapshot_of_its_element(monkeypatch):
+    import gradedtensor.representation as rep_mod
+
+    built = []
+    full = rep_mod._irreducible
+
+    def kept(lam, form):
+        built.append(full(lam, form))
+        return built[-1]
+
+    monkeypatch.setattr(rep_mod, "_irreducible", kept)
+    lam, form = YoungDiagram((2, 1)), GradedForm(3, 0)
+    rep = irreducible_projector(lam, form)
+    expected = rep.element
+    built[0].den *= 2  # the builder changes after the report
+    assert rep.element == expected == irreducible_element(lam, form)
+    assert rep == irreducible_projector(lam, form)  # the snapshot is left out of equality
