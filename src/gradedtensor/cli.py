@@ -227,14 +227,31 @@ def _cmd_duality_check(args) -> int:
     return EXIT_OK if verdict else EXIT_FALSE
 
 
+def _class_lines(graphs, D: int, vertices: int) -> list:
+    """Each graph as `json.dumps(g.to_json(), sort_keys=True)`, byte for byte.
+
+    The text of every strand (a, b), a < b, of the D*vertices nodes is
+    built once, so a line is one join of its strands' texts.  No table is
+    built when there are no graphs, so runs with no class, such as D = 1
+    with many vertices, cost nothing.
+    """
+    if not graphs:
+        return []
+    n = D * vertices
+    ends = [f"[{v}, {c}]" for v in range(1, vertices + 1) for c in range(1, D + 1)]  # node a+1 at a
+    texts = {(a + 1, b + 1): f"[{ends[a]}, {ends[b]}]" for a in range(n) for b in range(a + 1, n)}
+    head, tail = f'{{"D": {D}, "strands": [', f'], "vertices": {vertices}}}'
+    return [head + ", ".join(map(texts.__getitem__, g.strands)) + tail for g in graphs]
+
+
 def _cmd_enumerate(args) -> int:
     graphs = enumerate_invariants(args.D, args.vertices, slot_symmetry=args.slot_symmetries)
+    lines = _class_lines(graphs, args.D, args.vertices)
     if args.json:
-        print(json.dumps([g.to_json() for g in graphs], sort_keys=True))
+        print("[" + ", ".join(lines) + "]")
     else:
-        print(f"{len(graphs)} connected invariant(s) for D={args.D}, vertices={args.vertices}")
-        for g in graphs:
-            print(json.dumps(g.to_json(), sort_keys=True))
+        header = f"{len(graphs)} connected invariant(s) for D={args.D}, vertices={args.vertices}"
+        print("\n".join([header, *lines]))
     return EXIT_OK
 
 

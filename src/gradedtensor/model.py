@@ -66,11 +66,17 @@ class StrandedGraph:
     def __post_init__(self):
         if self.D < 0 or self.vertices < 0:
             raise ValueError("D and vertices must not be negative")
-        canon = tuple(sorted((min(p), max(p)) for p in self.strands))
+        strands = tuple(self.strands)  # read twice below if a strand is not a pair
+        try:
+            pairs = [(a, b) if a < b else (b, a) for a, b in strands]
+        except ValueError:  # keep the (min, max) reading of any other length
+            pairs = [(min(p), max(p)) for p in strands]
+        pairs.sort()
+        canon = tuple(pairs)
         object.__setattr__(self, "strands", canon)
-        n = self.node_count
         flat = [x for p in canon for x in p]
-        if sorted(flat) != list(range(1, n + 1)):
+        flat.sort()
+        if flat != list(range(1, self.node_count + 1)):
             raise ValueError("strands must form a perfect matching of the nodes")
         if self.orientation is not None:
             ori = tuple(self.orientation)

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import pathlib
 
 import pytest
 
 from gradedtensor.cli import run
-from gradedtensor.model import StrandedGraph
+from gradedtensor.errors import CapExceededError
+from gradedtensor.model import StrandedGraph, enumerate_invariants
 
 
 QUARTIC_D2 = {
@@ -170,6 +173,71 @@ def test_enumerate_d1_needs_no_relabeling_table(capsys, vertices, classes):
     code, out, _ = invoke(capsys, "enumerate", "--D", "1", "--vertices", str(vertices))
     assert code == 0
     assert out.splitlines()[0] == f"{classes} connected invariant(s) for D=1, vertices={vertices}"
+
+
+# -- enumerate prints each class from a strand-text table ---------------------------
+
+# every (D, v) with D*v even and at most 12, which includes D=2 v=1, D=1
+# v=2 and the zero-class D=1 v=4, and the zero-class odd D=3 v=3
+ENUMERATE_SIZES = [
+    (D, v) for D in range(1, 13) for v in range(1, 13) if D * v <= 12 and D * v % 2 == 0
+] + [(3, 3)]
+
+ENUMERATE_POOL = json.loads(
+    (pathlib.Path(__file__).resolve().parents[1] / "bench" / "pools" / "enumerate.json").read_text()
+)
+
+
+@pytest.mark.parametrize("slot_symmetry", [False, True])
+@pytest.mark.parametrize("D,vertices", ENUMERATE_SIZES)
+def test_enumerate_output_is_each_class_json_dumps(monkeypatch, capsys, D, vertices, slot_symmetry):
+    # the reference is the per-graph json.dumps(g.to_json(), sort_keys=True)
+    from gradedtensor import cli
+
+    flags = ["--slot-symmetries"] if slot_symmetry else []
+    argv = ["enumerate", "--D", str(D), "--vertices", str(vertices), *flags]
+    try:
+        graphs = enumerate_invariants(D, vertices, slot_symmetry)
+    except CapExceededError:
+        assert invoke(capsys, *argv)[:2] == (3, "")
+        return
+    # the search ran above; both modes print its result
+    monkeypatch.setattr(cli, "enumerate_invariants", lambda *args, **kwargs: graphs)
+    header = f"{len(graphs)} connected invariant(s) for D={D}, vertices={vertices}\n"
+    text = header + "".join(json.dumps(g.to_json(), sort_keys=True) + "\n" for g in graphs)
+    whole = json.dumps([g.to_json() for g in graphs], sort_keys=True) + "\n"
+    assert invoke(capsys, *argv) == (0, text, "")
+    assert invoke(capsys, *argv, "--json") == (0, whole, "")
+
+
+@pytest.mark.parametrize("job", ENUMERATE_POOL["jobs"], ids=lambda job: job["id"])
+def test_enumerate_matches_the_pool_golden(capsys, job):
+    code, out, _ = invoke(capsys, *job["argv"])
+    assert code == job["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == job["sha256"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--slot-symmetries", "--json"]])
+def test_enumerate_searches_once_through_the_cli_binding_without_to_json(
+    monkeypatch, capsys, flags
+):
+    from gradedtensor import cli
+
+    calls = []
+    search = cli.enumerate_invariants
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return search(*args, **kwargs)
+
+    def no_to_json(self):
+        raise AssertionError("enumerate called StrandedGraph.to_json")
+
+    monkeypatch.setattr(cli, "enumerate_invariants", counted)
+    monkeypatch.setattr(StrandedGraph, "to_json", no_to_json)
+    code, out, err = invoke(capsys, "enumerate", "--D", "4", "--vertices", "2", *flags)
+    assert (code, err) == (0, "") and out
+    assert calls == [((4, 2), {"slot_symmetry": "--slot-symmetries" in flags})]
 
 
 def test_expand_table(quartic_model, capsys):

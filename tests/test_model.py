@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedtensor import model
 from gradedtensor.combinatorics import (
@@ -67,6 +69,64 @@ def test_graph_validation_and_json():
             StrandedGraph(D, vertices, ())
     assert StrandedGraph(2, 0, ()).to_json() == {"D": 2, "vertices": 0, "strands": []}
     assert StrandedGraph(0, 3, ()).vertices == 3
+
+
+def _reference_strands(D, vertices, strands):
+    """The strand validation of `StrandedGraph` before its one-pass form:
+    the canonical strands, or the exception it raises."""
+    canon = tuple(sorted((min(p), max(p)) for p in strands))
+    flat = [x for p in canon for x in p]
+    if sorted(flat) != list(range(1, D * vertices + 1)):
+        raise ValueError("strands must form a perfect matching of the nodes")
+    return canon
+
+
+def _validated(check, D, vertices, strands):
+    """`check`'s strands, or the exception type with a ValueError's message."""
+    try:
+        return check(D, vertices, strands)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    except TypeError:
+        return TypeError
+
+
+@st.composite
+def strand_lists(draw):
+    """D, vertices and a strand list: a perfect matching with its pairs in
+    any order and orientation, or one broken by a duplicated, missing or
+    out-of-range node, a strand of another length, a float or bool node,
+    or a node that does not compare with an int."""
+    D, vertices = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    n = D * vertices
+    nodes = draw(st.permutations(range(1, n + 1)))
+    strands = [(nodes[i], nodes[i + 1]) for i in range(0, n - 1, 2)]
+    node = st.one_of(st.integers(-1, n + 2), st.sampled_from([1.0, 2.0, True]))
+    breaks = st.sampled_from(["none", "drop", "duplicate", "replace", "length", "text"])
+    for kind in draw(st.lists(breaks, max_size=2)):
+        if kind == "drop" and strands:
+            strands.pop(draw(st.integers(0, len(strands) - 1)))
+        elif kind == "duplicate" and strands:
+            strands.append(draw(st.sampled_from(strands)))
+        elif kind == "replace":
+            strands.append((draw(node), draw(node)))
+        elif kind == "length":
+            strands.append(tuple(draw(st.lists(node, max_size=3))))
+        elif kind == "text":
+            strands.append((draw(node), "1"))
+    return D, vertices, draw(st.permutations(strands))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=strand_lists())
+def test_one_pass_validation_matches_the_reference(case):
+    D, vertices, strands = case
+
+    def one_pass(D, vertices, strands):
+        return StrandedGraph(D, vertices, strands).strands
+
+    expected = _validated(_reference_strands, D, vertices, strands)
+    assert _validated(one_pass, D, vertices, strands) == expected
 
 
 def test_connectivity():
