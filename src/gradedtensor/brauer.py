@@ -14,7 +14,6 @@ numerators, with two local products, `times_beta` and the transposition
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Tuple
 
 from .combinatorics import DirectedPairing, pairing_sign, partner_map, strand_walk
@@ -39,7 +38,10 @@ class BrauerDiagram:
     pairs: Tuple[Pair, ...]
 
     def __post_init__(self):
-        canon = tuple(sorted((min(p), max(p)) for p in self.pairs))
+        try:
+            canon = tuple(sorted((a, b) if a < b else (b, a) for a, b in self.pairs))
+        except ValueError:  # an item that is not a pair
+            raise ValueError("pairs must form a perfect matching of {1..2D}") from None
         object.__setattr__(self, "pairs", canon)
         seen = [x for p in canon for x in p]
         if len(canon) != self.D or sorted(seen) != list(range(1, 2 * self.D + 1)):
@@ -75,10 +77,6 @@ class BrauerDiagram:
 
     def to_json(self) -> dict:
         return {"D": self.D, "pairs": [list(p) for p in self.pairs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BrauerDiagram":
-        return cls(int(data["D"]), tuple((int(a), int(b)) for a, b in data["pairs"]))
 
 
 # -- named diagrams ---------------------------------------------------------
@@ -292,16 +290,6 @@ class BrauerElement:
                 for d, c in items
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BrauerElement":
-        D = int(data["D"])
-        terms = {}
-        for item in data["terms"]:
-            d = BrauerDiagram.from_json(item["diagram"])
-            c = Poly([Fraction(str(x)) for x in item["coeff"]])
-            terms[d] = terms.get(d, Poly()) + c
-        return cls(D, terms)
 
 
 def multiply(e1: BrauerElement, e2: BrauerElement) -> BrauerElement:

@@ -58,13 +58,6 @@ class DirectedPairing:
         ps = tuple((b, a) if k in flips else (a, b) for k, (a, b) in enumerate(self.pairs))
         return DirectedPairing(self.n, ps)
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "pairs": [list(p) for p in self.pairs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DirectedPairing":
-        return cls(int(data["n"]), tuple((int(a), int(b)) for a, b in data["pairs"]))
-
 
 @dataclass(frozen=True)
 class FaceCycle:

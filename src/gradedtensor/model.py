@@ -66,11 +66,10 @@ class StrandedGraph:
     def __post_init__(self):
         if self.D < 0 or self.vertices < 0:
             raise ValueError("D and vertices must not be negative")
-        strands = tuple(self.strands)  # read twice below if a strand is not a pair
         try:
-            pairs = [(a, b) if a < b else (b, a) for a, b in strands]
-        except ValueError:  # keep the (min, max) reading of any other length
-            pairs = [(min(p), max(p)) for p in strands]
+            pairs = [(a, b) if a < b else (b, a) for a, b in self.strands]
+        except ValueError:  # an item that is not a pair
+            raise ValueError("strands must form a perfect matching of the nodes") from None
         pairs.sort()
         canon = tuple(pairs)
         object.__setattr__(self, "strands", canon)

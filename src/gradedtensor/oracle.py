@@ -2,10 +2,13 @@
 
 Bosonic moments are literal sums over index pairings of numeric
 covariance entries; fermionic moments are computed by honest Berezin
-integration in an exterior algebra, where every sign emerges from the
-multiplication order of anticommuting generators rather than from the
-pairing-sign machinery of the pipeline.  Agreement of the two routes is
-the package's central correctness property.
+integration in an exterior algebra, where the moment signs emerge from
+the multiplication order of anticommuting generators rather than from
+the pipeline's face counting.  Two signs do come from `pairing_sign`, as
+in the pipeline: the covariance's grading sign per propagator term
+(`ExplicitCovariance.from_propagator`) and the invariant's grading sign
+against the reference vertex pairing (`invariant_sign_normal_form`).
+Agreement of the two routes is the package's central correctness property.
 """
 
 from __future__ import annotations
@@ -317,8 +320,10 @@ def numeric_invariant_expectation(
     Builds the explicit covariance, runs over every index assignment
     supported on the strand contractions, and takes moments of the
     ordered tensor product with the bosonic or fermionic rule as the
-    component parity demands.  Shares no face or orientation machinery
-    with the stranded-graph pipeline.
+    component parity demands.  Shares no face counting with the
+    stranded-graph pipeline; at b = 1 the covariance's grading sign and
+    the invariant's sign from `invariant_sign_normal_form` are pairing
+    signs, and only the moment signs come from the exterior algebra.
 
     Each strand node is compiled once to its tensor position and the
     digit weight of its slot, so a component code is a sum of ints.  A

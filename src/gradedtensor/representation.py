@@ -4,10 +4,11 @@ Everything here is exact rational linear algebra: diagram matrices,
 the closed-form integer spectrum of the arc-sum element, the universal
 traceless projector, the explicit symmetric-traceless product formula
 and irreducible-symmetry projectors.  The projector elements are built
-at the loop weight z0 = (-1)^b N in integers (`_ElementAtZ0`), and their
-reports are read there too; a tensor map is built only where B_D does not
-act faithfully.  The symplectic grading enters through the form (delta or
-omega) and the diagram grading sign.
+at the loop weight z0 = (-1)^b N in integers (`_ElementAtZ0`), and every
+report is read there too, by one route (`_report`); the only tensor map
+it builds is that of A * e, where that product is not zero in B_D (B_D
+does not act faithfully at small N).  The symplectic grading enters
+through the form (delta or omega) and the diagram grading sign.
 """
 
 from __future__ import annotations
@@ -459,13 +460,12 @@ class ProjectorReport:
     """A constructed projector P, checked to be a traceless idempotent,
     with its exact invariants.
 
-    The checks and the trace are read in B_D at z0 wherever A_D * e = 0
-    there: then each factor (1 - A/alpha) of the traceless product T fixes
-    e, so T * e = e and e * e = (c_lambda / n_lambda) * e, which is checked
-    to equal e (see `_report`).  The report keeps a snapshot of e's integer
-    numerators over its denominator, left out of equality; the
-    `BrauerElement` (`element`) and the map P (`projector`) are built from
-    it only on demand.
+    The checks and the trace are read in B_D at z0 (see `_report`): A * e
+    there, with the map of A * e only where that product is not zero;
+    (c_lambda / n_lambda) * e = e; and the trace of e's action.  The report
+    keeps a snapshot of e's integer numerators over its denominator, left
+    out of equality; the `BrauerElement` (`element`) and the map P
+    (`projector`) are built from it only on demand.
     """
 
     trace: Fraction
@@ -485,56 +485,39 @@ class ProjectorReport:
         return element_to_map(self.element, self.form)
 
 
-def _check_traceless(x: "_ElementAtZ0") -> Optional[TensorMap]:
-    """Check that A_D annihilates the image of the map of x.
-
-    A_D * x is computed first in B_D at z0: if it is zero, so is A.P on
-    the tensor space, since the action is a homomorphism, and None is
-    returned with no `BrauerElement` built.  B_D need not act faithfully
-    at small N, so a nonzero A_D * x is decided on the maps: x is
-    converted to its element, and the element's map is returned.
-    """
-    if not x.ad_times():
-        return None
-    m = element_to_map(x.element(), x.form)
-    if not ad_matrix(x.D, x.form).compose(m).is_zero():
-        raise ArithmeticError("projector image is not traceless")
-    return m
-
-
 def _report(x: "_ElementAtZ0", lam: Optional[YoungDiagram]) -> ProjectorReport:
     """x checked to be a traceless idempotent, with its invariants; lam is
     the shape of the symmetrizer applied to x, None if there is none.
 
-    Where A_D * e = 0 in B_D at z0, no tensor map is built.  e is
-    (c_lambda / n_lambda) * T (`irreducible_projector`) or
-    T * (c_(D) / D!) (`symmetric_traceless_projector`, lam = (D)), with T
-    a product of factors (1 - A/alpha).  A * e = 0 means that every factor
-    fixes e, so T * e = e, and e * e is (c_lambda / n_lambda) * e in the
-    first case and T * (c_(D) / D!) * e in the second: either way e is
-    idempotent once (c_lambda / n_lambda) * e = e, which one more
-    symmetrizer pass on a copy of x checks exactly.  For the plain
-    traceless projector e = T, and e * e = T * e = e follows from A * e = 0
-    alone.  The trace is `_ElementAtZ0.trace`.
+    e is (c_lambda / n_lambda) * T (`irreducible_projector`),
+    T * (c_(D) / D!) (`symmetric_traceless_projector`, lam = (D)) or T
+    (`traceless_projector`), with T a product of factors (1 - A/alpha).
+    Three checks, read in B_D at z0 but for one map where B_D is not
+    faithful:
 
-    Otherwise B_D does not act faithfully at this N, and x's map is the
-    fallback: A.P = 0, P.P = P and the trace are all read on it.  An
-    idempotent's rank equals its trace, so the rank is read off the trace
-    with no elimination.
+    - A * e is formed in B_D.  Only if it is not zero (B_D need not act
+      faithfully at small N) is the map of A * e built, and it must be
+      zero.  Either way A.P = 0 on the tensor space.
+    - (c_lambda / n_lambda) * e = e, by one more symmetrizer pass on a
+      copy of x, when lam is given.
+    - The trace is `_ElementAtZ0.trace`; an idempotent's rank equals its
+      trace, so the rank is read off it with no elimination.
+
+    P.P = P then follows.  T - 1 = A * q(A) for a polynomial q, and A
+    commutes with every permutation, so T commutes with c_lambda.  With
+    (c_lambda / n_lambda) * e = e checked, e * e - e is q(A) * (A * e) in
+    all three cases, and its action vanishes with that of A * e.
 
     The report keeps a copy of x's numerators and denominator, not x
-    itself; x is converted to a `BrauerElement` here only for the
-    fallback map.
+    itself; e is converted to a `BrauerElement` only when the report's
+    element is read.
     """
-    m = _check_traceless(x)
-    if m is None:
-        idempotent = lam is None or x.fixed_by_symmetrizer(lam)
-        trace = x.trace()
-    else:
-        idempotent = m.is_idempotent()
-        trace = m.trace()
-    if not idempotent:
+    ad_e = x.ad_times()
+    if ad_e.terms and not element_to_map(ad_e.element(), x.form).is_zero():
+        raise ArithmeticError("projector image is not traceless")
+    if lam is not None and not x.fixed_by_symmetrizer(lam):
         raise ArithmeticError("projector is not idempotent")
+    trace = x.trace()
     return ProjectorReport(
         trace=trace, rank=int(trace), idempotent=True, form=x.form, _snapshot=x.copy()
     )
@@ -574,16 +557,16 @@ class _ElementAtZ0:
         self.terms = {p: c for p, c in out.items() if c}
         self.den *= alpha
 
-    def ad_times(self) -> Dict[Partners, int]:
-        """The numerators of A * self (A below self) over self.den, zeros
-        dropped: beta_ij below a diagram acts at its bottom points D+i, D+j."""
+    def ad_times(self) -> "_ElementAtZ0":
+        """A * self (A below self) over self.den, zeros dropped: beta_ij
+        below a diagram acts at its bottom points D+i, D+j."""
         points = [(self.D + i, self.D + j) for i, j in _arcs(self.D)]
         out: Dict[Partners, int] = {}
         for p, c in self.terms.items():
             for x, y in points:
                 q, loops = times_beta(p, x, y)
                 out[q] = out.get(q, 0) + c * self.z0**loops
-        return {p: c for p, c in out.items() if c}
+        return self._with({p: c for p, c in out.items() if c})
 
     def _times_transpositions(self, points: List[Tuple[int, int]], sign: int):
         """self times (1 + sign * sum of the transpositions swapping each pair of points)."""
@@ -618,11 +601,15 @@ class _ElementAtZ0:
                 self._times_transpositions(pairs, sign)
         self.den *= int(symmetrizer_norm(lam))
 
+    def _with(self, terms: Dict[Partners, int]) -> "_ElementAtZ0":
+        """The element with these numerators over self.den."""
+        other = _ElementAtZ0(self.D, self.form)
+        other.terms, other.den = terms, self.den
+        return other
+
     def copy(self) -> "_ElementAtZ0":
         """A copy with its own terms, unaffected by later updates of self."""
-        other = _ElementAtZ0(self.D, self.form)
-        other.terms, other.den = dict(self.terms), self.den
-        return other
+        return self._with(dict(self.terms))
 
     def fixed_by_symmetrizer(self, lam: YoungDiagram) -> bool:
         """(c_lambda / n_lambda) * self == self exactly."""
@@ -671,8 +658,8 @@ def traceless_element(D: int, form: GradedForm) -> BrauerElement:
 def traceless_projector(D: int, form: GradedForm) -> ProjectorReport:
     """Projector onto tensors annihilated by every form contraction.
 
-    e = T is idempotent once A * e = 0: each factor (1 - A/alpha) of T
-    then fixes e, so e * e = T * e = e, with no further check.
+    e = T acts as an idempotent once A * e acts as zero (see `_report`),
+    with no symmetrizer check.
     """
     _check_cap(form.N, D)
     return _report(_traceless(D, form), None)
@@ -737,10 +724,8 @@ def check_table_cap(D: int):
 
 
 def decompose_projector_as_propagator(lam: YoungDiagram, form: GradedForm) -> BrauerElement:
-    """The irreducible projector as a propagator table, checked to have a
-    traceless image: each term is one undirected pairing of the 2D
-    propagator slots with its rational weight at z0."""
+    """The irreducible projector as a propagator table, checked as
+    `irreducible_projector` checks its report: each term is one undirected
+    pairing of the 2D propagator slots with its rational weight at z0."""
     check_table_cap(lam.size)
-    x = _irreducible(lam, form)
-    _check_traceless(x)
-    return x.element()
+    return irreducible_projector(lam, form).element

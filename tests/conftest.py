@@ -10,12 +10,10 @@ try:
 except ImportError:  # running from a source checkout without installation
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from gradedtensor.brauer import BrauerDiagram, BrauerElement, Partners
+from gradedtensor.brauer import BrauerDiagram, Partners
 from gradedtensor.combinatorics import DirectedPairing
 from gradedtensor.model import StrandedGraph
-from gradedtensor.polynomial import Poly
 from gradedtensor.young import Perm
-from fractions import Fraction
 
 
 def rand_directed_pairing(rng: random.Random, n: int) -> DirectedPairing:
@@ -35,20 +33,6 @@ def diagrams(draw, min_D=1, max_D=6):
     D = draw(st.integers(min_D, max_D))
     pts = draw(st.permutations(range(1, 2 * D + 1)))
     return BrauerDiagram(D, tuple((pts[2 * k], pts[2 * k + 1]) for k in range(D)))
-
-
-def rand_element(rng: random.Random, D: int, n_terms: int = 2, z_degree: int = 0) -> BrauerElement:
-    terms = {}
-    for _ in range(n_terms):
-        d = rand_diagram(rng, D)
-        coeff = Poly(
-            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(z_degree + 1)]
-        )
-        if not coeff:
-            coeff = Poly.const(1)
-        terms[d] = terms.get(d, Poly()) + coeff
-    e = BrauerElement(D, terms)
-    return e if e.terms else BrauerElement.one(D)
 
 
 def rand_stranded_graph(rng: random.Random, D: int, vertices: int) -> StrandedGraph:

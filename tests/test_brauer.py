@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +36,7 @@ from gradedtensor.young import (
     perm_sign,
     young_symmetrizer,
 )
-from conftest import diagrams, permuted_above, permuted_below, rand_diagram, rand_element
+from conftest import diagrams, permuted_above, permuted_below, rand_diagram
 
 
 Z = Poly.x()
@@ -187,14 +189,16 @@ def test_composition_conserves_points(rng):
         assert loops >= 0
 
 
-def test_element_json_round_trip(rng):
-    e = rand_element(rng, 3, n_terms=3, z_degree=2)
-    assert BrauerElement.from_json(e.to_json()) == e
+def test_element_json_format():
+    e = BrauerElement(2, {beta_ij(2, 1, 2): Poly([Fraction(1, 2), 0, -1])})
+    assert e.to_json() == {
+        "D": 2,
+        "terms": [{"diagram": {"D": 2, "pairs": [[1, 2], [3, 4]]}, "coeff": ["1/2", "0", "-1"]}],
+    }
 
 
-def test_diagram_json_round_trip():
+def test_diagram_json_format():
     d = beta_ij(3, 1, 3)
-    assert BrauerDiagram.from_json(d.to_json()) == d
     assert d.to_json() == {"D": 3, "pairs": [[1, 3], [2, 5], [4, 6]]}
 
 

@@ -192,11 +192,6 @@ def test_face_decomposition_mismatch():
         )
 
 
-def test_json_round_trip(rng):
-    m = rand_directed_pairing(rng, 8)
-    assert DirectedPairing.from_json(m.to_json()) == m
-
-
 @settings(max_examples=200, deadline=None)
 @given(k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_strand_walk_of_perfect_matchings_counts_faces(k, seed):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedtensor import model
+from gradedtensor.brauer import BrauerDiagram
 from gradedtensor.combinatorics import (
     DirectedPairing,
     all_pairings,
@@ -72,9 +73,15 @@ def test_graph_validation_and_json():
 
 
 def _reference_strands(D, vertices, strands):
-    """The strand validation of `StrandedGraph` before its one-pass form:
-    the canonical strands, or the exception it raises."""
-    canon = tuple(sorted((min(p), max(p)) for p in strands))
+    """The strand validation of `StrandedGraph`, strand by strand: the
+    canonical strands, or the exception it raises.  A strand that is not a
+    pair breaks the matching."""
+    pairs = []
+    for p in strands:
+        if len(p) != 2:
+            raise ValueError("strands must form a perfect matching of the nodes")
+        pairs.append((min(p), max(p)))
+    canon = tuple(sorted(pairs))
     flat = [x for p in canon for x in p]
     if sorted(flat) != list(range(1, D * vertices + 1)):
         raise ValueError("strands must form a perfect matching of the nodes")
@@ -127,6 +134,16 @@ def test_one_pass_validation_matches_the_reference(case):
 
     expected = _validated(_reference_strands, D, vertices, strands)
     assert _validated(one_pass, D, vertices, strands) == expected
+
+
+@pytest.mark.parametrize("strand", [(1, 1, 2), (), (1,)])
+def test_a_strand_that_is_not_a_pair_breaks_the_matching(strand):
+    with pytest.raises(ValueError, match="strands must form a perfect matching"):
+        StrandedGraph(2, 1, (strand,))
+    with pytest.raises(ValueError, match="pairs must form a perfect matching"):
+        BrauerDiagram(1, (strand,))
+    with pytest.raises(ValueError, match="pairs must form a perfect matching"):
+        PropagatorTerm((strand,), Poly.const(1))
 
 
 def test_connectivity():

@@ -440,8 +440,11 @@ def test_wrong_normalisation_fails_idempotence_check(monkeypatch):
 
     norm = rep_mod.symmetrizer_norm
     monkeypatch.setattr(rep_mod, "symmetrizer_norm", lambda lam: 2 * norm(lam))
+    lam, form = YoungDiagram((2, 1)), GradedForm(3, 0)
     with pytest.raises(ArithmeticError, match="not idempotent"):
-        irreducible_projector(YoungDiagram((2, 1)), GradedForm(3, 0))
+        irreducible_projector(lam, form)
+    with pytest.raises(ArithmeticError, match="not idempotent"):
+        decompose_projector_as_propagator(lam, form)
 
 
 # -- the integer builders against the symbolic Brauer products ----------------
@@ -662,27 +665,55 @@ def test_algebra_traceless_check_multiplies_a_below(D, N, b):
         x = _ElementAtZ0(D, form)
         diagrams = [partners(rand_diagram(rng, D)) for _ in range(4)]
         x.terms = {p: rng.choice((-3, -2, -1, 1, 2, 3)) for p in diagrams}
-        product = _ElementAtZ0(D, form)
-        product.terms = x.ad_times()
+        product = x.ad_times()
         expected = ad_matrix(D, form).compose(element_to_map(x.element(), form))
         assert element_to_map(product.element(), form) == expected
 
 
-@pytest.mark.parametrize("rows,N,b,calls", [((2, 1), 3, 0, 0), ((2, 2), 2, 0, 1)])
-def test_tensor_map_of_a_only_where_the_algebra_check_fails(monkeypatch, rows, N, b, calls):
+def count_maps(monkeypatch):
+    """Record the element of every `element_to_map` call in representation."""
     import gradedtensor.representation as rep_mod
 
     made = []
-    full = rep_mod.ad_matrix
+    full = rep_mod.element_to_map
 
-    def counted(*args):
-        made.append(args)
-        return full(*args)
+    def counted(e, form):
+        made.append(e)
+        return full(e, form)
 
-    monkeypatch.setattr(rep_mod, "ad_matrix", counted)
+    monkeypatch.setattr(rep_mod, "element_to_map", counted)
+    return made
+
+
+@pytest.mark.parametrize(
+    "rows,N,b,calls", [((2, 1), 3, 0, 0), ((2, 2), 2, 0, 1), ((4,), 2, 1, 1)]
+)
+def test_tensor_map_of_a_only_where_the_algebra_check_fails(monkeypatch, rows, N, b, calls):
+    # the one map a fallback report builds is that of A * e, not of e or of A
+    made = count_maps(monkeypatch)
     rep = irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
     assert rep.idempotent
-    assert len(made) == calls
+    assert made == [rep._snapshot.ad_times().element()] * calls
+
+
+FALLBACK_CASES = [((2, 2), 2, 0), ((4,), 2, 1)]
+
+
+@pytest.mark.parametrize("rows,N,b", FALLBACK_CASES)
+def test_fallback_with_a_nonzero_map_of_a_e_is_not_traceless(monkeypatch, rows, N, b):
+    import gradedtensor.representation as rep_mod
+
+    monkeypatch.setattr(rep_mod, "element_to_map", lambda e, form: TensorMap.identity(N, e.D))
+    with pytest.raises(ArithmeticError, match="not traceless"):
+        irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
+
+
+@pytest.mark.parametrize("rows,N,b", FALLBACK_CASES)
+def test_fallback_checks_the_symmetrizer_for_idempotence(monkeypatch, rows, N, b):
+    # a fallback report takes the same idempotence check as any other
+    monkeypatch.setattr(_ElementAtZ0, "fixed_by_symmetrizer", lambda self, lam: False)
+    with pytest.raises(ArithmeticError, match="not idempotent"):
+        irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
 
 
 # -- reports read in B_D at z0 against the map route ---------------------------
@@ -710,10 +741,15 @@ def assert_report_matches_its_map(rep):
 @pytest.mark.parametrize("N,b", GRADED_FORMS)
 def test_algebra_report_matches_the_map_route(N, b):
     form = GradedForm(N, b)
-    for n in range(2, 6 if N <= 3 else 5):
+    top = 6 if N <= 3 else 5
+    for n in range(2, top):
         for rows in partitions(n):
             assert_report_matches_its_map(irreducible_projector(YoungDiagram(rows), form))
-    for D in range(1, 5):
+    if (N, b) == (4, 1):  # the fallback cases at D = 5 under the size cap
+        for rows in [(5,), (4, 1), (3, 2)]:
+            assert_report_matches_its_map(irreducible_projector(YoungDiagram(rows), form))
+        assert_report_matches_its_map(traceless_projector(5, form))
+    for D in range(1, top):
         assert_report_matches_its_map(traceless_projector(D, form))
         try:
             rep = symmetric_traceless_projector(D, form)
@@ -760,7 +796,7 @@ def count_element_builds(monkeypatch):
     full = _ElementAtZ0.element
 
     def counted(self):
-        made.append(self.D)
+        made.append(self)
         return full(self)
 
     monkeypatch.setattr(_ElementAtZ0, "element", counted)
@@ -789,12 +825,13 @@ def test_report_element_is_the_irreducible_element(N, b):
             assert irreducible_projector(lam, form).element == irreducible_element(lam, form)
 
 
-@pytest.mark.parametrize("rows,N,b", [((2, 2), 2, 0), ((4,), 2, 1)])
+@pytest.mark.parametrize("rows,N,b", FALLBACK_CASES)
 def test_fallback_report_is_unchanged(monkeypatch, rows, N, b):
     made = count_element_builds(monkeypatch)
     rep = irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
     assert (rep.trace, rep.rank, rep.idempotent) == (0, 0, True)
-    assert len(made) == 1  # only for the fallback map
+    # only A * e is converted, for its map; e is not
+    assert [x.terms for x in made] == [rep._snapshot.ad_times().terms]
     assert rep.projector.is_zero()
 
 
