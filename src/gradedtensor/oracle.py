@@ -1,10 +1,13 @@
 """Brute-force verification of Gaussian expectations, no stranded graphs.
 
 Bosonic moments are literal sums over index pairings of numeric
-covariance entries; fermionic moments are computed by honest Berezin
-integration in an exterior algebra, where the moment signs emerge from
-the multiplication order of anticommuting generators rather than from
-the pipeline's face counting.  Two signs do come from `pairing_sign`, as
+covariance entries.  A fermionic moment of an ordered product of
+anticommuting components is the Pfaffian of the covariance block on
+those components, computed by exact skew elimination (`_pfaffian`),
+so its sign comes from the elimination's pivot swaps rather than from
+the pipeline's face counting.  Berezin integration in an exterior
+algebra (`berezin_expectation`) is kept as the first-principles
+reference for those moments.  Two signs do come from `pairing_sign`, as
 in the pipeline: the covariance's grading sign per propagator term
 (`ExplicitCovariance.from_propagator`) and the invariant's grading sign
 against the reference vertex pairing (`invariant_sign_normal_form`).
@@ -21,9 +24,9 @@ from typing import Dict, List, Optional, Sequence
 from .combinatorics import DirectedPairing, all_pairings, double_factorial, pairing_sign
 from .errors import CapExceededError
 from .model import Propagator, StrandedGraph, invariant_sign_normal_form
-from .representation import GradedForm, encode_index, row_reduce
+from .representation import GradedForm, row_reduce
 
-GENERATOR_CAP = 16          # exterior algebra dimension 2**16
+GENERATOR_CAP = 16          # exterior algebra dimension 2**16, for berezin_expectation
 COVARIANCE_SIZE_CAP = 1024  # N**D cap for explicit covariance matrices
 WORK_CAP = 10**6           # oracle_work cap: index assignments x vertex pairings
 
@@ -47,14 +50,15 @@ class ExplicitCovariance:
 
     def __init__(self, N: int, D: int, b: int, matrix: Sequence[Sequence], den: int = 1):
         """`matrix` is dense, of ints or Fractions; entry (x, y) is matrix[x][y] / den."""
-        self.N = N
-        self.D = D
-        self.b = b
-        self.size = N**D
-        if len(matrix) != self.size or any(len(row) != self.size for row in matrix):
+        size = N**D
+        if len(matrix) != size or any(len(row) != size for row in matrix):
             raise ValueError("covariance matrix has the wrong shape")
         common = math.lcm(*{a.denominator for row in matrix for a in row})
         rows = [{y: int(a * common) for y, a in enumerate(row) if a} for row in matrix]
+        self._assign(N, D, b, rows, den * common)
+
+    def _assign(self, N: int, D: int, b: int, rows: List[Dict[int, int]], den: int) -> None:
+        """Take sparse integer rows over `den`, once they match the parity."""
         sign = -1 if (b * D) % 2 else 1
         for x, row in enumerate(rows):
             for y, a in row.items():
@@ -63,8 +67,12 @@ class ExplicitCovariance:
                         "covariance does not match the component parity "
                         f"(expected {'anti' if sign < 0 else ''}symmetric)"
                     )
+        self.N = N
+        self.D = D
+        self.b = b
+        self.size = N**D
         self.rows = rows
-        self.den = den * common
+        self.den = den
 
     @property
     def parity(self) -> int:
@@ -81,30 +89,43 @@ class ExplicitCovariance:
         product of form.upper_entry over the term's oriented pairs, read at
         the slot values of X (slots 1..D) and Y (slots D+1..2D).  Every
         slot lies on exactly one pair, so only the choices of one nonzero
-        upper entry per pair are visited.  The sums are kept as integer
-        numerators over the lcm of the weights' denominators.
+        upper entry per pair are visited, and each adds its value straight
+        into the sparse rows; sums that cancel to zero are dropped.  The
+        sums are kept as integer numerators over the lcm of the weights'
+        denominators.
         """
         N, D = form.N, C.D
-        if N**D > COVARIANCE_SIZE_CAP:
-            raise CapExceededError(f"covariance size N^D = {N**D} exceeds cap {COVARIANCE_SIZE_CAP}")
+        size = N**D
+        if size > COVARIANCE_SIZE_CAP:
+            raise CapExceededError(f"covariance size N^D = {size} exceeds cap {COVARIANCE_SIZE_CAP}")
         ref = DirectedPairing(2 * D, tuple((c, D + c) for c in range(1, D + 1)))
         upper = form.upper_nonzeros()
         weights = [term.weight(form.z_value) for term in C.terms]
         den = math.lcm(*(w.denominator for w in weights))
-        size = N**D
-        matrix = [[0] * size for _ in range(size)]
+        # slot s -> (digit weight in X, digit weight in Y), as in encode_index
+        digit = [(N ** (D - s), 0) for s in range(1, D + 1)] + [(0, N ** (D - s)) for s in range(1, D + 1)]
+        rows: List[Dict[int, int]] = [{} for _ in range(size)]
         for term, weight in zip(C.terms, weights):
             oriented = term.oriented()
             base = weight.numerator * (den // weight.denominator)
             base *= pairing_sign(oriented, ref) if form.b else 1
-            for choice in itertools.product(upper, repeat=D):
-                slots = [0] * (2 * D)
+            # per pair, per upper entry: its parts of the X and Y codes, and the entry
+            per_pair = []
+            for i, j in oriented.pairs:
+                (xi, yi), (xj, yj) = digit[i - 1], digit[j - 1]
+                per_pair.append([(u * xi + v * xj, u * yi + v * yj, g) for u, v, g in upper])
+            for choice in itertools.product(*per_pair):
+                x = y = 0
                 val = base
-                for (i, j), (u, v, g) in zip(oriented.pairs, choice):
-                    slots[i - 1], slots[j - 1] = u, v
+                for dx, dy, g in choice:
+                    x += dx
+                    y += dy
                     val *= g
-                matrix[encode_index(slots[:D], N)][encode_index(slots[D:], N)] += val
-        return cls(N, D, form.b, matrix, den)
+                row = rows[x]
+                row[y] = row.get(y, 0) + val
+        cov = cls.__new__(cls)
+        cov._assign(N, D, form.b, [{y: a for y, a in row.items() if a} for row in rows], den)
+        return cov
 
 
 # -- bosonic moments -----------------------------------------------------------
@@ -133,6 +154,54 @@ def bosonic_moment(cov: ExplicitCovariance, indices: Sequence[int]) -> Fraction:
     return total
 
 
+# -- fermionic moments ----------------------------------------------------------
+
+
+def _pfaffian(B: Sequence[Sequence[int]]) -> int:
+    """Pf(B) of a skew-symmetric integer matrix, by fraction-free skew
+    elimination (Parlett & Reid, BIT 10 (1970) 386).
+
+    Step k pairs indices 2k and 2k+1: the pivot is the first nonzero
+    entry of row 2k right of the diagonal, swapped into column 2k+1 (a
+    swap of two indices flips the sign), and a zero row gives 0.  The
+    remaining entries are updated as a Schur complement scaled by the
+    pivot; after step k entry (i, j) is the Pfaffian of the principal
+    block on indices 0..2k+1, i, j, so dividing by the previous pivot is
+    exact and every entry stays an integer.  Odd size gives 0, size 0
+    gives 1.
+    """
+    n = len(B)
+    if n % 2:
+        return 0
+    A = [list(row) for row in B]
+    sign = 1
+    previous = 1
+    for k in range(0, n, 2):
+        top = A[k]
+        col = next((j for j in range(k + 1, n) if top[j]), None)
+        if col is None:
+            return 0
+        if col != k + 1:
+            A[k + 1], A[col] = A[col], A[k + 1]
+            for row in A[k:]:
+                row[k + 1], row[col] = row[col], row[k + 1]
+            sign = -sign
+        pivot = top[k + 1]
+        if k + 2 == n:
+            return sign * pivot
+        second = A[k + 1]
+        for i in range(k + 2, n):
+            row, ti, si = A[i], top[i], second[i]
+            if not (ti or si) and pivot == previous:
+                continue  # the update leaves this row as it is
+            for j in range(i + 1, n):
+                value = (pivot * row[j] + si * top[j] - ti * second[j]) // previous
+                row[j] = value
+                A[j][i] = -value
+        previous = pivot
+    return sign  # n == 0
+
+
 # -- exterior algebra and Berezin integration ----------------------------------
 
 
@@ -141,7 +210,7 @@ class ExteriorElement:
 
     Basis monomials are bitmasks over the generators; multiplication
     counts the transpositions needed to merge two ascending monomials,
-    which is where every fermionic sign in this module comes from.
+    which is where every sign of `berezin_expectation` comes from.
     """
 
     __slots__ = ("n", "terms")
@@ -280,7 +349,10 @@ class _BerezinState:
 
 def berezin_expectation(cov: ExplicitCovariance, monomial: Sequence[int]) -> Fraction:
     """Expectation of an ordered product of components, from first principles:
-    one `_BerezinState` is built for this monomial alone (see its `expectation`)."""
+    one `_BerezinState` is built for this monomial alone (see its `expectation`).
+
+    The reference for the Pfaffian moments of `numeric_invariant_expectation`;
+    the covariance's rank is bounded by `GENERATOR_CAP`."""
     return _BerezinState(cov).expectation(monomial)
 
 
@@ -290,22 +362,39 @@ def berezin_expectation(cov: ExplicitCovariance, monomial: Sequence[int]) -> Fra
 def oracle_work(S: StrandedGraph, N: int, b: int) -> int:
     """The work `numeric_invariant_expectation` does on S: N^strands index
     assignments (each form has N nonzero entries), times the (v-1)!! vertex
-    pairings of a bosonic moment; a fermionic moment is one Berezin product."""
+    pairings of a bosonic moment; a fermionic moment is one Pfaffian."""
     pairings = 1 if (b * S.D) % 2 else double_factorial(S.vertices - 1)
     return N ** len(S.strands) * pairings
 
 
+def _partial_assignments(per_strand: List[List[tuple]], vertices: int, weight: int) -> List[tuple]:
+    """(partial component codes, weight times the form entries) for every
+    choice of one form entry per strand in `per_strand`."""
+    partial = [([0] * vertices, weight)]
+    for entries in per_strand:
+        grown = []
+        for codes, w in partial:
+            for pk, ak, pl, al, g in entries:
+                grown_codes = codes.copy()
+                grown_codes[pk] += ak
+                grown_codes[pl] += al
+                grown.append((grown_codes, w * g))
+        partial = grown
+    return partial
+
+
 def _assignments(per_strand: List[List[tuple]], vertices: int, sign: int):
     """(component codes in product order, sign times the form entries) per
-    index assignment, one choice of form entry per strand."""
-    for choice in itertools.product(*per_strand):
-        codes = [0] * vertices
-        weight = sign
-        for pk, ak, pl, al, g in choice:
-            codes[pk] += ak
-            codes[pl] += al
-            weight *= g
-        yield codes, weight
+    index assignment, one choice of form entry per strand.
+
+    The choices for each half of the strands are listed once, at most
+    N^ceil(s/2) partial codes each, and every assignment is the sum of one
+    partial code from each half, in `itertools.product` order."""
+    half = (len(per_strand) + 1) // 2
+    second = _partial_assignments(per_strand[half:], vertices, 1)
+    for codes, weight in _partial_assignments(per_strand[:half], vertices, sign):
+        for rest, w in second:
+            yield [a + c for a, c in zip(codes, rest)], weight * w
 
 
 def numeric_invariant_expectation(
@@ -323,14 +412,16 @@ def numeric_invariant_expectation(
     component parity demands.  Shares no face counting with the
     stranded-graph pipeline; at b = 1 the covariance's grading sign and
     the invariant's sign from `invariant_sign_normal_form` are pairing
-    signs, and only the moment signs come from the exterior algebra.
+    signs, and only the moment signs come from the Pfaffian elimination.
 
     Each strand node is compiled once to its tensor position and the
     digit weight of its slot, so a component code is a sum of ints.  A
     bosonic moment sums, over the vertex pairings listed once, products
-    of integer covariance numerators; the total is divided by den^(v/2)
-    once at the end.  Above `WORK_CAP` (see `oracle_work`) the call
-    raises `CapExceededError` before building the covariance.
+    of integer covariance numerators; a fermionic moment is the Pfaffian
+    of the v x v block of integer numerators on the assignment's
+    components.  Either total is divided by den^(v/2) once at the end.
+    Above `WORK_CAP` (see `oracle_work`) the call raises
+    `CapExceededError` before building the covariance.
     """
     if S.vertices == 0:
         return Fraction(1)
@@ -363,15 +454,16 @@ def numeric_invariant_expectation(
         per_strand.append([(pk, i * wk, pl, j * wl, g) for (i, j), g in lower])
 
     assignments = _assignments(per_strand, S.vertices, sign)
+    rows = cov.rows
 
+    total = 0
     if (b * D) % 2:
-        berezin = _BerezinState(cov)
-        moments = (weight * berezin.expectation(codes) for codes, weight in assignments)
-        return sum(moments, Fraction(0))
+        for codes, weight in assignments:
+            block = [[row.get(y, 0) for y in codes] for row in [rows[x] for x in codes]]
+            total += weight * _pfaffian(block)
+        return Fraction(total, cov.den ** (S.vertices // 2))
 
     pairings = [tuple((i - 1, j - 1) for i, j in m) for m in all_pairings(S.vertices)]
-    rows = cov.rows
-    total = 0
     for codes, weight in assignments:
         for pairing in pairings:
             prod = weight

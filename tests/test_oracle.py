@@ -20,7 +20,7 @@ from gradedtensor.model import (
     gaussian_expectation,
     invariant_sign_normal_form,
 )
-from gradedtensor.combinatorics import DirectedPairing, pairing_sign
+from gradedtensor.combinatorics import DirectedPairing, all_pairings, pairing_sign
 from gradedtensor.oracle import (
     ExplicitCovariance,
     ExteriorElement,
@@ -424,3 +424,208 @@ def test_oracle_imports_no_pipeline_machinery():
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
     assert not used & FORBIDDEN_IN_THE_ORACLE
+
+
+# -- fermionic moments as Pfaffians ---------------------------------------------
+
+
+def signed_pairing_pfaffian(B) -> int:
+    """Pf(B) as the sum over pairings of the pairing sign against
+    (1 2)(3 4)... times the product of the paired entries."""
+    n = len(B)
+    if n % 2:
+        return 0
+    if n == 0:
+        return 1
+    straight = DirectedPairing(n, tuple((i, i + 1) for i in range(1, n, 2)))
+    total = 0
+    for matching in all_pairings(n):
+        term = pairing_sign(DirectedPairing(n, tuple(matching)), straight)
+        for i, j in matching:
+            term *= B[i - 1][j - 1]
+        total += term
+    return total
+
+
+def random_antisymmetric(rng: random.Random, n: int, rank: Optional[int] = None):
+    """A seeded antisymmetric integer matrix; with `rank`, X^T J X for a
+    random rank x n integer X, so its rank is at most `rank`."""
+    if rank is None:
+        upper = {(i, j): rng.choice((0, 0, 1, -1, 2, -3, 5)) for i in range(n) for j in range(i + 1, n)}
+    else:
+        X = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rank)]
+        upper = {
+            (i, j): sum(X[k][i] * X[k + 1][j] - X[k + 1][i] * X[k][j] for k in range(0, rank, 2))
+            for i in range(n) for j in range(i + 1, n)
+        }
+    B = [[0] * n for _ in range(n)]
+    for (i, j), a in upper.items():
+        B[i][j], B[j][i] = a, -a
+    return B
+
+
+def test_pfaffian_small_cases():
+    assert oracle._pfaffian([]) == 1
+    assert oracle._pfaffian([[0]]) == 0
+    assert oracle._pfaffian([[0, 7], [-7, 0]]) == 7
+    # b01 b23 - b02 b13 + b03 b12, with b01 = 0 so the first pivot is a swap
+    B = [[0, 0, 2, 3], [0, 0, 5, 7], [-2, -5, 0, 11], [-3, -7, -11, 0]]
+    assert oracle._pfaffian(B) == 0 * 11 - 2 * 7 + 3 * 5
+    assert B[0] == [0, 0, 2, 3]  # the input is left as it was
+
+
+def test_pfaffian_matches_the_signed_pairing_expansion():
+    rng = random.Random(9100)
+    for n in range(9):
+        for trial in range(40):
+            B = random_antisymmetric(rng, n, rng.choice([None, None, *range(0, n + 1, 2)]))
+            assert oracle._pfaffian(B) == signed_pairing_pfaffian(B), (n, B)
+
+
+def test_pfaffian_moments_match_berezin_integration():
+    # covariances of rank <= 8 on 8 components, some singular; monomials of
+    # every length up to 6 with repeated components and odd lengths
+    rng = random.Random(9200)
+    for trial in range(12):
+        n = 8
+        rank = rng.choice((0, 2, 4, 6, 8, None))
+        matrix = random_antisymmetric(rng, n, rank)
+        den = rng.randint(1, 4)
+        cov = ExplicitCovariance(n, 1, 1, [[Fraction(a) for a in row] for row in matrix], den=den)
+        state = _BerezinState(cov)
+        for length in range(7):
+            for _ in range(8):
+                monomial = [rng.randrange(n) for _ in range(length)]
+                block = [[cov.rows[x].get(y, 0) for y in monomial] for x in monomial]
+                moment = Fraction(oracle._pfaffian(block), cov.den ** (length // 2))
+                assert moment == state.expectation(monomial), (trial, monomial)
+
+
+def test_assignments_are_the_product_assignments():
+    # the half-split lists give every choice of one form entry per strand,
+    # in itertools.product order, with the same codes and weights
+    rng = random.Random(9300)
+    for strands in range(0, 7):
+        vertices = 4
+        per_strand = [
+            [
+                (rng.randrange(vertices), rng.randint(0, 9), rng.randrange(vertices), rng.randint(0, 9), rng.choice((1, -1)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            for _ in range(strands)
+        ]
+        expected = []
+        for choice in itertools.product(*per_strand):
+            codes, weight = [0] * vertices, -1
+            for pk, ak, pl, al, g in choice:
+                codes[pk] += ak
+                codes[pl] += al
+                weight *= g
+            expected.append((codes, weight))
+        assert list(oracle._assignments(per_strand, vertices, -1)) == expected
+
+
+def random_block_symmetric_pairing(rng: random.Random, D: int) -> tuple:
+    """A slot pairing invariant under swapping the two tensor blocks: slots
+    left alone go straight down, a pair of slots either crosses or is a
+    cap over the matching cup."""
+    slots = list(range(1, D + 1))
+    rng.shuffle(slots)
+    pairs = []
+    while slots:
+        i = slots.pop()
+        if slots and rng.random() < 0.5:
+            j = slots.pop()
+            if rng.random() < 0.5:
+                pairs += [(i, D + j), (j, D + i)]
+            else:
+                pairs += [(i, j), (D + i, D + j)]
+        else:
+            pairs.append((i, D + i))
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("D,N", [(5, 4), (10, 2)])
+def test_covariance_at_the_size_cap_matches_its_definition(D, N):
+    # N^D = 1024 at b = 1: odd parity at D = 5, even at D = 10; a sample of
+    # entries is read against the definition, every nonzero of a few rows too
+    assert N**D == oracle.COVARIANCE_SIZE_CAP
+    rng = random.Random(9400 + D)
+    form = GradedForm(N, 1)
+    z0 = form.z_value
+    terms = [PropagatorTerm(tuple((c, D + c) for c in range(1, D + 1)), Poly.const(1))]
+    for _ in range(3):
+        weight = Poly((Fraction(rng.randint(-3, 3), 2), rng.randint(-2, 2)))
+        terms.append(PropagatorTerm(random_block_symmetric_pairing(rng, D), weight))
+    C = Propagator(D, tuple(terms))
+    cov = ExplicitCovariance.from_propagator(C, form)
+    ref = DirectedPairing(2 * D, tuple((c, D + c) for c in range(1, D + 1)))
+    components = list(itertools.product(range(N), repeat=D))  # in encode_index order
+
+    def expected(x, y):
+        value = components[x] + components[y]  # value[s - 1] is the index on slot s
+        return sum(
+            t.weight(z0)
+            * pairing_sign(t.oriented(), ref)
+            * math.prod(form.upper_entry(value[i - 1], value[j - 1]) for i, j in t.oriented().pairs)
+            for t in C.terms
+        )
+
+    assert all(a != 0 for row in cov.rows for a in row.values())
+    sample = [(rng.randrange(N**D), rng.randrange(N**D)) for _ in range(300)]
+    for x in rng.sample(range(N**D), 8):
+        sample += [(x, y) for y in cov.rows[x]]
+    assert any(cov.rows[x] for x, _ in sample)
+    for x, y in sample:
+        assert cov.entry(x, y) == expected(x, y), (x, y)
+
+
+# -- reach of the fermionic oracle ----------------------------------------------
+
+
+def pillow() -> StrandedGraph:
+    """Two dipoles on colours 1, 2 (vertices 1-2 and 3-4) joined by colour 3."""
+    return StrandedGraph(3, 4, ((1, 4), (2, 5), (7, 10), (8, 11), (3, 9), (6, 12)))
+
+
+def sp_projector_table(lam: tuple, N: int) -> Propagator:
+    return Propagator.from_brauer_element(
+        decompose_projector_as_propagator(YoungDiagram(lam), GradedForm(N, 1))
+    )
+
+
+@pytest.mark.parametrize("lam", [(3,), (1, 1, 1)])
+@pytest.mark.parametrize("N", [4, 6])
+def test_fermionic_oracle_matches_pipeline_past_rank_16(lam, N):
+    # (1,1,1) has covariance rank 20 at Sp(4) and 56 at Sp(6), beyond an
+    # exterior algebra of 2^16; a Pfaffian per assignment has no such wall
+    table = sp_projector_table(lam, N)
+    for g in (dipole(3), pillow()):
+        pipeline = gaussian_expectation(g, table, 1)(Fraction(N))
+        assert numeric_invariant_expectation(g, table, N, 1) == pipeline, (lam, N, g)
+
+
+def test_fermionic_oracle_matches_pipeline_on_every_d3_v2_class():
+    table = sp_projector_table((1, 1, 1), 4)
+    classes = enumerate_invariants(3, 2)
+    assert len(classes) == 11
+    for g in classes:
+        assert numeric_invariant_expectation(g, table, 4, 1) == gaussian_expectation(g, table, 1)(Fraction(4))
+
+
+def test_oracle_check_reaches_sp4_and_still_rejects_mixed_symmetry(tmp_path, capsys):
+    graph, prop = tmp_path / "dipole.json", tmp_path / "prop.json"
+    graph.write_text(json.dumps(dipole(3).to_json()))
+    prop.write_text(json.dumps({"projector": {"lambda": [1, 1, 1]}}))
+    argv = ["oracle-check", "--graph", str(graph), "--propagator", str(prop), "--N", "4", "--b", "1", "--json"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "N": 4, "agree": True, "b": 1, "oracle": "-20", "pipeline": "-20"
+    }
+    # c_lambda T for (2,1) is neither symmetric nor antisymmetric, so it is
+    # no covariance: the mixed-symmetry propagator needs a self-adjoint idempotent
+    prop.write_text(json.dumps({"projector": {"lambda": [2, 1]}}))
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "covariance does not match the component parity" in err
