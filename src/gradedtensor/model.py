@@ -83,6 +83,17 @@ class StrandedGraph:
                 raise ValueError("orientation must orient exactly the strands")
             object.__setattr__(self, "orientation", ori)
 
+    @classmethod
+    def _canonical(cls, D: int, vertices: int, strands: Tuple[Pair, ...]) -> "StrandedGraph":
+        """A graph on strands that are already canonical: pairs (a, b) with
+        a < b, sorted, a perfect matching of 1..D*vertices.  Nothing is
+        checked and `__post_init__` does not run; only
+        `enumerate_invariants`, whose generator builds its strands so,
+        calls this."""
+        g = object.__new__(cls)
+        g.__dict__.update(D=D, vertices=vertices, strands=strands, orientation=None)
+        return g
+
     @property
     def node_count(self) -> int:
         return self.D * self.vertices
@@ -652,6 +663,13 @@ def enumerate_invariants(
     v! (D!)^v of them with `slot_symmetry` and v! without.  Above
     `ENUMERATE_TABLE_CAP` the call raises `CapExceededError` before
     building any.
+
+    Connectivity is counted as strands are placed: each prefix carries a
+    part label per vertex and the number of parts, and a strand joining
+    two parts relabels one of them in a new list.  A complete matching is
+    connected when one part is left.  Its strands are already sorted,
+    oriented a < b and perfect, so the class is built without
+    re-validation (`StrandedGraph._canonical`).
     """
     if D < 1:
         raise ValueError(f"D must be at least 1, got {D}")
@@ -674,7 +692,9 @@ def enumerate_invariants(
     strands: List[Pair] = []
     out: List[StrandedGraph] = []
 
-    def extend(first: int, table: List[Relabeling]) -> None:
+    def extend(first: int, table: List[Relabeling], component: List[int], parts: int) -> None:
+        # component[u] labels the part of vertex u that the prefix joins it to
+        label = component[vertex_of[first]]
         for other in range(first + 1, n + 1):
             if partner[other]:
                 continue
@@ -685,15 +705,18 @@ def enumerate_invariants(
                 following += 1
             kept = _undecided(partner, following, table)
             if kept is not None:
+                merged = component[vertex_of[other]]
+                if merged == label:
+                    joined, left = component, parts
+                else:
+                    joined = [label if c == merged else c for c in component]
+                    left = parts - 1
                 if following <= n:
-                    extend(following, kept)
-                elif (
-                    _connected(vertices, strands, vertex_of)
-                    and _undecided(partner, following, full_moves) is not None
-                ):
-                    out.append(StrandedGraph(D, vertices, tuple(strands)))
+                    extend(following, kept, joined, left)
+                elif left == 1 and _undecided(partner, following, full_moves) is not None:
+                    out.append(StrandedGraph._canonical(D, vertices, tuple(strands)))
             strands.pop()
             partner[first] = partner[other] = 0
 
-    extend(1, vertex_moves)
+    extend(1, vertex_moves, list(range(vertices)), vertices)
     return tuple(out)

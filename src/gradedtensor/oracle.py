@@ -28,7 +28,7 @@ from .representation import GradedForm, row_reduce
 
 GENERATOR_CAP = 16          # exterior algebra dimension 2**16, for berezin_expectation
 COVARIANCE_SIZE_CAP = 1024  # N**D cap for explicit covariance matrices
-WORK_CAP = 10**6           # oracle_work cap: index assignments x vertex pairings
+WORK_CAP = 10**6           # oracle_work cap: index assignments x moment cost
 
 
 # -- explicit covariances ------------------------------------------------------
@@ -362,9 +362,12 @@ def berezin_expectation(cov: ExplicitCovariance, monomial: Sequence[int]) -> Fra
 def oracle_work(S: StrandedGraph, N: int, b: int) -> int:
     """The work `numeric_invariant_expectation` does on S: N^strands index
     assignments (each form has N nonzero entries), times the (v-1)!! vertex
-    pairings of a bosonic moment; a fermionic moment is one Pfaffian."""
-    pairings = 1 if (b * S.D) % 2 else double_factorial(S.vertices - 1)
-    return N ** len(S.strands) * pairings
+    pairings of a bosonic moment, or times (v/2)^3 for a fermionic one,
+    the elimination cost of its v x v Pfaffian in units of one pairing
+    product (1 at v = 2)."""
+    v = S.vertices
+    per_assignment = (v // 2) ** 3 if (b * S.D) % 2 else double_factorial(v - 1)
+    return N ** len(S.strands) * per_assignment
 
 
 def _partial_assignments(per_strand: List[List[tuple]], vertices: int, weight: int) -> List[tuple]:

@@ -233,7 +233,7 @@ def test_criterion_7b_oracle_equivalence_b1_bosonic():
 
 
 def test_criterion_7c_oracle_equivalence_fermionic():
-    # odd parity: expectation via full exterior-algebra Berezin integration
+    # odd parity: each assignment's moment is the Pfaffian of its covariance block
     quadratic = StrandedGraph(3, 2, ((1, 4), (2, 5), (3, 6)))
     tables = [
         Propagator.identity(3),
@@ -246,7 +246,7 @@ def test_criterion_7c_oracle_equivalence_fermionic():
     for g in enumerate_invariants(3, 2)[:4]:
         pipeline = gaussian_expectation(g, Propagator.identity(3), 1)(Fraction(2))
         assert numeric_invariant_expectation(g, Propagator.identity(3), 2, 1) == pipeline
-    report(7, "(c) Berezin oracle equals pipeline at b=1, D=3, N=2")
+    report(7, "(c) Pfaffian oracle equals pipeline at b=1, D=3, N=2")
 
 
 def test_criterion_8_sign_property_suite():

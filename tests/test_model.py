@@ -740,6 +740,40 @@ def test_enumerate_keeps_exactly_the_least_connected_matchings(D, nv, slot_symme
     assert kept == accepted
 
 
+@pytest.mark.parametrize(
+    "D,nv,slot_symmetry",
+    [
+        (D, nv, sym)
+        for D in range(1, 13)
+        for nv in range(1, 13)
+        if D * nv <= 12 and D * nv % 2 == 0
+        for sym in (False, True)
+        if _table_size(D, nv, sym) <= model.ENUMERATE_TABLE_CAP
+    ],
+)
+def test_enumerated_classes_are_valid_connected_graphs(D, nv, slot_symmetry):
+    # the generator's graphs skip validation; the public constructor agrees
+    for g in enumerate_invariants(D, nv, slot_symmetry):
+        assert g == StrandedGraph(D, nv, g.strands)
+        assert g.is_connected()
+
+
+def test_enumerate_neither_validates_nor_walks_its_classes(monkeypatch):
+    reference = [g.strands for g in _reference_classes(2, 4, False)]
+    two_dipoles = ((1, 3), (2, 4), (5, 7), (6, 8))
+    assert StrandedGraph(2, 4, two_dipoles).strands == two_dipoles
+
+    def refuse(*args):
+        raise AssertionError("enumerate validated a class or walked it for connectivity")
+
+    monkeypatch.setattr(StrandedGraph, "__post_init__", refuse)
+    monkeypatch.setattr(model, "_connected", refuse)
+    assert len(enumerate_invariants(6, 2)) == 5243
+    kept = [g.strands for g in enumerate_invariants(2, 4)]
+    assert kept == reference
+    assert two_dipoles not in kept
+
+
 @pytest.mark.parametrize("D,nv,slot_symmetry", [(2, 9, False), (10, 1, True), (4, 4, True)])
 def test_enumerate_refuses_a_relabeling_table_above_the_cap(monkeypatch, D, nv, slot_symmetry):
     size = _table_size(D, nv, slot_symmetry)

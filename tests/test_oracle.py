@@ -381,6 +381,8 @@ def test_oracle_work_cap_raises_before_the_covariance(monkeypatch):
     g = StrandedGraph(2, 4, ((1, 3), (2, 5), (4, 7), (6, 8)))
     assert oracle.oracle_work(g, 3, 0) == 3**4 * 3
     assert oracle.oracle_work(dipole(3), 2, 1) == 2**3  # fermionic: no vertex pairings
+    # a fermionic assignment weighs (v/2)^3, the elimination of its Pfaffian
+    assert oracle.oracle_work(pillow(), 6, 1) == 6**6 * 8 <= oracle.WORK_CAP
     monkeypatch.setattr(
         ExplicitCovariance, "from_propagator", lambda *a: pytest.fail("covariance built")
     )
@@ -402,6 +404,25 @@ def test_oracle_check_over_the_work_cap_exits_3(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert str(32**4 * 3) in err and str(oracle.WORK_CAP) in err
+
+
+def test_oracle_check_d3_v12_at_sp2_exits_3_before_the_covariance(tmp_path, capsys, monkeypatch):
+    # 2^18 assignments, each a 12 x 12 Pfaffian: under the cap if a
+    # Pfaffian counted as one unit, yet about 8 s to run
+    g = rand_connected_graph(random.Random(12), 3, 12)
+    work = 2**18 * 6**3
+    assert oracle.oracle_work(g, 2, 1) == work > oracle.WORK_CAP
+    graph, prop = tmp_path / "graph.json", tmp_path / "prop.json"
+    graph.write_text(json.dumps(g.to_json()))
+    prop.write_text(json.dumps(Propagator.identity(3).to_json()))
+    monkeypatch.setattr(
+        ExplicitCovariance, "from_propagator", lambda *a: pytest.fail("covariance built")
+    )
+    argv = ["oracle-check", "--graph", str(graph), "--propagator", str(prop), "--N", "2", "--b", "1"]
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert str(work) in err and str(oracle.WORK_CAP) in err
 
 
 FORBIDDEN_IN_THE_ORACLE = {
