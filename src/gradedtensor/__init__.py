@@ -9,7 +9,6 @@ from .combinatorics import (
     DirectedPairing,
     FaceCycle,
     FaceDecomposition,
-    GroundSet,
     all_pairings,
     canonical_orientation,
     disjoint_union,

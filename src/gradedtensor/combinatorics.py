@@ -18,17 +18,6 @@ Pair = Tuple[int, int]
 
 
 @dataclass(frozen=True)
-class GroundSet:
-    """The index set {1, ..., size} with an even number of elements."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size <= 0 or self.size % 2 != 0:
-            raise ValueError(f"ground set size must be positive and even, got {self.size}")
-
-
-@dataclass(frozen=True)
 class DirectedPairing:
     """An oriented perfect matching of {1, ..., n}.
 
@@ -89,22 +78,18 @@ class FaceDecomposition:
         return sum(1 for c in self.cycles if not c.even)
 
 
-def _permutation_sign_from_maps(mapping: dict) -> int:
-    """Sign of a permutation given as a dict, via cycle decomposition."""
-    seen = set()
-    sign = 1
-    for start in mapping:
-        if start in seen:
-            continue
-        length = 0
-        x = start
-        while x not in seen:
-            seen.add(x)
-            x = mapping[x]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def perm_sign(p: Sequence[int]) -> int:
+    """Sign of the permutation i -> p[i] of range(len(p)): (-1)^(len(p) - its cycle count)."""
+    seen = [False] * len(p)
+    cycles = 0
+    for start in range(len(p)):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = p[x]
+    return -1 if (len(p) - cycles) % 2 else 1
 
 
 def pairing_sign(m1: DirectedPairing, m2: DirectedPairing) -> int:
@@ -115,15 +100,15 @@ def pairing_sign(m1: DirectedPairing, m2: DirectedPairing) -> int:
     """
     if m1.n != m2.n:
         raise ValueError("incompatible ground sets")
-    u = m1.flatten()
-    v = m2.flatten()
-    # sigma = v o u^{-1} as a map on ground elements
-    mapping = {ui: vi for ui, vi in zip(u, v)}
-    return _permutation_sign_from_maps(mapping)
+    # sigma = v o u^{-1} on 0-based ground elements, u and v the flattened pairings
+    sigma = [0] * m1.n
+    for u, v in zip(m1.flatten(), m2.flatten()):
+        sigma[u - 1] = v - 1
+    return perm_sign(sigma)
 
 
-def all_pairings(ground: "GroundSet | int") -> Iterator[Tuple[Pair, ...]]:
-    """Yield every undirected perfect matching of the ground set once.
+def all_pairings(n: int) -> Iterator[Tuple[Pair, ...]]:
+    """Yield every undirected perfect matching of {1, ..., n} once.
 
     Enumeration is lazy and deterministic: the smallest unpaired element
     is matched with each larger element in increasing order, so the
@@ -131,8 +116,8 @@ def all_pairings(ground: "GroundSet | int") -> Iterator[Tuple[Pair, ...]]:
     comes out as (smaller, larger); `canonical_orientation` turns a
     matching into a DirectedPairing with the same convention.
     """
-    n = ground.size if isinstance(ground, GroundSet) else int(ground)
-    GroundSet(n)  # validates
+    if n <= 0 or n % 2 != 0:
+        raise ValueError(f"ground set size must be positive and even, got {n}")
     elements = tuple(range(1, n + 1))
 
     def rec(remaining: Tuple[int, ...]) -> Iterator[Tuple[Pair, ...]]:

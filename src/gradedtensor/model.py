@@ -526,9 +526,13 @@ class ModelSpec:
     def __post_init__(self):
         if self.propagator.D != self.D:
             raise ValueError("propagator strand count does not match the model")
+        names = set()
         for it in self.interactions:
             if it.graph.D != self.D:
                 raise ValueError(f"interaction {it.name!r} strand count mismatch")
+            if it.name in names:
+                raise ValueError(f"duplicate interaction name {it.name!r}")
+            names.add(it.name)
 
 
 @dataclass(frozen=True)
@@ -554,14 +558,15 @@ def perturbative_expansion(model: ModelSpec, order: int) -> Tuple[ExpansionTerm,
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    names = [it.name for it in model.interactions]
+    indices = range(len(model.interactions))
     out = []
     for total in range(order + 1):
-        for split in _compositions(total, len(names)):
+        # each multiset of `total` insertions once; reversed, their splits come in lexicographic order
+        for picks in reversed(list(itertools.combinations_with_replacement(indices, total))):
             union = StrandedGraph(model.D, 0, ())
             coeff = Fraction(1)
             couplings = []
-            for it, p in zip(model.interactions, split):
+            for it, p in zip(model.interactions, map(picks.count, indices)):
                 if p == 0:
                     continue
                 couplings.append((it.name, p))
@@ -572,17 +577,6 @@ def perturbative_expansion(model: ModelSpec, order: int) -> Tuple[ExpansionTerm,
             amp = gaussian_expectation(union, model.propagator, model.b)
             out.append(ExpansionTerm(tuple(couplings), coeff, amp))
     return tuple(out)
-
-
-def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    """All tuples of `parts` non-negative integers summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # -- enumeration of invariants -------------------------------------------------

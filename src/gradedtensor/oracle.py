@@ -48,20 +48,17 @@ class ExplicitCovariance:
 
     __slots__ = ("N", "D", "b", "size", "rows", "den")
 
-    def __init__(self, N: int, D: int, b: int, matrix: Sequence[Sequence], den: int = 1):
-        """`matrix` is dense, of ints or Fractions; entry (x, y) is matrix[x][y] / den."""
+    def __init__(self, N: int, D: int, b: int, rows: Sequence[Dict[int, int]], den: int = 1):
+        """N^D sparse rows: rows[x][y] is the int numerator of entry (x, y); zeros are dropped."""
         size = N**D
-        if len(matrix) != size or any(len(row) != size for row in matrix):
-            raise ValueError("covariance matrix has the wrong shape")
-        common = math.lcm(*{a.denominator for row in matrix for a in row})
-        rows = [{y: int(a * common) for y, a in enumerate(row) if a} for row in matrix]
-        self._assign(N, D, b, rows, den * common)
-
-    def _assign(self, N: int, D: int, b: int, rows: List[Dict[int, int]], den: int) -> None:
-        """Take sparse integer rows over `den`, once they match the parity."""
+        rows = [{y: a for y, a in row.items() if a} for row in rows]
+        if len(rows) != size:
+            raise ValueError(f"covariance has {len(rows)} rows, expected N^D = {size}")
         sign = -1 if (b * D) % 2 else 1
         for x, row in enumerate(rows):
             for y, a in row.items():
+                if type(a) is not int or not 0 <= y < size:
+                    raise ValueError(f"covariance entry ({x}, {y}) is not an int numerator on a component")
                 if rows[y].get(x, 0) != sign * a:
                     raise ValueError(
                         "covariance does not match the component parity "
@@ -70,7 +67,7 @@ class ExplicitCovariance:
         self.N = N
         self.D = D
         self.b = b
-        self.size = N**D
+        self.size = size
         self.rows = rows
         self.den = den
 
@@ -123,9 +120,7 @@ class ExplicitCovariance:
                     val *= g
                 row = rows[x]
                 row[y] = row.get(y, 0) + val
-        cov = cls.__new__(cls)
-        cov._assign(N, D, form.b, [{y: a for y, a in row.items() if a} for row in rows], den)
-        return cov
+        return cls(N, D, form.b, rows, den)
 
 
 # -- bosonic moments -----------------------------------------------------------

@@ -490,7 +490,7 @@ def _report(x: "_ElementAtZ0", lam: Optional[YoungDiagram]) -> ProjectorReport:
     the shape of the symmetrizer applied to x, None if there is none.
 
     e is (c_lambda / n_lambda) * T (`irreducible_projector`),
-    T * (c_(D) / D!) (`symmetric_traceless_projector`, lam = (D)) or T
+    (c_(D) / D!) * T (`symmetric_traceless_projector`, lam = (D)) or T
     (`traceless_projector`), with T a product of factors (1 - A/alpha).
     Three checks, read in B_D at z0 but for one map where B_D is not
     faithful:
@@ -532,8 +532,8 @@ class _ElementAtZ0:
     z0 = (-1)^b N: integer numerators keyed by partner tuple (see
     `brauer.partners`) over one common denominator.
 
-    Right factors (1 - A/alpha), Young symmetrizers on either side and
-    the product A * self are local updates of each diagram, with no
+    Right factors (1 - A/alpha), Young symmetrizers below and the
+    product A * self are local updates of each diagram, with no
     general Brauer product and no polynomial in z.
     """
 
@@ -577,27 +577,27 @@ class _ElementAtZ0:
                 out[q] = out.get(q, 0) + sign * c
         self.terms = {p: c for p, c in out.items() if c}
 
-    def symmetrized(self, lam: YoungDiagram, below: bool):
-        """Multiply by c_lambda / n_lambda: c_lambda * self if `below`,
-        else self * c_lambda.
+    def symmetrized(self, lam: YoungDiagram):
+        """Multiply by c_lambda / n_lambda below: c_lambda * self.
 
         c_lambda = a_lambda * b_lambda for the canonical tableau, applied
         as transposition factors (Jucys, Rep. Math. Phys. 5 (1974) 107;
         Murphy, J. Algebra 69 (1981) 287): each row gives
         prod_k (1 + sum_{i<k in the row} (i k)) and each column
         prod_k (1 - sum_{i<k in the column} (i k)).  (i k) below self
-        swaps the bottom points D+i and D+k, above self the top points i
-        and k.  Equal diagrams merge after every factor, so a factor costs
-        k - 1 relabelings per diagram, not one per term of c_lambda.
+        swaps the bottom points D+i and D+k.  Equal diagrams merge after
+        every factor, so a factor costs k - 1 relabelings per diagram, not
+        one per term of c_lambda.  One side serves every builder: a traceless
+        product T is a polynomial in A, which commutes with every
+        permutation (Nazarov, J. Algebra 182 (1996)), so T * c = c * T.
         """
         tableau = CanonicalTableau(lam)
         rows = [(row, 1) for row in tableau.rows_of_entries()]
         columns = [(column, -1) for column in tableau.columns_of_entries()]
-        # c * self = a * (b * self): the columns act first; self * c = (self * a) * b
-        shift = self.D if below else 0
-        for block, sign in columns + rows if below else rows + columns:
+        # c * self = a * (b * self): the columns act first
+        for block, sign in columns + rows:
             for k in range(1, len(block)):
-                pairs = [(block[i] + shift, block[k] + shift) for i in range(k)]
+                pairs = [(block[i] + self.D, block[k] + self.D) for i in range(k)]
                 self._times_transpositions(pairs, sign)
         self.den *= int(symmetrizer_norm(lam))
 
@@ -614,7 +614,7 @@ class _ElementAtZ0:
     def fixed_by_symmetrizer(self, lam: YoungDiagram) -> bool:
         """(c_lambda / n_lambda) * self == self exactly."""
         other = self.copy()
-        other.symmetrized(lam, below=True)
+        other.symmetrized(lam)
         return other.terms.keys() == self.terms.keys() and all(
             c * self.den == self.terms[p] * other.den for p, c in other.terms.items()
         )
@@ -690,19 +690,20 @@ def symmetric_traceless_projector(D: int, form: GradedForm) -> ProjectorReport:
 
     This is the propagator of the symmetric traceless model; at b = 1
     the same formula is read at loop weight -N and the symmetrizer acts
-    in the signed representation.
+    in the signed representation.  The symmetrizer is applied below,
+    (c_(D) / D!) * T, which equals T * (c_(D) / D!) (`_ElementAtZ0.symmetrized`).
     """
     _check_cap(form.N, D)
     out = _symmetric_traceless(D, form)
     lam = YoungDiagram((D,))
-    out.symmetrized(lam, below=False)
+    out.symmetrized(lam)
     return _report(out, lam)
 
 
 def _irreducible(lam: YoungDiagram, form: GradedForm) -> _ElementAtZ0:
     _check_cap(form.N, lam.size)
     out = _traceless(lam.size, form)
-    out.symmetrized(lam, below=True)
+    out.symmetrized(lam)
     return out
 
 

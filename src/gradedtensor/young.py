@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple
 
+from .combinatorics import perm_sign
 from .polynomial import Poly
 
 Perm = Tuple[int, ...]  # perm[i] is the 0-based image of i
@@ -25,23 +26,6 @@ Perm = Tuple[int, ...]  # perm[i] is the 0-based image of i
 def compose_perms(p: Perm, q: Perm) -> Perm:
     """(p . q)(i) = p(q(i)): apply q first."""
     return tuple(p[q[i]] for i in range(len(p)))
-
-
-def perm_sign(p: Perm) -> int:
-    seen = [False] * len(p)
-    sign = 1
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def all_perms(n: int) -> Iterator[Perm]:

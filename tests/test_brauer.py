@@ -25,7 +25,7 @@ from gradedtensor.brauer import (
     times_beta,
     transposed,
 )
-from gradedtensor.combinatorics import face_decomposition
+from gradedtensor.combinatorics import face_decomposition, perm_sign
 from gradedtensor.polynomial import Poly
 from gradedtensor.young import (
     GroupAlgebraElement,
@@ -33,7 +33,6 @@ from gradedtensor.young import (
     all_perms,
     compose_perms,
     partitions,
-    perm_sign,
     young_symmetrizer,
 )
 from conftest import diagrams, permuted_above, permuted_below, rand_diagram

@@ -252,6 +252,32 @@ def test_expand_table(quartic_model, capsys):
     assert rows[1]["coefficient"] == "1/4"
 
 
+@pytest.mark.parametrize("argv", [["expand", "--order", "2"], ["duality-check"]])
+def test_duplicate_interaction_names_are_rejected(tmp_path, capsys, argv):
+    # two connected D = 2 v = 2 interactions, both named g: their rows would
+    # print under one label with different amplitudes
+    twisted = [[[1, 1], [2, 2]], [[1, 2], [2, 1]]]
+    straight = [[[1, 1], [2, 1]], [[1, 2], [2, 2]]]
+    model = tmp_path / "model.json"
+    model.write_text(
+        json.dumps(
+            {
+                "D": 2,
+                "propagator": {"terms": [{"pairs": [[1, 3], [2, 4]], "gamma": "1"}]},
+                "interactions": [
+                    {"name": "g", "graph": {"D": 2, "vertices": 2, "strands": strands}}
+                    for strands in (straight, twisted)
+                ],
+            }
+        )
+    )
+    code, out, err = invoke(capsys, argv[0], "--model", str(model), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert str(model) in err
+    assert "duplicate interaction name 'g'" in err
+
+
 def test_oracle_check_agrees(tmp_path, capsys):
     graph = tmp_path / "graph.json"
     graph.write_text(

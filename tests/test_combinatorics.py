@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from gradedtensor.brauer import BrauerDiagram
 from gradedtensor.combinatorics import (
     DirectedPairing,
-    GroundSet,
     all_pairings,
     canonical_orientation,
     disjoint_union,
@@ -15,6 +15,7 @@ from gradedtensor.combinatorics import (
     face_decomposition,
     pairing_sign,
     partner_map,
+    perm_sign,
     strand_walk,
 )
 from conftest import rand_diagram, rand_directed_pairing
@@ -33,11 +34,18 @@ def naive_sign(m1: DirectedPairing, m2: DirectedPairing) -> int:
 
 
 def test_ground_set_validation():
-    GroundSet(4)
-    with pytest.raises(ValueError):
-        GroundSet(3)
-    with pytest.raises(ValueError):
-        GroundSet(0)
+    # all_pairings checks its size when called, before the first matching
+    all_pairings(4)
+    for n in (3, 0, -2):
+        with pytest.raises(ValueError, match="positive and even"):
+            all_pairings(n)
+
+
+def test_perm_sign_is_the_inversion_parity():
+    for n in range(7):
+        for p in itertools.permutations(range(n)):
+            inversions = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+            assert perm_sign(p) == (-1) ** inversions, p
 
 
 def test_directed_pairing_validation():
@@ -109,7 +117,7 @@ def test_all_pairings_matches_double_factorial_up_to_12():
     for n in (2, 4, 6, 8, 10, 12):
         seen = set()
         count = 0
-        for matching in all_pairings(GroundSet(n)):
+        for matching in all_pairings(n):
             count += 1
             key = frozenset(frozenset(p) for p in matching)
             assert key not in seen

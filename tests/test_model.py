@@ -560,6 +560,37 @@ def test_model_validation():
         Interaction("tiny", dipole(1))
     with pytest.raises(ValueError, match="strand count"):
         ModelSpec(3, 0, identity_plus_swap(), ())
+    g = quartic_model().interactions[0]
+    with pytest.raises(ValueError, match="duplicate interaction name 'g4'"):
+        ModelSpec(2, 0, identity_plus_swap(), (g, Interaction("g4", dipole(2))))
+
+
+def test_perturbative_terms_come_in_lexicographic_splits():
+    # per total order, the splits over (g4, d) run lexicographically
+    model = ModelSpec(
+        2, 0, identity_plus_swap(), quartic_model().interactions + (Interaction("d", dipole(2)),)
+    )
+    couplings = [t.couplings for t in perturbative_expansion(model, 2)]
+    assert couplings == [
+        (),
+        (("d", 1),),
+        (("g4", 1),),
+        (("d", 2),),
+        (("g4", 1), ("d", 1)),
+        (("g4", 2),),
+    ]
+
+
+def test_perturbative_splits_over_many_interactions():
+    # 40 interactions at order 2 keep 1 + 40 + 820 splits; each is built from
+    # its multiset of insertions, never filtered out of all 3^40 tuples
+    interactions = tuple(Interaction(f"g{i}", dipole(2)) for i in range(40))
+    terms = perturbative_expansion(ModelSpec(2, 0, identity_plus_swap(), interactions), 2)
+    assert len(terms) == 1 + 40 + math.comb(41, 2)
+    splits = [tuple(dict(t.couplings).get(it.name, 0) for it in interactions) for t in terms]
+    assert splits == sorted(splits, key=lambda s: (sum(s), s))
+    # every interaction is one dipole, so a term's amplitude depends on its total only
+    assert len({(sum(s), t.amplitude) for t, s in zip(terms, splits)}) == 3
 
 
 def test_perturbative_order_zero():

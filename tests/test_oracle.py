@@ -43,8 +43,16 @@ from test_cross_validation import block_symmetric_pairings, random_symmetric_tab
 from test_model import dipole, identity_plus_swap
 
 
+def dense_covariance(N, D, b, matrix, den=1) -> ExplicitCovariance:
+    """A covariance from a small dense matrix of ints or Fractions over den,
+    written as integer rows over one common denominator."""
+    common = math.lcm(*(Fraction(a).denominator for row in matrix for a in row))
+    rows = [{y: int(a * common) for y, a in enumerate(row)} for row in matrix]
+    return ExplicitCovariance(N, D, b, rows, den * common)
+
+
 def one_dim_unit_covariance() -> ExplicitCovariance:
-    return ExplicitCovariance(1, 1, 0, [[Fraction(1)]])
+    return ExplicitCovariance(1, 1, 0, [{0: 1}])
 
 
 def test_two_point_function_is_the_covariance():
@@ -116,10 +124,38 @@ def test_trace_invariant_matches_numeric_value():
 
 def test_covariance_parity_validation():
     with pytest.raises(ValueError, match="parity"):
-        ExplicitCovariance(2, 1, 0, [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]])
+        ExplicitCovariance(2, 1, 0, [{1: 1}, {}])
+    with pytest.raises(ValueError, match="parity"):
+        ExplicitCovariance(2, 1, 0, [{1: 1}, {0: -1}])
     with pytest.raises(ValueError, match="parity"):
         # nonzero diagonal is not antisymmetric
-        ExplicitCovariance(2, 1, 1, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]])
+        ExplicitCovariance(2, 1, 1, [{0: 1}, {}])
+    with pytest.raises(ValueError, match="parity"):
+        ExplicitCovariance(2, 1, 1, [{1: 1}, {0: 1}])
+    # an explicit zero is no entry, so it breaks no parity
+    assert ExplicitCovariance(2, 1, 1, [{1: 0}, {}]).rows == [{}, {}]
+
+
+def test_covariance_takes_int_numerators_on_components_only():
+    # a Fraction numerator would be floored by the Pfaffian's exact division
+    with pytest.raises(ValueError, match="int numerator"):
+        ExplicitCovariance(2, 1, 1, [{1: Fraction(1, 2)}, {0: Fraction(-1, 2)}])
+    with pytest.raises(ValueError, match="int numerator"):
+        ExplicitCovariance(2, 1, 0, [{1: 1.0}, {0: 1.0}])
+    # a column key outside 0..N^D-1 names no component
+    with pytest.raises(ValueError, match="on a component"):
+        ExplicitCovariance(2, 1, 0, [{5: 1}, {}])
+    with pytest.raises(ValueError, match="on a component"):
+        ExplicitCovariance(2, 1, 0, [{-1: 1, 1: 1}, {0: 1}])
+
+
+def test_covariance_rejects_a_wrong_row_count():
+    with pytest.raises(ValueError, match="rows"):
+        ExplicitCovariance(2, 1, 0, [{0: 1}])
+    with pytest.raises(ValueError, match="rows"):
+        ExplicitCovariance(2, 2, 0, [{} for _ in range(2)])
+    with pytest.raises(ValueError, match="rows"):
+        ExplicitCovariance(1, 1, 0, [{0: 1}, {}])
 
 
 def test_exterior_algebra_basics():
@@ -151,7 +187,7 @@ def test_exterior_exp_truncates():
 
 def two_generator_covariance(c: Fraction) -> ExplicitCovariance:
     # odd parity needs b=1 and D odd; N=2, D=1 gives two components
-    return ExplicitCovariance(2, 1, 1, [[Fraction(0), c], [-c, Fraction(0)]])
+    return dense_covariance(2, 1, 1, [[Fraction(0), c], [-c, Fraction(0)]])
 
 
 def test_berezin_two_generator_closed_form():
@@ -199,7 +235,7 @@ def test_berezin_wick_four_point():
     m[0][2], m[2][0] = Fraction(1, 2), Fraction(-1, 2)
     m[1][3], m[3][1] = Fraction(1, 3), Fraction(-1, 3)
     m[1][2], m[2][1] = Fraction(0), Fraction(0)
-    cov = ExplicitCovariance(4, 1, 1, m)
+    cov = dense_covariance(4, 1, 1, m)
     lhs = berezin_expectation(cov, [0, 1, 2, 3])
     # fermionic Wick: C01 C23 - C02 C13 + C03 C12
     rhs = (
@@ -215,7 +251,7 @@ def test_berezin_singular_covariance_restricts_to_support():
     # vanish in distribution and the weight restricts to the 0-1 block
     m = [[Fraction(0)] * 4 for _ in range(4)]
     m[0][1], m[1][0] = Fraction(1), Fraction(-1)
-    cov = ExplicitCovariance(4, 1, 1, m)
+    cov = dense_covariance(4, 1, 1, m)
     assert berezin_expectation(cov, [0, 1]) == 1
     assert berezin_expectation(cov, [0, 3]) == 0
     assert berezin_expectation(cov, [3, 3]) == 0
@@ -361,11 +397,26 @@ def test_integer_oracle_matches_its_reference_with_fractional_weights():
 
 
 def test_covariance_is_integer_numerators_over_one_denominator():
-    cov = ExplicitCovariance(2, 1, 0, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 0]], den=5)
+    cov = ExplicitCovariance(2, 1, 0, [{0: 3, 1: 2}, {0: 2, 1: 0}], den=30)
     assert cov.den == 30
     assert cov.rows == [{0: 3, 1: 2}, {0: 2}]
     assert cov.entry(0, 1) == Fraction(1, 15)
     assert cov.entry(1, 1) == 0
+    # weights 1/2 (identity) and 1/3 (swap) at O(2): numerators over den = 6
+    C = Propagator(
+        2,
+        (
+            PropagatorTerm(((1, 3), (2, 4)), Poly.const(Fraction(1, 2))),
+            PropagatorTerm(((1, 4), (2, 3)), Poly.const(Fraction(1, 3))),
+        ),
+    )
+    cov = ExplicitCovariance.from_propagator(C, GradedForm(2, 0))
+    assert cov.den == 6
+    assert all(type(a) is int and a for row in cov.rows for a in row.values())
+    # x = (0, 0) meets itself by both terms; x = (0, 1) meets itself by the identity, 3/6,
+    # and (1, 0) by the swap, 2/6
+    assert cov.entry(0, 0) == Fraction(5, 6)
+    assert cov.rows[1] == {1: 3, 2: 2}
 
 
 def test_berezin_components_are_computed_once(monkeypatch):
@@ -512,7 +563,7 @@ def test_pfaffian_moments_match_berezin_integration():
         rank = rng.choice((0, 2, 4, 6, 8, None))
         matrix = random_antisymmetric(rng, n, rank)
         den = rng.randint(1, 4)
-        cov = ExplicitCovariance(n, 1, 1, [[Fraction(a) for a in row] for row in matrix], den=den)
+        cov = ExplicitCovariance(n, 1, 1, [dict(enumerate(row)) for row in matrix], den=den)
         state = _BerezinState(cov)
         for length in range(7):
             for _ in range(8):

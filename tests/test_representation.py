@@ -523,6 +523,24 @@ def test_integer_builders_match_symbolic_products_at_d5(N, b):
     assert_symmetric_traceless_matches(5, form)
 
 
+@pytest.mark.parametrize("N,b", GRADED_FORMS)
+def test_symmetric_traceless_projector_is_the_formula_times_the_symmetrizer(N, b):
+    # the builder applies c_(D) below the formula T; since T commutes with
+    # c_(D), its element is the product T * c_(D) / D! of the reference algebra
+    form = GradedForm(N, b)
+    checked = 0
+    for D in (2, 3, 4):
+        try:
+            formula = symmetric_traceless_element(D, form)
+        except ValueError:  # degenerate N, e.g. D = 3 at Sp(2)
+            continue
+        c = embed_group_algebra(young_symmetrizer(YoungDiagram((D,))), D)
+        expected = at_z0(multiply(formula, c.scaled(Fraction(1, math.factorial(D)))), form)
+        assert at_z0(symmetric_traceless_projector(D, form).element, form) == expected, D
+        checked += 1
+    assert checked
+
+
 def binomial(n, k):
     return math.comb(n, k) if k >= 0 else 0
 
@@ -635,13 +653,16 @@ def reference_symmetrized(x, lam, permuted):
 
 
 def assert_factored_symmetrizer_matches(D, form):
+    # c_lambda is applied below only; T commutes with it, so the one-sided
+    # product equals both the below and the above sum over permutations
     for rows in partitions(D):
         lam = YoungDiagram(rows)
-        for below, permuted in ((True, permuted_below), (False, permuted_above)):
-            x = _traceless(D, form)
-            expected = reference_symmetrized(x, lam, permuted)
-            x.symmetrized(lam, below)
-            assert (x.terms, x.den) == expected, (rows, below)
+        x = _traceless(D, form)
+        below = reference_symmetrized(x, lam, permuted_below)
+        above = reference_symmetrized(x, lam, permuted_above)
+        x.symmetrized(lam)
+        assert (x.terms, x.den) == below, rows
+        assert (x.terms, x.den) == above, rows
 
 
 @pytest.mark.parametrize("N,b", [(2, 0), (2, 1), (3, 0), (4, 1)])

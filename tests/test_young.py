@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedtensor.combinatorics import perm_sign
 from gradedtensor.polynomial import Poly
 from gradedtensor.young import (
     GroupAlgebraElement,
@@ -17,7 +18,6 @@ from gradedtensor.young import (
     hook_length,
     lr_coefficient,
     partitions,
-    perm_sign,
     row_group,
     symmetrizer_norm,
     transpose,
