@@ -20,6 +20,7 @@ from .brauer import BrauerDiagram, BrauerElement
 from .combinatorics import (
     DirectedPairing,
     all_pairings,
+    double_factorial,
     face_decomposition,
     pairing_sign,
 )
@@ -316,11 +317,9 @@ def invariant_sign_normal_form(S: StrandedGraph, ref: DirectedPairing) -> Invari
     return InvariantNormalForm(sign=pairing_sign(promoted, strands), contractions=strands)
 
 
-def _placed(D: int, pairs: Iterable[Pair], i: int, j: int) -> Iterator[Pair]:
-    """Propagator slot pairs on the nodes of the edge (i, j): slots 1..D
-    land on vertex i and D+1..2D on vertex j."""
-    for pair in pairs:
-        yield tuple((i - 1) * D + x if x <= D else (j - 1) * D + x - D for x in pair)
+def _edge_nodes(D: int, i: int, j: int) -> List[int]:
+    """Node ids of the edge (i, j) by local slot index: i's D nodes, then j's."""
+    return [*range((i - 1) * D + 1, i * D + 1), *range((j - 1) * D + 1, j * D + 1)]
 
 
 def _completions(
@@ -330,17 +329,15 @@ def _completions(
 
     One completion per vertex pairing of `all_pairings`, given as
     (smaller, larger) pairs in sorted order, and per choice of a
-    propagator term for each of its edges.  For an edge (i, j), slots
-    1..D of the term land on vertex i and D+1..2D on vertex j.
+    propagator term for each edge, placed by `_edge_nodes`.
     """
-    D = S.D
-    oriented_terms = [t.oriented().pairs for t in C.terms]
+    terms = [[(a - 1, b - 1) for a, b in t.oriented().pairs] for t in C.terms]
     for matching in all_pairings(S.vertices):
-        placed = [
-            [tuple(_placed(D, term, i, j)) for term in oriented_terms]
-            for i, j in matching
-        ]
-        for choice in itertools.product(range(len(oriented_terms)), repeat=len(matching)):
+        placed = []
+        for i, j in matching:
+            nodes = _edge_nodes(S.D, i, j)
+            placed.append([tuple((nodes[x], nodes[y]) for x, y in term) for term in terms])
+        for choice in itertools.product(range(len(terms)), repeat=len(matching)):
             color0 = tuple(p for edge, t in zip(placed, choice) for p in edge[t])
             yield matching, choice, color0
 
@@ -388,15 +385,30 @@ def graph_amplitude(G: TwoColoredGraph, b: int) -> Poly:
     return G.weight * sign * Poly.monomial(total)
 
 
-def _add_product(acc: List[int], p: Sequence[int], q: Sequence[int]) -> None:
-    """acc += p * q on integer coefficient lists, growing acc."""
-    need = len(p) + len(q) - 1
-    if len(acc) < need:
-        acc.extend([0] * (need - len(acc)))
-    for k, d in enumerate(q):
-        if d:
-            for i, c in enumerate(p, k):
-                acc[i] += c * d
+def _pair_level(states: dict, D: int, terms: List[Tuple[List[Pair], int]], bits: int) -> dict:
+    """One level of `_wick_fold`: each state pairs its smallest unpaired vertex
+    i with each later j by each (local strands, packed weight) term, merged."""
+    merged: dict = {}
+    for (unpaired, key), value in states.items():
+        i, later = unpaired[0], unpaired[1:]
+        scaled = [(strands, value * w) for strands, w in terms]
+        for k, j in enumerate(later):
+            rest = later[:k] + later[k + 1:]
+            nodes = _edge_nodes(D, i, j)
+            for strands, vw in scaled:
+                partner = list(key)
+                faces = 0
+                for x, y in strands:
+                    a, b = nodes[x], nodes[y]
+                    pa, pb = partner[a], partner[b]
+                    if pa == b:
+                        faces += 1
+                    else:
+                        partner[pa], partner[pb] = pb, pa
+                    partner[a] = partner[b] = 0
+                nxt = (rest, tuple(partner))
+                merged[nxt] = merged.get(nxt, 0) + (vw << faces * bits)
+    return merged
 
 
 def _wick_fold(S: StrandedGraph, C: Propagator) -> Poly:
@@ -404,16 +416,23 @@ def _wick_fold(S: StrandedGraph, C: Propagator) -> Poly:
 
     Every completion with F faces and chosen terms t contributes
     z^F * prod(w_t(z)).  Vertices are paired one edge at a time in the
-    order of `_completions`: the smallest unpaired vertex with each later
-    one, and each term per edge.  A state is the list of unpaired
-    vertices and the partner map on the open nodes, those of unpaired
-    vertices: each open node ends an alternating path of the strands
-    placed so far, and the map sends it to the other end.  A color-0
-    strand (a, b) closes a face when b is a's partner and otherwise joins
-    the partners of a and b.  Completions that reach the same state merge
-    there into one z-polynomial of integer numerators over den^edges,
-    den being the common denominator of the term weights.  The empty
-    graph gives 1; an odd number of vertices gives 0.
+    order of `_completions`, one `_pair_level` per edge.  A state is the
+    list of unpaired vertices and the partner map on the open nodes,
+    those of unpaired vertices: each open node ends an alternating path
+    of the strands placed so far, and the map sends it to the other end.
+    A color-0 strand (a, b) closes a face when b is a's partner and
+    otherwise joins the partners of a and b.  Equal states merge.  The
+    empty graph gives 1; an odd number of vertices gives 0.
+
+    A state carries one int, its z-polynomial of integer numerators over
+    den^(v/2) (den the lcm of the weights' denominators) at z = 2^bits;
+    a term adds value * w_t(2^bits) << F*bits.  Bound: each coefficient
+    of the result is at most (v-1)!! * W^(v/2) in size, W the sum of all
+    |numerator_tk|: the sum of |coefficients| is subadditive, kept by
+    z^F and submultiplicative, so it is at most W^(v/2) per vertex
+    pairing.  With bits = bound.bit_length() + 1 each coefficient lies in
+    [-2^(bits-1), 2^(bits-1)), so the final int's signed base-2^bits
+    digits are the coefficients.
     """
     if S.vertices == 0:
         return Poly.const(1)
@@ -421,46 +440,26 @@ def _wick_fold(S: StrandedGraph, C: Propagator) -> Poly:
         raise ValueError("propagator strand count does not match the graph")
     if S.vertices % 2 != 0:
         return Poly()
-    D, n = S.D, S.node_count
+    n, edges = S.node_count, S.vertices // 2
     den = math.lcm(*(c.denominator for t in C.terms for c in t.weight.coeffs))
     numerators = [[int(c * den) for c in t.weight.coeffs] for t in C.terms]
-    step_len = D + max(map(len, numerators), default=0)  # an edge closes at most D faces
+    bound = double_factorial(S.vertices - 1) * sum(abs(c) for w in numerators for c in w) ** edges
+    bits = bound.bit_length() + 1
+    terms = [
+        ([(a - 1, b - 1) for a, b in t.pairing], sum(c << k * bits for k, c in enumerate(w)))
+        for t, w in zip(C.terms, numerators)
+    ]
     start = [0] * (n + 1)
     for a, b in S.strands:
         start[a], start[b] = b, a
-    placed = {
-        (i, j): [list(_placed(D, t.pairing, i, j)) for t in C.terms]
-        for i, j in itertools.combinations(range(1, S.vertices + 1), 2)
-    }
-    states = {(tuple(range(1, S.vertices + 1)), tuple(start)): [1]}
-    for _ in range(S.vertices // 2):
-        merged: dict = {}
-        for (unpaired, key), value in states.items():
-            i, later = unpaired[0], unpaired[1:]
-            moves: dict = {}  # next state -> sum of z^faces * numerator
-            for j in later:
-                rest = tuple(v for v in later if v != j)
-                for strands, w in zip(placed[i, j], numerators):
-                    partner = list(key)
-                    faces = 0
-                    for a, b in strands:
-                        pa, pb = partner[a], partner[b]
-                        if pa == b:
-                            faces += 1
-                        else:
-                            partner[pa], partner[pb] = pb, pa
-                        partner[a] = partner[b] = 0
-                    nxt = (rest, tuple(partner))
-                    step = moves.get(nxt)
-                    if step is None:
-                        step = moves[nxt] = [0] * step_len
-                    for k, c in enumerate(w, faces):
-                        step[k] += c
-            for nxt, step in moves.items():
-                _add_product(merged.setdefault(nxt, []), value, step)
-        states = merged
-    scale = den ** (S.vertices // 2)
-    return Poly(Fraction(c, scale) for c in states.get(((), (0,) * (n + 1)), []))
+    states = {(tuple(range(1, S.vertices + 1)), tuple(start)): 1}
+    for _ in range(edges):
+        states = _pair_level(states, S.D, terms, bits)
+    packed, digits, half = states.get(((), (0,) * (n + 1)), 0), [], 1 << (bits - 1)
+    while packed:
+        digits.append(((packed + half) & ((1 << bits) - 1)) - half)
+        packed = (packed - digits[-1]) >> bits
+    return Poly(Fraction(c, den**edges) for c in digits)
 
 
 def gaussian_expectation(S: StrandedGraph, C: Propagator, b: int) -> Poly:
@@ -468,10 +467,11 @@ def gaussian_expectation(S: StrandedGraph, C: Propagator, b: int) -> Poly:
 
     A completion with F faces and chosen term weights w contributes
     prod(w(z)) * z^F at the loop weight z = (-1)^b N, so the whole sum is
-    one z-polynomial, built by `_wick_fold` without forming any graph, and
-    read at z = N for b=0 and z = -N for b=1.  S may be disconnected (a
-    product of invariants is one disconnected invariant).  The empty
-    graph has expectation 1; an odd number of vertices gives 0.
+    one z-polynomial, folded by `_wick_fold` into one int with no graph
+    formed (its value at z = 2^bits, bits past the bound on its
+    coefficients), and read at z = N for b=0 and z = -N for b=1.  S may be
+    disconnected (a product of invariants is one disconnected invariant).
+    The empty graph has expectation 1; an odd number of vertices gives 0.
     """
     z = _wick_fold(S, C)
     return z.reflected() if b else z

@@ -435,10 +435,29 @@ def coprime_z_table(rng, D: int) -> Propagator:
     return Propagator(D, tuple(PropagatorTerm(p, w) for p, w in zip(pairings, weights)))
 
 
+def wide_negative_table(rng, D: int) -> Propagator:
+    """Three terms whose numerators are negative and above 2^64 in size,
+    over the denominators 3, 5 and 7."""
+    weights = [
+        Poly(tuple(Fraction(-(2**64 + rng.randrange(2**64)), q) for _ in range(2)))
+        for q in (3, 5, 7)
+    ]
+    return Propagator(D, tuple(PropagatorTerm(rand_diagram(rng, D).pairs, w) for w in weights))
+
+
+def zero_weight_table(rng, D: int) -> Propagator:
+    """A zero-weight term, which the table drops, beside terms with zero
+    coefficients below their top one."""
+    weights = [Poly(), Poly((0, 0, Fraction(-1, 3))), Poly((Fraction(5, 2), 0, 1))]
+    return Propagator(D, tuple(PropagatorTerm(rand_diagram(rng, D).pairs, w) for w in weights))
+
+
 def fold_cases():
-    """Seeded graphs: random matchings (strands inside one vertex and
-    disconnected pieces included), disjoint unions as `expand --order 2`
-    builds them, and explicit strands within one vertex."""
+    """Seeded graphs with their tables: random matchings (strands inside
+    one vertex and disconnected pieces included), disjoint unions as
+    `expand --order 2` builds them, and explicit strands within one
+    vertex, under `coprime_z_table`; then tables that test the decode of
+    the fold's packed int."""
     rng = random.Random(20261018)
     cases = [
         (f"random-d{D}-v{v}-{k}", rand_stranded_graph(rng, D, v))
@@ -451,15 +470,22 @@ def fold_cases():
     cases.append(("self-strands-d2-v4", StrandedGraph(2, 4, ((1, 2), (3, 5), (4, 7), (6, 8)))))
     self_strands = ((1, 2), (3, 4), (5, 6), (7, 10), (8, 9), (11, 12))
     cases.append(("self-strands-d3-v4", StrandedGraph(3, 4, self_strands)))
+    cases = [(name, g, coprime_z_table(random.Random(name), g.D)) for name, g in cases]
+    cases.append(("wide-negative-d2-v6", rand_stranded_graph(rng, 2, 6), wide_negative_table(rng, 2)))
+    cases.append(("zero-weight-d3-v4", rand_stranded_graph(rng, 3, 4), zero_weight_table(rng, 3)))
+    # one term, one coefficient: the bound on the result is |numerator|
+    # itself, and 2^70 - 1 is the largest with its bit length, so the
+    # z^3 coefficient sits next to the lowest signed digit
+    edge = Propagator.identity(3, Fraction(-(2**70 - 1), 5))
+    cases.append(("minus-bound-dipole-d3", dipole(3), edge))
     return cases
 
 
 FOLD_CASES = fold_cases()
 
 
-@pytest.mark.parametrize("name,graph", FOLD_CASES, ids=[name for name, _ in FOLD_CASES])
-def test_fold_matches_reference_census(name, graph):
-    C = coprime_z_table(random.Random(name), graph.D)
+@pytest.mark.parametrize("name,graph,C", FOLD_CASES, ids=[name for name, _, _ in FOLD_CASES])
+def test_fold_matches_reference_census(name, graph, C):
     census = reference_face_census(graph, C)
     assert census, "every case has completions"
     for b in (0, 1):
@@ -481,23 +507,24 @@ def test_fold_of_vertices_without_slots():
 
 
 def test_fold_merges_equal_states(monkeypatch):
-    # D=2 v=8 with four terms has 105 * 4^4 = 26880 completions; the fold
-    # adds into a merged state 289 times, and stops early here if it does
-    # not merge
+    # D=2 v=8 with four terms has 105 * 4^4 = 26880 completions; the four
+    # levels of the fold take 1, 12, 42 and 24 merged states, and it stops
+    # early here if it does not merge (1, 28, 560 and 6720 states)
     g = rand_connected_graph(random.Random(8), 2, 8)
     C = coprime_z_table(random.Random(8), 2)
-    calls = []
-    add = model._add_product
+    entering = []
+    level = model._pair_level
 
-    def counted(*args):
-        calls.append(None)
-        assert len(calls) <= 1000, "the fold does not merge equal states"
-        return add(*args)
+    def counted(states, *args):
+        entering.append(len(states))
+        assert sum(entering) <= 1000, "the fold does not merge equal states"
+        return level(states, *args)
 
-    monkeypatch.setattr(model, "_add_product", counted)
+    monkeypatch.setattr(model, "_pair_level", counted)
     assert gaussian_expectation(g, C, 0) == reference_expectation(
         reference_face_census(g, C), C, 0
     )
+    assert entering == [1, 12, 42, 24]
 
 
 def symmetric_d3_table() -> Propagator:
