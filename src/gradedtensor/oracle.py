@@ -1,14 +1,20 @@
 """Brute-force verification of Gaussian expectations, no stranded graphs.
 
-Bosonic moments are literal sums over index pairings of numeric
-covariance entries.  A fermionic moment of an ordered product of
-anticommuting components is the Pfaffian of the covariance block on
-those components, computed by exact skew elimination (`_pfaffian`),
-so its sign comes from the elimination's pivot swaps rather than from
-the pipeline's face counting.  Berezin integration in an exterior
-algebra (`berezin_expectation`) is kept as the first-principles
-reference for those moments.  Two signs do come from `pairing_sign`, as
-in the pipeline: the covariance's grading sign per propagator term
+A bosonic invariant expectation is the literal sum, over vertex pairings
+and index assignments, of form entries times numeric covariance entries.
+It is regrouped by the distributive law only: for each vertex pairing
+the pairs are taken in order, only the covariance entries that agree
+with the slot values already forced by strands are visited, and
+partial sums with equal forced values on the pairs not yet reached are
+merged (`_sparse_contraction`).  No face is counted and no strand is
+walked.  A fermionic moment of an ordered product of anticommuting
+components is the Pfaffian of the covariance block on those components,
+computed by exact skew elimination (`_pfaffian`), so its sign comes from
+the elimination's pivot swaps rather than from the pipeline's face
+counting.  Berezin integration in an exterior algebra
+(`berezin_expectation`) is kept as the first-principles reference for
+those moments.  Two signs do come from `pairing_sign`, as in the
+pipeline: the covariance's grading sign per propagator term
 (`ExplicitCovariance.from_propagator`) and the invariant's grading sign
 against the reference vertex pairing (`invariant_sign_normal_form`).
 Agreement of the two routes is the package's central correctness property.
@@ -355,11 +361,19 @@ def berezin_expectation(cov: ExplicitCovariance, monomial: Sequence[int]) -> Fra
 
 
 def oracle_work(S: StrandedGraph, N: int, b: int) -> int:
-    """The work `numeric_invariant_expectation` does on S: N^strands index
-    assignments (each form has N nonzero entries), times the (v-1)!! vertex
-    pairings of a bosonic moment, or times (v/2)^3 for a fermionic one,
-    the elimination cost of its v x v Pfaffian in units of one pairing
-    product (1 at v = 2)."""
+    """The work `numeric_invariant_expectation` may do on S, checked
+    against `WORK_CAP` before the covariance is built.
+
+    Both gradings count the N^strands index assignments (each form has N
+    nonzero entries).  A fermionic assignment costs one v x v Pfaffian,
+    (v/2)^3 in units of one pairing product (1 at v = 2).  A bosonic one
+    is counted (v-1)!! times, once per vertex pairing: the estimate is the
+    number of terms of the literal sum.  `_sparse_contraction` regroups
+    that sum; at each of a pairing's v/2 pairs it looks up at most one
+    covariance entry per choice of form entries on the strands it has
+    reached (or scans rows no longer, on average, than those lookups), so
+    its visits stay within v/2 times the estimate, and fall far below it
+    where forced values merge."""
     v = S.vertices
     per_assignment = (v // 2) ** 3 if (b * S.D) % 2 else double_factorial(v - 1)
     return N ** len(S.strands) * per_assignment
@@ -395,6 +409,124 @@ def _assignments(per_strand: List[List[tuple]], vertices: int, sign: int):
             yield [a + c for a, c in zip(codes, rest)], weight * w
 
 
+def _choices(inside: List[list], to_second: List[list], onward: List[tuple]) -> List[tuple]:
+    """(code part, entry product, part of the second code, state increment)
+    for every choice of one form entry per strand.
+
+    A strand's choices are (part of this code, part of the far code,
+    entry); a strand inside the tensor adds both parts to this code, one
+    to the second tensor adds its far part to the second code, and one
+    onward to a later pair adds its far part times its shift to the state."""
+    out = [(0, 1, 0, 0)]
+    for options in inside:
+        out = [(f + a + b, g * h, y, d) for f, g, y, d in out for a, b, h in options]
+    for options in to_second:
+        out = [(f + a, g * h, y + b, d) for f, g, y, d in out for a, b, h in options]
+    for options, shift in onward:
+        out = [(f + a, g * h, y, d + b * shift) for f, g, y, d in out for a, b, h in options]
+    return out
+
+
+def _sparse_contraction(ends: List[List[tuple]], rows: Sequence[Dict[int, int]], N: int, sign: int) -> int:
+    """The bosonic sum of `numeric_invariant_expectation`: over the vertex
+    pairings and the index assignments, sign times the form entries times
+    the covariance numerators, taken over the covariance's nonzero entries.
+
+    `ends[p]` lists, per node of the tensor at product position p, its
+    digit, the position of the strand's far end, and the strand's form
+    entries as (value here times this digit, value there times the far
+    digit, entry); the head of a strand inside one tensor has None, as the
+    strand is chosen once, from its tail.
+
+    Each pairing's pairs are taken in order.  A state holds the slot
+    values forced by strands from the pairs already taken on the
+    positions not yet reached, as one int: with the pairs' positions
+    listed in order, the code of the k-th position not yet reached times
+    (N^D)^k, so that states with equal forced values merge.  At the pair
+    (p, q) each choice of form entries on p's unforced strands gives X;
+    the second code Y is then fixed on every slot but those of strands
+    inside q or leaving the pair from q.  If those choices are fewer than
+    a row's nonzeros on average, each candidate Y is looked up in row X (a
+    single lookup when no slot of Y is free); otherwise row X is scanned
+    for the nonzeros that agree with the fixed slots.
+    """
+    size = len(rows)
+    scan_cost = sum(map(len, rows))  # one scan of every row, in lookups
+    shift = [size**k for k in range(len(ends))]
+    projections: Dict[tuple, List[int]] = {}  # free digits -> each code's part on them
+    total = 0
+    for pairing in all_pairings(len(ends)):
+        order = [x - 1 for pair in pairing for x in pair]
+        rank = [0] * len(order)
+        for t, position in enumerate(order):
+            rank[position] = t
+        states = {0: sign}
+        for t in range(0, len(order), 2):
+            p, q = order[t], order[t + 1]
+            inside, to_second, onward = [], [], []
+            for _, r, options in ends[p]:
+                if r == p:
+                    if options:
+                        inside.append(options)
+                elif r == q:
+                    to_second.append(options)
+                elif rank[r] > t:
+                    onward.append((options, shift[rank[r] - t - 2]))
+            xs = _choices(inside, to_second, onward)
+            inside, onward = [], []
+            free = []  # digits of Y's slots fixed neither by p nor by earlier pairs
+            for w, r, options in ends[q]:
+                if r == q:
+                    if options:
+                        inside.append(options)
+                elif r == p or rank[r] < t:
+                    continue
+                else:
+                    onward.append((options, shift[rank[r] - t - 2]))
+                free.append(w)
+            ys = _choices(inside, [], onward)
+            new: Dict[int, int] = {}
+            if len(ys) * size <= scan_cost:
+                for state, weight in states.items():
+                    rest, fp = divmod(state, size)
+                    rest, fq = divmod(rest, size)
+                    for f, g, y, d in xs:
+                        row = rows[fp + f]
+                        if not row:
+                            continue
+                        y += fq
+                        d += rest
+                        g *= weight
+                        for fy, h, _, e in ys:
+                            a = row.get(y + fy)
+                            if a:
+                                key = d + e
+                                new[key] = new.get(key, 0) + g * h * a
+            else:
+                free = tuple(sorted(free))
+                part = projections.get(free)
+                if part is None:
+                    part = projections[free] = [sum(code // w % N * w for w in free) for code in range(size)]
+                ys = {f: (g, d) for f, g, _, d in ys}
+                for state, weight in states.items():
+                    rest, fp = divmod(state, size)
+                    rest, fq = divmod(rest, size)
+                    for f, g, y, d in xs:
+                        y += fq
+                        d += rest
+                        g *= weight
+                        for code, a in rows[fp + f].items():
+                            fy = part[code]
+                            if code - fy == y:
+                                entry = ys.get(fy)
+                                if entry is not None:
+                                    key = d + entry[1]
+                                    new[key] = new.get(key, 0) + g * entry[0] * a
+            states = new
+        total += states.get(0, 0)
+    return total
+
+
 def numeric_invariant_expectation(
     S: StrandedGraph,
     C: Propagator,
@@ -404,21 +536,24 @@ def numeric_invariant_expectation(
 ) -> Fraction:
     """Evaluate a Gaussian invariant expectation by direct index summation.
 
-    Builds the explicit covariance, runs over every index assignment
-    supported on the strand contractions, and takes moments of the
-    ordered tensor product with the bosonic or fermionic rule as the
-    component parity demands.  Shares no face counting with the
-    stranded-graph pipeline; at b = 1 the covariance's grading sign and
-    the invariant's sign from `invariant_sign_normal_form` are pairing
-    signs, and only the moment signs come from the Pfaffian elimination.
+    Builds the explicit covariance and sums, over the index assignments
+    supported on the strand contractions, the moments of the ordered
+    tensor product, with the bosonic or fermionic rule as the component
+    parity demands.  Shares no face counting with the stranded-graph
+    pipeline; at b = 1 the covariance's grading sign and the invariant's
+    sign from `invariant_sign_normal_form` are pairing signs, and only
+    the fermionic moment signs come from the Pfaffian elimination.
 
     Each strand node is compiled once to its tensor position and the
     digit weight of its slot, so a component code is a sum of ints.  A
-    bosonic moment sums, over the vertex pairings listed once, products
-    of integer covariance numerators; a fermionic moment is the Pfaffian
-    of the v x v block of integer numerators on the assignment's
-    components.  Either total is divided by den^(v/2) once at the end.
-    Above `WORK_CAP` (see `oracle_work`) the call raises
+    fermionic moment is the Pfaffian of the v x v block of integer
+    numerators on one assignment's components, per assignment.  The
+    bosonic sum over assignments and vertex pairings of products of
+    integer covariance numerators is taken per vertex pairing as a
+    contraction over the covariance's nonzero entries
+    (`_sparse_contraction`): the same terms, regrouped, with no
+    assignment listed.  Either total is divided by den^(v/2) once at
+    the end.  Above `WORK_CAP` (see `oracle_work`) the call raises
     `CapExceededError` before building the covariance.
     """
     if S.vertices == 0:
@@ -445,30 +580,24 @@ def numeric_invariant_expectation(
         for k in range(1, D * S.vertices + 1)
     ]
     lower = sorted(form.lower.items())  # [((i, j), value)]
-    # per strand, per form entry: (position, digit) at both ends and the entry
-    per_strand = []
-    for k, l in normal.contractions.pairs:
-        (pk, wk), (pl, wl) = place[k], place[l]
-        per_strand.append([(pk, i * wk, pl, j * wl, g) for (i, j), g in lower])
-
-    assignments = _assignments(per_strand, S.vertices, sign)
     rows = cov.rows
-
-    total = 0
     if (b * D) % 2:
-        for codes, weight in assignments:
+        # per strand, per form entry: (position, digit) at both ends and the entry
+        per_strand = []
+        for k, l in normal.contractions.pairs:
+            (pk, wk), (pl, wl) = place[k], place[l]
+            per_strand.append([(pk, i * wk, pl, j * wl, g) for (i, j), g in lower])
+        total = 0
+        for codes, weight in _assignments(per_strand, S.vertices, sign):
             block = [[row.get(y, 0) for y in codes] for row in [rows[x] for x in codes]]
             total += weight * _pfaffian(block)
         return Fraction(total, cov.den ** (S.vertices // 2))
 
-    pairings = [tuple((i - 1, j - 1) for i, j in m) for m in all_pairings(S.vertices)]
-    for codes, weight in assignments:
-        for pairing in pairings:
-            prod = weight
-            for i, j in pairing:
-                prod *= rows[codes[i]].get(codes[j], 0)
-                if not prod:
-                    break
-            else:
-                total += prod
-    return Fraction(total, cov.den ** (S.vertices // 2))
+    # per position, per node: its digit, the far end's position and the
+    # strand's form entries (see _sparse_contraction)
+    ends: List[List[tuple]] = [[] for _ in range(S.vertices)]
+    for k, l in normal.contractions.pairs:
+        (pk, wk), (pl, wl) = place[k], place[l]
+        ends[pk].append((wk, pl, [(i * wk, j * wl, g) for (i, j), g in lower]))
+        ends[pl].append((wl, pk, None if pk == pl else [(j * wl, i * wk, g) for (i, j), g in lower]))
+    return Fraction(_sparse_contraction(ends, rows, N, sign), cov.den ** (S.vertices // 2))

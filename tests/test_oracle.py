@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import json
 import math
@@ -8,6 +9,8 @@ from fractions import Fraction
 from typing import Dict, Optional
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradedtensor import oracle
 from gradedtensor.cli import run
@@ -701,3 +704,125 @@ def test_oracle_check_reaches_sp4_and_still_rejects_mixed_symmetry(tmp_path, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert "covariance does not match the component parity" in err
+
+
+# -- the sparse bosonic contraction against the literal reference ---------------
+
+
+def full_symmetrizer_table(D: int) -> Propagator:
+    """(1/D!) times the sum over slot permutations."""
+    weight = Poly.const(Fraction(1, math.factorial(D)))
+    return Propagator(D, tuple(
+        PropagatorTerm(tuple((c, D + 1 + sigma[c - 1]) for c in range(1, D + 1)), weight)
+        for sigma in itertools.permutations(range(D))
+    ))
+
+
+def arcs_table(D: int) -> Propagator:
+    """The identity minus twice a cap-cup over slots 1, 2: row X of its
+    covariance also holds codes Y whose values are no relabeling of X's,
+    so X alone does not force the second code."""
+    straight = tuple((c, D + c) for c in range(3, D + 1))
+    return Propagator(D, (
+        PropagatorTerm(tuple((c, D + c) for c in range(1, D + 1)), Poly.const(1)),
+        PropagatorTerm(((1, 2), (D + 1, D + 2)) + straight, Poly.const(-2)),
+    ))
+
+
+def bosonic_tables(rng: random.Random, D: int) -> list:
+    return [Propagator.identity(D), full_symmetrizer_table(D), random_symmetric_table(rng, D), arcs_table(D)]
+
+
+def assert_matches_reference(graphs, tables, forms):
+    for g in graphs:
+        for table in tables:
+            for N, b in forms:
+                expected = reference_invariant_expectation(g, table, N, b)
+                assert numeric_invariant_expectation(g, table, N, b) == expected, (g, table, N, b)
+
+
+# bosonic gradings: O(N) at every D, Sp(N) at even D
+@pytest.mark.parametrize("vertices,forms", [
+    (2, [(2, 0), (3, 0), (2, 1), (4, 1)]),
+    (4, [(2, 0), (3, 0), (2, 1), (4, 1)]),
+    (6, [(2, 0), (3, 0), (2, 1)]),  # Sp(4) at v = 6 is 4^6 assignments per reference moment
+])
+def test_contraction_matches_the_reference_on_every_d2_class(vertices, forms):
+    rng = random.Random(9500 + vertices)
+    assert_matches_reference(enumerate_invariants(2, vertices), bosonic_tables(rng, 2), forms)
+
+
+def test_contraction_matches_the_reference_on_every_d3_class():
+    rng = random.Random(9600)
+    assert_matches_reference(enumerate_invariants(3, 2), bosonic_tables(rng, 3), [(2, 0), (3, 0)])
+    classes = enumerate_invariants(3, 4)
+    assert len(classes) == 438
+    assert_matches_reference(classes, bosonic_tables(rng, 3), [(2, 0)])
+    # O(3) on a seeded sample: the reference takes 3^6 moments per class
+    assert_matches_reference(rng.sample(classes, 16), bosonic_tables(rng, 3), [(3, 0)])
+
+
+def test_contraction_matches_the_reference_on_sampled_d4_v4_classes():
+    rng = random.Random(9700)
+    classes = rng.sample(enumerate_invariants(4, 4), 3)
+    assert_matches_reference(classes, bosonic_tables(rng, 4), [(2, 0), (2, 1)])
+    # O(3): the reference takes 3^8 moments per class
+    assert_matches_reference(classes[:2], bosonic_tables(rng, 4), [(3, 0)])
+
+
+@st.composite
+def bosonic_cases(draw):
+    """A connected graph, an integer table and a bosonic form; D = 4, v = 4
+    is left to the sampled classes, as its reference takes 3^8 moments."""
+    D, vertices = draw(st.sampled_from([(1, 2), (2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (4, 2)]))
+    nodes = draw(st.permutations(range(1, D * vertices + 1)))
+    g = StrandedGraph(D, vertices, tuple((nodes[2 * i], nodes[2 * i + 1]) for i in range(len(nodes) // 2)))
+    assume(g.is_connected())
+    pairings = block_symmetric_pairings(D)
+    chosen = draw(st.lists(st.sampled_from(pairings), min_size=1, max_size=3, unique=True))
+    table = Propagator(D, tuple(
+        PropagatorTerm(p, Poly.const(draw(st.integers(-3, 3).filter(bool)))) for p in chosen
+    ))
+    N, b = draw(st.sampled_from([(2, 0), (3, 0), (2, 1)] if D % 2 == 0 else [(2, 0), (3, 0)]))
+    return g, table, N, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=bosonic_cases())
+def test_contraction_matches_the_reference_on_random_graphs(case):
+    g, table, N, b = case
+    assert numeric_invariant_expectation(g, table, N, b) == reference_invariant_expectation(g, table, N, b)
+
+
+POOL = json.loads(
+    (pathlib.Path(__file__).resolve().parents[1] / "bench" / "pools" / "oracle-check.json").read_text()
+)
+
+
+def test_bosonic_oracle_check_lists_no_assignment(tmp_path, capsys, monkeypatch):
+    # the D = 4, v = 4 symmetrizer job at O(3) agrees, byte for byte with its
+    # golden, with no index assignment listed
+    for name in ("g_d4_v4_1.json", "sym_d4.json"):
+        (tmp_path / name).write_text(json.dumps(POOL["files"][name]))
+    argv = ["oracle-check", "--graph", "@g_d4_v4_1.json", "--propagator", "@sym_d4.json",
+            "--N", "3", "--b", "0", "--json"]
+    job = next(j for j in POOL["jobs"] if j["argv"] == argv)
+    monkeypatch.setattr(oracle, "_assignments", lambda *a: pytest.fail("assignments listed"))
+    code = run([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv])
+    out = capsys.readouterr().out
+    assert json.loads(out)["agree"] is True
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (job["exit"], job["sha256"])
+
+
+def test_fermionic_oracle_takes_one_pfaffian_per_assignment(monkeypatch):
+    calls = []
+    assignments = oracle._assignments
+
+    def counted(*args):
+        calls.append(args)
+        return assignments(*args)
+
+    monkeypatch.setattr(oracle, "_assignments", counted)
+    table = Propagator.identity(3)
+    assert numeric_invariant_expectation(pillow(), table, 2, 1) == gaussian_expectation(pillow(), table, 1)(Fraction(2))
+    assert len(calls) == 1
