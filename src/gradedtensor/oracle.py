@@ -371,9 +371,8 @@ def oracle_work(S: StrandedGraph, N: int, b: int) -> int:
     number of terms of the literal sum.  `_sparse_contraction` regroups
     that sum; at each of a pairing's v/2 pairs it looks up at most one
     covariance entry per choice of form entries on the strands it has
-    reached (or scans rows no longer, on average, than those lookups), so
-    its visits stay within v/2 times the estimate, and fall far below it
-    where forced values merge."""
+    reached, so its lookups stay within v/2 times the estimate, and fall
+    far below it where forced values merge."""
     v = S.vertices
     per_assignment = (v // 2) ** 3 if (b * S.D) % 2 else double_factorial(v - 1)
     return N ** len(S.strands) * per_assignment
@@ -409,119 +408,93 @@ def _assignments(per_strand: List[List[tuple]], vertices: int, sign: int):
             yield [a + c for a, c in zip(codes, rest)], weight * w
 
 
-def _choices(inside: List[list], to_second: List[list], onward: List[tuple]) -> List[tuple]:
-    """(code part, entry product, part of the second code, state increment)
-    for every choice of one form entry per strand.
+def _pair_plan(ends: List[List[tuple]], p: int, q: int, reached: int, shift: List[int]) -> tuple:
+    """The choices of form entries at the pair (p, q) of a vertex pairing,
+    once the positions in the bitmask `reached` are taken.
 
-    A strand's choices are (part of this code, part of the far code,
-    entry); a strand inside the tensor adds both parts to this code, one
-    to the second tensor adds its far part to the second code, and one
-    onward to a later pair adds its far part times its shift to the state."""
-    out = [(0, 1, 0, 0)]
-    for options in inside:
-        out = [(f + a + b, g * h, y, d) for f, g, y, d in out for a, b, h in options]
-    for options in to_second:
-        out = [(f + a, g * h, y + b, d) for f, g, y, d in out for a, b, h in options]
-    for options, shift in onward:
-        out = [(f + a, g * h, y, d + b * shift) for f, g, y, d in out for a, b, h in options]
-    return out
+    xs holds (part of X, entry product, part of Y, forced values onward)
+    per choice of one entry on each of p's strands not taken yet: a strand
+    inside p adds both its parts to X, one to q adds its far part to Y,
+    and one onward adds its far part times its position's shift to the
+    forced values.  ys holds (part of Y, entry product, forced values
+    onward) per choice on q's strands that are inside q or go onward; the
+    other slots of Y are fixed by p or by earlier pairs."""
+    xs = [(0, 1, 0, 0)]
+    for r, options in ends[p]:
+        if r == p:
+            if options:
+                xs = [(f + a + c, g * h, y, d) for f, g, y, d in xs for a, c, h in options]
+        elif r == q:
+            xs = [(f + a, g * h, y + c, d) for f, g, y, d in xs for a, c, h in options]
+        elif not reached >> r & 1:
+            s = shift[r]
+            xs = [(f + a, g * h, y, d + c * s) for f, g, y, d in xs for a, c, h in options]
+    ys = [(0, 1, 0)]
+    for r, options in ends[q]:
+        if r == q:
+            if options:
+                ys = [(f + a + c, g * h, d) for f, g, d in ys for a, c, h in options]
+        elif r != p and not reached >> r & 1:
+            s = shift[r]
+            ys = [(f + a, g * h, d + c * s) for f, g, d in ys for a, c, h in options]
+    return xs, ys
 
 
-def _sparse_contraction(ends: List[List[tuple]], rows: Sequence[Dict[int, int]], N: int, sign: int) -> int:
+def _sparse_contraction(ends: List[List[tuple]], rows: Sequence[Dict[int, int]], sign: int) -> int:
     """The bosonic sum of `numeric_invariant_expectation`: over the vertex
     pairings and the index assignments, sign times the form entries times
     the covariance numerators, taken over the covariance's nonzero entries.
 
-    `ends[p]` lists, per node of the tensor at product position p, its
-    digit, the position of the strand's far end, and the strand's form
-    entries as (value here times this digit, value there times the far
-    digit, entry); the head of a strand inside one tensor has None, as the
-    strand is chosen once, from its tail.
+    `ends[p]` lists, per node of the tensor at product position p, the
+    position of the strand's far end and the strand's form entries as
+    (value here times this slot's digit, value there times the far
+    slot's digit, entry); the head of a strand inside one tensor has None,
+    as the strand is chosen once, from its tail.
 
     Each pairing's pairs are taken in order.  A state holds the slot
     values forced by strands from the pairs already taken on the
-    positions not yet reached, as one int: with the pairs' positions
-    listed in order, the code of the k-th position not yet reached times
-    (N^D)^k, so that states with equal forced values merge.  At the pair
-    (p, q) each choice of form entries on p's unforced strands gives X;
-    the second code Y is then fixed on every slot but those of strands
-    inside q or leaving the pair from q.  If those choices are fewer than
-    a row's nonzeros on average, each candidate Y is looked up in row X (a
-    single lookup when no slot of Y is free); otherwise row X is scanned
-    for the nonzeros that agree with the fixed slots.
+    positions not yet reached, as one int, the code forced on position r
+    times (N^D)^r, so that states with equal forced values merge.  At the
+    pair (p, q) each choice of form entries on p's strands not taken yet
+    gives X and fixes Y on every slot but those of strands inside q or
+    leaving the pair from q; each choice on those gives one candidate Y,
+    looked up in row X.  The choices at a pair depend only on p, q and
+    the positions already reached, so they are listed once per call
+    (`_pair_plan`) and shared by every pairing that takes the same pair
+    after the same positions.
     """
     size = len(rows)
-    scan_cost = sum(map(len, rows))  # one scan of every row, in lookups
     shift = [size**k for k in range(len(ends))]
-    projections: Dict[tuple, List[int]] = {}  # free digits -> each code's part on them
+    plans: Dict[tuple, tuple] = {}  # (p, q, positions reached) -> (xs, ys)
     total = 0
     for pairing in all_pairings(len(ends)):
-        order = [x - 1 for pair in pairing for x in pair]
-        rank = [0] * len(order)
-        for t, position in enumerate(order):
-            rank[position] = t
         states = {0: sign}
-        for t in range(0, len(order), 2):
-            p, q = order[t], order[t + 1]
-            inside, to_second, onward = [], [], []
-            for _, r, options in ends[p]:
-                if r == p:
-                    if options:
-                        inside.append(options)
-                elif r == q:
-                    to_second.append(options)
-                elif rank[r] > t:
-                    onward.append((options, shift[rank[r] - t - 2]))
-            xs = _choices(inside, to_second, onward)
-            inside, onward = [], []
-            free = []  # digits of Y's slots fixed neither by p nor by earlier pairs
-            for w, r, options in ends[q]:
-                if r == q:
-                    if options:
-                        inside.append(options)
-                elif r == p or rank[r] < t:
-                    continue
-                else:
-                    onward.append((options, shift[rank[r] - t - 2]))
-                free.append(w)
-            ys = _choices(inside, [], onward)
+        reached = 0
+        for i, j in pairing:
+            p, q = i - 1, j - 1
+            plan = plans.get((p, q, reached))
+            if plan is None:
+                plan = plans[p, q, reached] = _pair_plan(ends, p, q, reached, shift)
+            xs, ys = plan
+            reached |= 1 << p | 1 << q
+            sp, sq = shift[p], shift[q]
             new: Dict[int, int] = {}
-            if len(ys) * size <= scan_cost:
-                for state, weight in states.items():
-                    rest, fp = divmod(state, size)
-                    rest, fq = divmod(rest, size)
-                    for f, g, y, d in xs:
-                        row = rows[fp + f]
-                        if not row:
-                            continue
-                        y += fq
-                        d += rest
-                        g *= weight
-                        for fy, h, _, e in ys:
-                            a = row.get(y + fy)
-                            if a:
-                                key = d + e
-                                new[key] = new.get(key, 0) + g * h * a
-            else:
-                free = tuple(sorted(free))
-                part = projections.get(free)
-                if part is None:
-                    part = projections[free] = [sum(code // w % N * w for w in free) for code in range(size)]
-                ys = {f: (g, d) for f, g, _, d in ys}
-                for state, weight in states.items():
-                    rest, fp = divmod(state, size)
-                    rest, fq = divmod(rest, size)
-                    for f, g, y, d in xs:
-                        y += fq
-                        d += rest
-                        g *= weight
-                        for code, a in rows[fp + f].items():
-                            fy = part[code]
-                            if code - fy == y:
-                                entry = ys.get(fy)
-                                if entry is not None:
-                                    key = d + entry[1]
-                                    new[key] = new.get(key, 0) + g * entry[0] * a
+            for state, weight in states.items():
+                fp = state // sp % size
+                fq = state // sq % size
+                rest = state - fp * sp - fq * sq
+                for f, g, y, d in xs:
+                    row = rows[fp + f]
+                    if not row:
+                        continue
+                    y += fq
+                    d += rest
+                    g *= weight
+                    for fy, h, e in ys:
+                        a = row.get(y + fy)
+                        if a:
+                            key = d + e
+                            new[key] = new.get(key, 0) + g * h * a
             states = new
         total += states.get(0, 0)
     return total
@@ -593,11 +566,11 @@ def numeric_invariant_expectation(
             total += weight * _pfaffian(block)
         return Fraction(total, cov.den ** (S.vertices // 2))
 
-    # per position, per node: its digit, the far end's position and the
-    # strand's form entries (see _sparse_contraction)
+    # per position, per node: the far end's position and the strand's form
+    # entries (see _sparse_contraction)
     ends: List[List[tuple]] = [[] for _ in range(S.vertices)]
     for k, l in normal.contractions.pairs:
         (pk, wk), (pl, wl) = place[k], place[l]
-        ends[pk].append((wk, pl, [(i * wk, j * wl, g) for (i, j), g in lower]))
-        ends[pl].append((wl, pk, None if pk == pl else [(j * wl, i * wk, g) for (i, j), g in lower]))
-    return Fraction(_sparse_contraction(ends, rows, N, sign), cov.den ** (S.vertices // 2))
+        ends[pk].append((pl, [(i * wk, j * wl, g) for (i, j), g in lower]))
+        ends[pl].append((pk, None if pk == pl else [(j * wl, i * wk, g) for (i, j), g in lower]))
+    return Fraction(_sparse_contraction(ends, rows, sign), cov.den ** (S.vertices // 2))
