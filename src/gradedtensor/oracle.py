@@ -1,20 +1,21 @@
 """Brute-force verification of Gaussian expectations, no stranded graphs.
 
-A bosonic invariant expectation is the literal sum, over vertex pairings
-and index assignments, of form entries times numeric covariance entries.
-It is regrouped by the distributive law only: for each vertex pairing
-the pairs are taken in order, only the covariance entries that agree
-with the slot values already forced by strands are visited, and
-partial sums with equal forced values on the pairs not yet reached are
-merged (`_sparse_contraction`).  No face is counted and no strand is
-walked.  A fermionic moment of an ordered product of anticommuting
-components is the Pfaffian of the covariance block on those components,
-computed by exact skew elimination (`_pfaffian`), so its sign comes from
-the elimination's pivot swaps rather than from the pipeline's face
-counting.  Berezin integration in an exterior algebra
+An invariant expectation is the literal sum, over vertex pairings and
+index assignments, of form entries times numeric covariance entries.
+With anticommuting components (odd parity b*D) each term also carries
+its vertex pairing's sign against the straight pairing (1 2)(3 4)...:
+Wick's theorem for Grassmann variables, under which a moment is the
+Pfaffian of the covariance block on its components.  The sum is
+regrouped by the distributive law only: for each vertex pairing the
+pairs are taken in order, only the covariance entries that agree with
+the slot values already forced by strands are visited, and partial sums
+with equal forced values on the pairs not yet reached are merged
+(`_sparse_contraction`).  No face is counted and no strand is walked, so
+the fermionic signs come from the vertex pairings rather than from the
+pipeline's face counting.  Berezin integration in an exterior algebra
 (`berezin_expectation`) is kept as the first-principles reference for
-those moments.  Two signs do come from `pairing_sign`, as in the
-pipeline: the covariance's grading sign per propagator term
+the fermionic moments.  Two further signs come from `pairing_sign`, as
+in the pipeline: the covariance's grading sign per propagator term
 (`ExplicitCovariance.from_propagator`) and the invariant's grading sign
 against the reference vertex pairing (`invariant_sign_normal_form`).
 Agreement of the two routes is the package's central correctness property.
@@ -34,7 +35,7 @@ from .representation import GradedForm, row_reduce
 
 GENERATOR_CAP = 16          # exterior algebra dimension 2**16, for berezin_expectation
 COVARIANCE_SIZE_CAP = 1024  # N**D cap for explicit covariance matrices
-WORK_CAP = 10**6           # oracle_work cap: index assignments x moment cost
+WORK_CAP = 10**6           # oracle_work cap: index assignments x vertex pairings
 
 
 # -- explicit covariances ------------------------------------------------------
@@ -153,54 +154,6 @@ def bosonic_moment(cov: ExplicitCovariance, indices: Sequence[int]) -> Fraction:
                 break
         total += prod
     return total
-
-
-# -- fermionic moments ----------------------------------------------------------
-
-
-def _pfaffian(B: Sequence[Sequence[int]]) -> int:
-    """Pf(B) of a skew-symmetric integer matrix, by fraction-free skew
-    elimination (Parlett & Reid, BIT 10 (1970) 386).
-
-    Step k pairs indices 2k and 2k+1: the pivot is the first nonzero
-    entry of row 2k right of the diagonal, swapped into column 2k+1 (a
-    swap of two indices flips the sign), and a zero row gives 0.  The
-    remaining entries are updated as a Schur complement scaled by the
-    pivot; after step k entry (i, j) is the Pfaffian of the principal
-    block on indices 0..2k+1, i, j, so dividing by the previous pivot is
-    exact and every entry stays an integer.  Odd size gives 0, size 0
-    gives 1.
-    """
-    n = len(B)
-    if n % 2:
-        return 0
-    A = [list(row) for row in B]
-    sign = 1
-    previous = 1
-    for k in range(0, n, 2):
-        top = A[k]
-        col = next((j for j in range(k + 1, n) if top[j]), None)
-        if col is None:
-            return 0
-        if col != k + 1:
-            A[k + 1], A[col] = A[col], A[k + 1]
-            for row in A[k:]:
-                row[k + 1], row[col] = row[col], row[k + 1]
-            sign = -sign
-        pivot = top[k + 1]
-        if k + 2 == n:
-            return sign * pivot
-        second = A[k + 1]
-        for i in range(k + 2, n):
-            row, ti, si = A[i], top[i], second[i]
-            if not (ti or si) and pivot == previous:
-                continue  # the update leaves this row as it is
-            for j in range(i + 1, n):
-                value = (pivot * row[j] + si * top[j] - ti * second[j]) // previous
-                row[j] = value
-                A[j][i] = -value
-        previous = pivot
-    return sign  # n == 0
 
 
 # -- exterior algebra and Berezin integration ----------------------------------
@@ -352,60 +305,27 @@ def berezin_expectation(cov: ExplicitCovariance, monomial: Sequence[int]) -> Fra
     """Expectation of an ordered product of components, from first principles:
     one `_BerezinState` is built for this monomial alone (see its `expectation`).
 
-    The reference for the Pfaffian moments of `numeric_invariant_expectation`;
-    the covariance's rank is bounded by `GENERATOR_CAP`."""
+    The reference for the fermionic moments of `numeric_invariant_expectation`,
+    whose signs come from vertex pairings instead; the covariance's rank is
+    bounded by `GENERATOR_CAP`."""
     return _BerezinState(cov).expectation(monomial)
 
 
 # -- invariant expectations -----------------------------------------------------
 
 
-def oracle_work(S: StrandedGraph, N: int, b: int) -> int:
+def oracle_work(S: StrandedGraph, N: int) -> int:
     """The work `numeric_invariant_expectation` may do on S, checked
     against `WORK_CAP` before the covariance is built.
 
-    Both gradings count the N^strands index assignments (each form has N
-    nonzero entries).  A fermionic assignment costs one v x v Pfaffian,
-    (v/2)^3 in units of one pairing product (1 at v = 2).  A bosonic one
-    is counted (v-1)!! times, once per vertex pairing: the estimate is the
-    number of terms of the literal sum.  `_sparse_contraction` regroups
-    that sum; at each of a pairing's v/2 pairs it looks up at most one
-    covariance entry per choice of form entries on the strands it has
-    reached, so its lookups stay within v/2 times the estimate, and fall
-    far below it where forced values merge."""
-    v = S.vertices
-    per_assignment = (v // 2) ** 3 if (b * S.D) % 2 else double_factorial(v - 1)
-    return N ** len(S.strands) * per_assignment
-
-
-def _partial_assignments(per_strand: List[List[tuple]], vertices: int, weight: int) -> List[tuple]:
-    """(partial component codes, weight times the form entries) for every
-    choice of one form entry per strand in `per_strand`."""
-    partial = [([0] * vertices, weight)]
-    for entries in per_strand:
-        grown = []
-        for codes, w in partial:
-            for pk, ak, pl, al, g in entries:
-                grown_codes = codes.copy()
-                grown_codes[pk] += ak
-                grown_codes[pl] += al
-                grown.append((grown_codes, w * g))
-        partial = grown
-    return partial
-
-
-def _assignments(per_strand: List[List[tuple]], vertices: int, sign: int):
-    """(component codes in product order, sign times the form entries) per
-    index assignment, one choice of form entry per strand.
-
-    The choices for each half of the strands are listed once, at most
-    N^ceil(s/2) partial codes each, and every assignment is the sum of one
-    partial code from each half, in `itertools.product` order."""
-    half = (len(per_strand) + 1) // 2
-    second = _partial_assignments(per_strand[half:], vertices, 1)
-    for codes, weight in _partial_assignments(per_strand[:half], vertices, sign):
-        for rest, w in second:
-            yield [a + c for a, c in zip(codes, rest)], weight * w
+    N^strands index assignments (each form has N nonzero entries) times
+    (v-1)!! vertex pairings, at either parity: the number of terms of the
+    literal sum.  `_sparse_contraction` regroups that sum; at each of a
+    pairing's v/2 pairs it looks up at most one covariance entry per
+    choice of form entries on the strands it has reached, so its lookups
+    stay within v/2 times the estimate, and fall far below it where
+    forced values merge."""
+    return N ** len(S.strands) * double_factorial(S.vertices - 1)
 
 
 def _pair_plan(ends: List[List[tuple]], p: int, q: int, reached: int, shift: List[int]) -> tuple:
@@ -440,10 +360,14 @@ def _pair_plan(ends: List[List[tuple]], p: int, q: int, reached: int, shift: Lis
     return xs, ys
 
 
-def _sparse_contraction(ends: List[List[tuple]], rows: Sequence[Dict[int, int]], sign: int) -> int:
-    """The bosonic sum of `numeric_invariant_expectation`: over the vertex
-    pairings and the index assignments, sign times the form entries times
-    the covariance numerators, taken over the covariance's nonzero entries.
+def _sparse_contraction(ends: List[List[tuple]], rows: Sequence[Dict[int, int]], sign: int, parity: int) -> int:
+    """The sum of `numeric_invariant_expectation`: over the vertex pairings
+    and the index assignments, sign times the form entries times the
+    covariance numerators, taken over the covariance's nonzero entries.
+    At odd `parity` each pairing's terms also carry its sign against the
+    straight pairing (1 2)(3 4)...; its pairs (p, q) have p < q and read
+    rows[X][Y] with X at p, so the sum over pairings of one assignment is
+    the Pfaffian of the covariance block on its components.
 
     `ends[p]` lists, per node of the tensor at product position p, the
     position of the strand's far end and the strand's form entries as
@@ -463,12 +387,13 @@ def _sparse_contraction(ends: List[List[tuple]], rows: Sequence[Dict[int, int]],
     (`_pair_plan`) and shared by every pairing that takes the same pair
     after the same positions.
     """
-    size = len(rows)
-    shift = [size**k for k in range(len(ends))]
+    size, n = len(rows), len(ends)
+    shift = [size**k for k in range(n)]
+    straight = DirectedPairing(n, tuple((i, i + 1) for i in range(1, n, 2)))
     plans: Dict[tuple, tuple] = {}  # (p, q, positions reached) -> (xs, ys)
     total = 0
-    for pairing in all_pairings(len(ends)):
-        states = {0: sign}
+    for pairing in all_pairings(n):
+        states = {0: sign * pairing_sign(DirectedPairing(n, pairing), straight) if parity else sign}
         reached = 0
         for i, j in pairing:
             p, q = i - 1, j - 1
@@ -513,28 +438,26 @@ def numeric_invariant_expectation(
     supported on the strand contractions, the moments of the ordered
     tensor product, with the bosonic or fermionic rule as the component
     parity demands.  Shares no face counting with the stranded-graph
-    pipeline; at b = 1 the covariance's grading sign and the invariant's
-    sign from `invariant_sign_normal_form` are pairing signs, and only
-    the fermionic moment signs come from the Pfaffian elimination.
+    pipeline; at b = 1 the covariance's grading sign, the invariant's
+    sign from `invariant_sign_normal_form` and, at odd parity, the sign
+    of each vertex pairing in the fermionic moments are all pairing signs.
 
     Each strand node is compiled once to its tensor position and the
-    digit weight of its slot, so a component code is a sum of ints.  A
-    fermionic moment is the Pfaffian of the v x v block of integer
-    numerators on one assignment's components, per assignment.  The
-    bosonic sum over assignments and vertex pairings of products of
-    integer covariance numerators is taken per vertex pairing as a
-    contraction over the covariance's nonzero entries
-    (`_sparse_contraction`): the same terms, regrouped, with no
-    assignment listed.  Either total is divided by den^(v/2) once at
-    the end.  Above `WORK_CAP` (see `oracle_work`) the call raises
-    `CapExceededError` before building the covariance.
+    digit weight of its slot, so a component code is a sum of ints.  The
+    sum over assignments and vertex pairings of products of integer
+    covariance numerators is taken per vertex pairing as a contraction
+    over the covariance's nonzero entries (`_sparse_contraction`), at
+    either parity: the same terms, regrouped, with no assignment listed.
+    The total is divided by den^(v/2) once at the end.  Above `WORK_CAP`
+    (see `oracle_work`) the call raises `CapExceededError` before
+    building the covariance.
     """
     if S.vertices == 0:
         return Fraction(1)
     if S.vertices % 2 != 0:
         return Fraction(0)
     form = GradedForm(N, b)
-    work = oracle_work(S, N, b)
+    work = oracle_work(S, N)
     if work > WORK_CAP:
         raise CapExceededError(f"oracle work {work} exceeds cap {WORK_CAP}")
     cov = ExplicitCovariance.from_propagator(C, form)
@@ -553,19 +476,6 @@ def numeric_invariant_expectation(
         for k in range(1, D * S.vertices + 1)
     ]
     lower = sorted(form.lower.items())  # [((i, j), value)]
-    rows = cov.rows
-    if (b * D) % 2:
-        # per strand, per form entry: (position, digit) at both ends and the entry
-        per_strand = []
-        for k, l in normal.contractions.pairs:
-            (pk, wk), (pl, wl) = place[k], place[l]
-            per_strand.append([(pk, i * wk, pl, j * wl, g) for (i, j), g in lower])
-        total = 0
-        for codes, weight in _assignments(per_strand, S.vertices, sign):
-            block = [[row.get(y, 0) for y in codes] for row in [rows[x] for x in codes]]
-            total += weight * _pfaffian(block)
-        return Fraction(total, cov.den ** (S.vertices // 2))
-
     # per position, per node: the far end's position and the strand's form
     # entries (see _sparse_contraction)
     ends: List[List[tuple]] = [[] for _ in range(S.vertices)]
@@ -573,4 +483,5 @@ def numeric_invariant_expectation(
         (pk, wk), (pl, wl) = place[k], place[l]
         ends[pk].append((pl, [(i * wk, j * wl, g) for (i, j), g in lower]))
         ends[pl].append((pk, None if pk == pl else [(j * wl, i * wk, g) for (i, j), g in lower]))
-    return Fraction(_sparse_contraction(ends, rows, sign), cov.den ** (S.vertices // 2))
+    total = _sparse_contraction(ends, cov.rows, sign, (b * D) % 2)
+    return Fraction(total, cov.den ** (S.vertices // 2))

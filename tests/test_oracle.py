@@ -23,7 +23,7 @@ from gradedtensor.model import (
     gaussian_expectation,
     invariant_sign_normal_form,
 )
-from gradedtensor.combinatorics import DirectedPairing, all_pairings, pairing_sign
+from gradedtensor.combinatorics import DirectedPairing, pairing_sign
 from gradedtensor.oracle import (
     ExplicitCovariance,
     ExteriorElement,
@@ -41,7 +41,7 @@ from gradedtensor.representation import (
 )
 from gradedtensor.young import YoungDiagram
 
-from conftest import rand_connected_graph
+from conftest import rand_connected_graph, rand_stranded_graph
 from test_cross_validation import block_symmetric_pairings, random_symmetric_table
 from test_model import dipole, identity_plus_swap
 
@@ -140,7 +140,7 @@ def test_covariance_parity_validation():
 
 
 def test_covariance_takes_int_numerators_on_components_only():
-    # a Fraction numerator would be floored by the Pfaffian's exact division
+    # the contraction multiplies int numerators and divides by den^(v/2) once
     with pytest.raises(ValueError, match="int numerator"):
         ExplicitCovariance(2, 1, 1, [{1: Fraction(1, 2)}, {0: Fraction(-1, 2)}])
     with pytest.raises(ValueError, match="int numerator"):
@@ -454,10 +454,10 @@ def test_berezin_components_are_computed_once(monkeypatch):
 
 def test_oracle_work_cap_raises_before_the_covariance(monkeypatch):
     g = StrandedGraph(2, 4, ((1, 3), (2, 5), (4, 7), (6, 8)))
-    assert oracle.oracle_work(g, 3, 0) == 3**4 * 3
-    assert oracle.oracle_work(dipole(3), 2, 1) == 2**3  # fermionic: no vertex pairings
-    # a fermionic assignment weighs (v/2)^3, the elimination of its Pfaffian
-    assert oracle.oracle_work(pillow(), 6, 1) == 6**6 * 8 <= oracle.WORK_CAP
+    assert oracle.oracle_work(g, 3) == 3**4 * 3
+    assert oracle.oracle_work(dipole(3), 2) == 2**3  # one vertex pairing
+    # a fermionic assignment weighs (v-1)!!, one term per signed vertex pairing
+    assert oracle.oracle_work(pillow(), 6) == 6**6 * 3 <= oracle.WORK_CAP
     monkeypatch.setattr(
         ExplicitCovariance, "from_propagator", lambda *a: pytest.fail("covariance built")
     )
@@ -481,15 +481,13 @@ def test_oracle_check_over_the_work_cap_exits_3(tmp_path, capsys, monkeypatch):
     assert str(32**4 * 3) in err and str(oracle.WORK_CAP) in err
 
 
-def test_oracle_check_d3_v12_at_sp2_exits_3_before_the_covariance(tmp_path, capsys, monkeypatch):
-    # 2^18 assignments, each a 12 x 12 Pfaffian: under the cap if a
-    # Pfaffian counted as one unit, yet about 8 s to run
-    g = rand_connected_graph(random.Random(12), 3, 12)
-    work = 2**18 * 6**3
-    assert oracle.oracle_work(g, 2, 1) == work > oracle.WORK_CAP
+def assert_sp2_oracle_check_exits_3(tmp_path, capsys, monkeypatch, g, work):
+    """oracle-check of g under the identity at Sp(2) exits 3, with empty
+    stdout, the work in its message and no covariance built."""
+    assert oracle.oracle_work(g, 2) == work > oracle.WORK_CAP
     graph, prop = tmp_path / "graph.json", tmp_path / "prop.json"
     graph.write_text(json.dumps(g.to_json()))
-    prop.write_text(json.dumps(Propagator.identity(3).to_json()))
+    prop.write_text(json.dumps(Propagator.identity(g.D).to_json()))
     monkeypatch.setattr(
         ExplicitCovariance, "from_propagator", lambda *a: pytest.fail("covariance built")
     )
@@ -498,6 +496,20 @@ def test_oracle_check_d3_v12_at_sp2_exits_3_before_the_covariance(tmp_path, caps
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert str(work) in err and str(oracle.WORK_CAP) in err
+
+
+def test_oracle_check_d3_v12_at_sp2_exits_3_before_the_covariance(tmp_path, capsys, monkeypatch):
+    # 2^18 assignments times 11!! signed vertex pairings: the literal sum's
+    # terms, which the contraction regroups but does not bound below
+    g = rand_connected_graph(random.Random(12), 3, 12)
+    assert_sp2_oracle_check_exits_3(tmp_path, capsys, monkeypatch, g, 2**18 * math.prod(range(1, 12, 2)))
+
+
+def test_oracle_check_d1_v14_at_sp2_exits_3_before_the_covariance(tmp_path, capsys, monkeypatch):
+    # only 2^7 assignments, but 13!! vertex pairings each: seconds of
+    # contraction, so the cap counts the pairings at odd parity too
+    g = rand_stranded_graph(random.Random(14), 1, 14)
+    assert_sp2_oracle_check_exits_3(tmp_path, capsys, monkeypatch, g, 2**7 * math.prod(range(1, 14, 2)))
 
 
 FORBIDDEN_IN_THE_ORACLE = {
@@ -520,105 +532,6 @@ def test_oracle_imports_no_pipeline_machinery():
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
     assert not used & FORBIDDEN_IN_THE_ORACLE
-
-
-# -- fermionic moments as Pfaffians ---------------------------------------------
-
-
-def signed_pairing_pfaffian(B) -> int:
-    """Pf(B) as the sum over pairings of the pairing sign against
-    (1 2)(3 4)... times the product of the paired entries."""
-    n = len(B)
-    if n % 2:
-        return 0
-    if n == 0:
-        return 1
-    straight = DirectedPairing(n, tuple((i, i + 1) for i in range(1, n, 2)))
-    total = 0
-    for matching in all_pairings(n):
-        term = pairing_sign(DirectedPairing(n, tuple(matching)), straight)
-        for i, j in matching:
-            term *= B[i - 1][j - 1]
-        total += term
-    return total
-
-
-def random_antisymmetric(rng: random.Random, n: int, rank: Optional[int] = None):
-    """A seeded antisymmetric integer matrix; with `rank`, X^T J X for a
-    random rank x n integer X, so its rank is at most `rank`."""
-    if rank is None:
-        upper = {(i, j): rng.choice((0, 0, 1, -1, 2, -3, 5)) for i in range(n) for j in range(i + 1, n)}
-    else:
-        X = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rank)]
-        upper = {
-            (i, j): sum(X[k][i] * X[k + 1][j] - X[k + 1][i] * X[k][j] for k in range(0, rank, 2))
-            for i in range(n) for j in range(i + 1, n)
-        }
-    B = [[0] * n for _ in range(n)]
-    for (i, j), a in upper.items():
-        B[i][j], B[j][i] = a, -a
-    return B
-
-
-def test_pfaffian_small_cases():
-    assert oracle._pfaffian([]) == 1
-    assert oracle._pfaffian([[0]]) == 0
-    assert oracle._pfaffian([[0, 7], [-7, 0]]) == 7
-    # b01 b23 - b02 b13 + b03 b12, with b01 = 0 so the first pivot is a swap
-    B = [[0, 0, 2, 3], [0, 0, 5, 7], [-2, -5, 0, 11], [-3, -7, -11, 0]]
-    assert oracle._pfaffian(B) == 0 * 11 - 2 * 7 + 3 * 5
-    assert B[0] == [0, 0, 2, 3]  # the input is left as it was
-
-
-def test_pfaffian_matches_the_signed_pairing_expansion():
-    rng = random.Random(9100)
-    for n in range(9):
-        for trial in range(40):
-            B = random_antisymmetric(rng, n, rng.choice([None, None, *range(0, n + 1, 2)]))
-            assert oracle._pfaffian(B) == signed_pairing_pfaffian(B), (n, B)
-
-
-def test_pfaffian_moments_match_berezin_integration():
-    # covariances of rank <= 8 on 8 components, some singular; monomials of
-    # every length up to 6 with repeated components and odd lengths
-    rng = random.Random(9200)
-    for trial in range(12):
-        n = 8
-        rank = rng.choice((0, 2, 4, 6, 8, None))
-        matrix = random_antisymmetric(rng, n, rank)
-        den = rng.randint(1, 4)
-        cov = ExplicitCovariance(n, 1, 1, [dict(enumerate(row)) for row in matrix], den=den)
-        state = _BerezinState(cov)
-        for length in range(7):
-            for _ in range(8):
-                monomial = [rng.randrange(n) for _ in range(length)]
-                block = [[cov.rows[x].get(y, 0) for y in monomial] for x in monomial]
-                moment = Fraction(oracle._pfaffian(block), cov.den ** (length // 2))
-                assert moment == state.expectation(monomial), (trial, monomial)
-
-
-def test_assignments_are_the_product_assignments():
-    # the half-split lists give every choice of one form entry per strand,
-    # in itertools.product order, with the same codes and weights
-    rng = random.Random(9300)
-    for strands in range(0, 7):
-        vertices = 4
-        per_strand = [
-            [
-                (rng.randrange(vertices), rng.randint(0, 9), rng.randrange(vertices), rng.randint(0, 9), rng.choice((1, -1)))
-                for _ in range(rng.randint(1, 3))
-            ]
-            for _ in range(strands)
-        ]
-        expected = []
-        for choice in itertools.product(*per_strand):
-            codes, weight = [0] * vertices, -1
-            for pk, ak, pl, al, g in choice:
-                codes[pk] += ak
-                codes[pl] += al
-                weight *= g
-            expected.append((codes, weight))
-        assert list(oracle._assignments(per_strand, vertices, -1)) == expected
 
 
 def random_block_symmetric_pairing(rng: random.Random, D: int) -> tuple:
@@ -691,10 +604,11 @@ def sp_projector_table(lam: tuple, N: int) -> Propagator:
 
 
 @pytest.mark.parametrize("lam", [(3,), (1, 1, 1)])
-@pytest.mark.parametrize("N", [4, 6])
+@pytest.mark.parametrize("N", [4, 6, 8])
 def test_fermionic_oracle_matches_pipeline_past_rank_16(lam, N):
-    # (1,1,1) has covariance rank 20 at Sp(4) and 56 at Sp(6), beyond an
-    # exterior algebra of 2^16; a Pfaffian per assignment has no such wall
+    # (1,1,1) has covariance rank 20 at Sp(4), 56 at Sp(6) and 120 at
+    # Sp(8), beyond an exterior algebra of 2^16; signed vertex pairings
+    # have no such wall
     table = sp_projector_table(lam, N)
     for g in (dipole(3), pillow()):
         pipeline = gaussian_expectation(g, table, 1)(Fraction(N))
@@ -727,19 +641,30 @@ def test_oracle_check_reaches_sp4_and_still_rejects_mixed_symmetry(tmp_path, cap
     assert "covariance does not match the component parity" in err
 
 
-# -- the sparse bosonic contraction against the literal reference ---------------
+# -- the sparse contraction against the literal reference -----------------------
 
 
-def bosonic_tables(rng: random.Random, D: int) -> list:
-    return [Propagator.identity(D), full_symmetrizer_table(D), random_symmetric_table(rng, D), arcs_table(D)]
+def reference_tables(rng: random.Random, D: int) -> list:
+    tables = [Propagator.identity(D), full_symmetrizer_table(D), random_symmetric_table(rng, D)]
+    return tables + [arcs_table(D)] if D >= 2 else tables
 
 
-def assert_matches_reference(graphs, tables, forms):
-    for g in graphs:
-        for table in tables:
-            for N, b in forms:
-                expected = reference_invariant_expectation(g, table, N, b)
+def assert_matches_reference(graphs, tables, forms) -> int:
+    """The oracle against its reference per graph, table and form; returns
+    the number of nonzero values compared.  The fermionic reference
+    integrates over at most GENERATOR_CAP generators, so a table whose
+    covariance has a larger rank under a form is not compared there."""
+    nonzero = 0
+    for table in tables:
+        for N, b in forms:
+            for g in graphs:
+                try:
+                    expected = reference_invariant_expectation(g, table, N, b)
+                except CapExceededError:
+                    break
                 assert numeric_invariant_expectation(g, table, N, b) == expected, (g, table, N, b)
+                nonzero += expected != 0
+    return nonzero
 
 
 # bosonic gradings: O(N) at every D, Sp(N) at even D
@@ -750,39 +675,42 @@ def assert_matches_reference(graphs, tables, forms):
 ])
 def test_contraction_matches_the_reference_on_every_d2_class(vertices, forms):
     rng = random.Random(9500 + vertices)
-    assert_matches_reference(enumerate_invariants(2, vertices), bosonic_tables(rng, 2), forms)
+    assert_matches_reference(enumerate_invariants(2, vertices), reference_tables(rng, 2), forms)
 
 
 def test_contraction_matches_the_reference_on_every_d3_class():
     rng = random.Random(9600)
-    assert_matches_reference(enumerate_invariants(3, 2), bosonic_tables(rng, 3), [(2, 0), (3, 0)])
+    assert_matches_reference(enumerate_invariants(3, 2), reference_tables(rng, 3), [(2, 0), (3, 0)])
     classes = enumerate_invariants(3, 4)
     assert len(classes) == 438
-    assert_matches_reference(classes, bosonic_tables(rng, 3), [(2, 0)])
+    assert_matches_reference(classes, reference_tables(rng, 3), [(2, 0)])
     # O(3) on a seeded sample: the reference takes 3^6 moments per class
-    assert_matches_reference(rng.sample(classes, 16), bosonic_tables(rng, 3), [(3, 0)])
+    assert_matches_reference(rng.sample(classes, 16), reference_tables(rng, 3), [(3, 0)])
 
 
 def test_contraction_matches_the_reference_on_sampled_d4_v4_classes():
     rng = random.Random(9700)
     classes = rng.sample(enumerate_invariants(4, 4), 3)
-    assert_matches_reference(classes, bosonic_tables(rng, 4), [(2, 0), (2, 1)])
+    assert_matches_reference(classes, reference_tables(rng, 4), [(2, 0), (2, 1)])
     # O(3): the reference takes 3^8 moments per class
-    assert_matches_reference(classes[:2], bosonic_tables(rng, 4), [(3, 0)])
+    assert_matches_reference(classes[:2], reference_tables(rng, 4), [(3, 0)])
+
+
+def drawn_table(draw, D: int) -> Propagator:
+    """One to three block-symmetric pairings with nonzero integer weights."""
+    chosen = draw(st.lists(st.sampled_from(block_symmetric_pairings(D)), min_size=1, max_size=3, unique=True))
+    return Propagator(D, tuple(
+        PropagatorTerm(p, Poly.const(draw(st.integers(-3, 3).filter(bool)))) for p in chosen
+    ))
 
 
 @st.composite
 def bosonic_cases(draw):
-    """A connected graph, an integer table drawn term by term and a bosonic
-    form; D = 4, v = 4 is left to the sampled classes, as its reference
-    takes 3^8 moments."""
+    """A connected graph, a drawn table and a bosonic form; D = 4, v = 4 is
+    left to the sampled classes, as its reference takes 3^8 moments."""
     D, vertices = draw(st.sampled_from([(1, 2), (2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (4, 2)]))
     g = rand_connected_graph(random.Random(draw(st.integers(0, 2**32))), D, vertices)
-    pairings = block_symmetric_pairings(D)
-    chosen = draw(st.lists(st.sampled_from(pairings), min_size=1, max_size=3, unique=True))
-    table = Propagator(D, tuple(
-        PropagatorTerm(p, Poly.const(draw(st.integers(-3, 3).filter(bool)))) for p in chosen
-    ))
+    table = drawn_table(draw, D)
     N, b = draw(st.sampled_from([(2, 0), (3, 0), (2, 1)] if D % 2 == 0 else [(2, 0), (3, 0)]))
     return g, table, N, b
 
@@ -794,35 +722,82 @@ def test_contraction_matches_the_reference_on_random_graphs(case):
     assert numeric_invariant_expectation(g, table, N, b) == reference_invariant_expectation(g, table, N, b)
 
 
+# -- the signed contraction against Berezin integration --------------------------
+
+
+def test_signed_contraction_matches_berezin_on_every_d3_v2_class():
+    rng = random.Random(9800)
+    classes = enumerate_invariants(3, 2)
+    assert assert_matches_reference(classes, reference_tables(rng, 3), [(2, 1), (4, 1)]) > 0
+
+
+def test_signed_contraction_matches_berezin_on_sampled_d3_v4_classes():
+    # the reference takes 2^6 Berezin moments per class at Sp(2)
+    rng = random.Random(9900)
+    classes = rng.sample(enumerate_invariants(3, 4), 24)
+    assert assert_matches_reference(classes, reference_tables(rng, 3), [(2, 1)]) > 0
+
+
+def test_signed_contraction_matches_berezin_on_random_d1_graphs():
+    # D = 1 graphs are dipoles only, so these are mostly disconnected; a
+    # product of v anticommuting components of Sp(N) vanishes unless v <= N,
+    # so Sp(6) is where v = 6 is nonzero
+    rng = random.Random(10000)
+    for vertices in (2, 4, 6):
+        graphs = [rand_stranded_graph(rng, 1, vertices) for _ in range(3)]
+        assert assert_matches_reference(graphs, reference_tables(rng, 1), [(2, 1), (4, 1), (6, 1)]) > 0
+
+
+def test_signed_contraction_matches_berezin_at_d5_v2():
+    # at Sp(2) the identity has rank 32, past the reference's cap; the
+    # seeded random tables of rank at most 16 are compared
+    rng = random.Random(10100)
+    graphs = [rand_connected_graph(rng, 5, 2) for _ in range(3)]
+    tables = reference_tables(rng, 5) + [random_symmetric_table(rng, 5) for _ in range(6)]
+    assert assert_matches_reference(graphs, tables, [(2, 1)]) > 0
+
+
+@st.composite
+def fermionic_cases(draw):
+    """A graph, connected or not, a drawn table and a symplectic form at
+    odd parity; the covariance's rank stays within the Berezin reference's
+    cap (at most 8 at D = 3, N = 2 and 6 at D = 1)."""
+    D, vertices = draw(st.sampled_from([(1, 2), (1, 4), (1, 6), (3, 2), (3, 4)]))
+    g = rand_stranded_graph(random.Random(draw(st.integers(0, 2**32))), D, vertices)
+    table = drawn_table(draw, D)
+    N = draw(st.sampled_from([2, 4, 6] if D == 1 else [2]))
+    return g, table, N
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=fermionic_cases())
+def test_signed_contraction_matches_berezin_on_random_graphs(case):
+    g, table, N = case
+    assert numeric_invariant_expectation(g, table, N, 1) == reference_invariant_expectation(g, table, N, 1)
+
+
 POOL = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "bench" / "pools" / "oracle-check.json").read_text()
 )
 
 
-def test_bosonic_oracle_check_lists_no_assignment(tmp_path, capsys, monkeypatch):
-    # the D = 4, v = 4 symmetrizer job at O(3) agrees, byte for byte with its
-    # golden, with no index assignment listed
-    for name in ("g_d4_v4_1.json", "sym_d4.json"):
+@pytest.mark.parametrize("graph,table,N,b", [
+    pytest.param("g_d4_v4_1.json", "sym_d4.json", "3", "0", id="sym_d4-O3"),
+    pytest.param("g_d3_v4_1.json", "sym_d3.json", "2", "1", id="sym_d3-Sp2"),
+])
+def test_oracle_check_lists_no_assignment(tmp_path, capsys, monkeypatch, graph, table, N, b):
+    # the D = 4, v = 4 symmetrizer job at O(3) and the fermionic D = 3, v = 4
+    # one at Sp(2) agree, byte for byte with their goldens, in one contraction
+    for name in (graph, table):
         (tmp_path / name).write_text(json.dumps(POOL["files"][name]))
-    argv = ["oracle-check", "--graph", "@g_d4_v4_1.json", "--propagator", "@sym_d4.json",
-            "--N", "3", "--b", "0", "--json"]
+    argv = ["oracle-check", "--graph", "@" + graph, "--propagator", "@" + table,
+            "--N", N, "--b", b, "--json"]
     job = next(j for j in POOL["jobs"] if j["argv"] == argv)
-    monkeypatch.setattr(oracle, "_assignments", lambda *a: pytest.fail("assignments listed"))
+    calls = []
+    contraction = oracle._sparse_contraction
+    monkeypatch.setattr(oracle, "_sparse_contraction", lambda *a: calls.append(a) or contraction(*a))
     code = run([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv])
     out = capsys.readouterr().out
     assert json.loads(out)["agree"] is True
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (job["exit"], job["sha256"])
-
-
-def test_fermionic_oracle_takes_one_pfaffian_per_assignment(monkeypatch):
-    calls = []
-    assignments = oracle._assignments
-
-    def counted(*args):
-        calls.append(args)
-        return assignments(*args)
-
-    monkeypatch.setattr(oracle, "_assignments", counted)
-    table = Propagator.identity(3)
-    assert numeric_invariant_expectation(pillow(), table, 2, 1) == gaussian_expectation(pillow(), table, 1)(Fraction(2))
     assert len(calls) == 1
