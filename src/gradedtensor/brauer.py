@@ -10,14 +10,16 @@ z = (-1)^b N: they keep integer numerators keyed by diagram number in
 `diagram_basis(D)`, which numbers the diagrams of B_D on first visit and
 compiles each diagram's moves once into int rows.  The rows are filled
 from partner tuples (`partners`) by two local products, `times_beta` and
-the transposition `transposed`, and one reading, `closure_loops`, for the
-trace; these stay the tests' reference for the rows.  One basis per D
-serves every build in the process, because the rows pay only when
-shared: compiled afresh for each build they ran bench `projector` at
-0.105 s per pass on a 2-core VM, no faster than the partner tuples they
-replace (0.099 s), and shared at 0.070 s.  Their memory grows with the
-diagrams visited: `projector 6 --N 3` peaks at 27.5 MB RSS, 22 MB
-without rows.
+the transposition `transposed`, which stay the tests' reference for the
+rows.  Products with the arc sum A are taken as e*A, A above e: on the
+projector elements, polynomials in A times a Young symmetrizer, that is
+A*e, since A commutes with every permutation (Nazarov, J. Algebra 182
+(1996)).  One basis per D serves every build in the process, because the
+rows pay only when shared: compiled afresh for each build they ran bench
+`projector` at 0.105 s per pass on a 2-core VM, no faster than the
+partner tuples they replace (0.099 s), and shared at 0.070 s.  Their
+memory grows with the diagrams visited: `projector 6 --N 3` peaks at
+27.5 MB RSS, 22 MB without rows.
 """
 
 from __future__ import annotations
@@ -168,22 +170,21 @@ def from_partners(p: Partners) -> BrauerDiagram:
     return BrauerDiagram(len(p) // 2, tuple((x, y) for x, y in enumerate(p) if 0 < x < y))
 
 
-def times_beta(p: Partners, i: int, j: int) -> Tuple[Partners, int]:
-    """d*beta_ij (d below beta_ij) and its loop count, for d with partners p.
+def times_beta(p: Partners, i: int, j: int) -> Partners:
+    """d*beta_ij (d below beta_ij), for d with partners p.
 
     beta_ij's bottom arc (i', j') meets d's top points i and j.  If d
-    pairs them, that closes one loop and d is unchanged; otherwise it
-    joins their partners.  Either way beta_ij's top arc makes (i, j) a
-    top arc.  The same as `compose_diagrams(d, beta_ij(D, i, j))`; the
-    update at d's bottom points, `times_beta(p, D + i, D + j)`, is
-    beta_ij*d (beta_ij below d), `compose_diagrams(beta_ij(D, i, j), d)`.
+    pairs them, that closes one loop and p itself comes back; otherwise
+    it joins their partners and closes none.  Either way beta_ij's top
+    arc makes (i, j) a top arc.  `compose_diagrams(d, beta_ij(D, i, j))`
+    gives the same; at d's bottom points D+i, D+j this is beta_ij*d.
     """
     a, b = p[i], p[j]
     if a == j:
-        return p, 1
+        return p
     q = list(p)
     q[a], q[b], q[i], q[j] = b, a, j, i
-    return tuple(q), 0
+    return tuple(q)
 
 
 def transposed(p: Partners, x: int, y: int) -> Partners:
@@ -201,28 +202,6 @@ def transposed(p: Partners, x: int, y: int) -> Partners:
     return tuple(q)
 
 
-def closure_loops(p: Partners) -> int:
-    """Loops of the diagram with partners p closed by the identity.
-
-    The closure joins each top point i to its bottom point D+i; a loop
-    alternates pairs of the diagram and closure edges.  For a permutation
-    diagram this is the number of cycles of the permutation.
-    """
-    D = len(p) // 2
-    seen = [False] * len(p)
-    loops = 0
-    for start in range(1, D + 1):
-        if seen[start]:
-            continue
-        loops += 1
-        x = start
-        while not seen[x]:
-            y = p[x]
-            seen[x] = seen[y] = True
-            x = y - D if y > D else y + D
-    return loops
-
-
 # -- diagrams numbered per D --------------------------------------------------
 
 
@@ -235,19 +214,20 @@ class DiagramBasis:
     first time it is asked for, then kept:
 
     - `top(k)`: d*beta_ij, `times_beta` at the top points i, j;
-    - `bottom(k)`: beta_ij*d, `times_beta` at the bottom points D+i, D+j;
     - `swapped(k)`: sigma_ij*d, `transposed` at D+i, D+j;
-    - `loops(k)`: `closure_loops`;
+    - `loops(k)`: the loops of d closed by the identity, the cycles of
+      `strand_walk` against the closure pairs (i, D+i);
     - `diagram(k)`: the `BrauerDiagram`.
 
     beta_ij closes a loop exactly when it leaves the diagram unchanged, so
-    a top or bottom entry equal to k means one loop and any other entry
-    none.  The identity is diagram 0.
+    a top entry equal to k means one loop and any other entry none.  No
+    row holds beta_ij below d: A*e is read as e*A (see the module
+    docstring).  The identity is diagram 0.
     """
 
     __slots__ = (
         "D", "arcs", "arc_number", "partners", "_index",
-        "_top", "_bottom", "_swapped", "_loops", "_diagrams",
+        "_top", "_swapped", "_loops", "_diagrams",
     )
 
     def __init__(self, D: int):
@@ -257,7 +237,6 @@ class DiagramBasis:
         self.partners: List[Partners] = []
         self._index: Dict[Partners, int] = {}
         self._top: Dict[int, Tuple[int, ...]] = {}
-        self._bottom: Dict[int, Tuple[int, ...]] = {}
         self._swapped: Dict[int, Tuple[int, ...]] = {}
         self._loops: Dict[int, int] = {}
         self._diagrams: Dict[int, BrauerDiagram] = {}
@@ -274,16 +253,7 @@ class DiagramBasis:
         row = self._top.get(k)
         if row is None:
             p = self.partners[k]
-            row = self._top[k] = tuple(self.number(times_beta(p, i, j)[0]) for i, j in self.arcs)
-        return row
-
-    def bottom(self, k: int) -> Tuple[int, ...]:
-        row = self._bottom.get(k)
-        if row is None:
-            p, D = self.partners[k], self.D
-            row = self._bottom[k] = tuple(
-                self.number(times_beta(p, D + i, D + j)[0]) for i, j in self.arcs
-            )
+            row = self._top[k] = tuple(self.number(times_beta(p, i, j)) for i, j in self.arcs)
         return row
 
     def swapped(self, k: int) -> Tuple[int, ...]:
@@ -298,7 +268,8 @@ class DiagramBasis:
     def loops(self, k: int) -> int:
         loops = self._loops.get(k)
         if loops is None:
-            loops = self._loops[k] = closure_loops(self.partners[k])
+            diagram, closure = (dict(enumerate(self.partners[x][1:], 1)) for x in (k, 0))
+            loops = self._loops[k] = strand_walk(diagram, closure)[1]
         return loops
 
     def diagram(self, k: int) -> BrauerDiagram:

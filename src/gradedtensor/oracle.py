@@ -448,9 +448,10 @@ def numeric_invariant_expectation(
     covariance numerators is taken per vertex pairing as a contraction
     over the covariance's nonzero entries (`_sparse_contraction`), at
     either parity: the same terms, regrouped, with no assignment listed.
-    The total is divided by den^(v/2) once at the end.  Above `WORK_CAP`
-    (see `oracle_work`) the call raises `CapExceededError` before
-    building the covariance.
+    The total is divided by den^(v/2) once at the end; at odd parity it
+    is 0 when v > N^D, as v anticommuting components of N^D repeat one.
+    Above `WORK_CAP` (see `oracle_work`) the call raises
+    `CapExceededError` before building the covariance.
     """
     if S.vertices == 0:
         return Fraction(1)
@@ -461,6 +462,8 @@ def numeric_invariant_expectation(
     if work > WORK_CAP:
         raise CapExceededError(f"oracle work {work} exceeds cap {WORK_CAP}")
     cov = ExplicitCovariance.from_propagator(C, form)
+    if cov.parity and S.vertices > cov.size:
+        return Fraction(0)
     if ref is None:
         ref = DirectedPairing(
             S.vertices, tuple((v, v + 1) for v in range(1, S.vertices, 2))

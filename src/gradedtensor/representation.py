@@ -6,9 +6,10 @@ traceless projector, the explicit symmetric-traceless product formula
 and irreducible-symmetry projectors.  The projector elements are built
 at the loop weight z0 = (-1)^b N in integers (`_ElementAtZ0`), and every
 report is read there too, by one route (`_report`); the only tensor map
-it builds is that of A * e, where that product is not zero in B_D (B_D
-does not act faithfully at small N).  The symplectic grading enters
-through the form (delta or omega) and the diagram grading sign.
+it builds is that of e * A, which equals A * e, where that product is
+not zero in B_D (B_D does not act faithfully at small N).  The
+symplectic grading enters through the form (delta or omega) and the
+diagram grading sign.
 """
 
 from __future__ import annotations
@@ -454,8 +455,8 @@ class ProjectorReport:
     """A constructed projector P, checked to be a traceless idempotent,
     with its exact invariants.
 
-    The checks and the trace are read in B_D at z0 (see `_report`): A * e
-    there, with the map of A * e only where that product is not zero;
+    The checks and the trace are read in B_D at z0 (see `_report`): e * A
+    (= A * e) there, with its map only where that product is not zero;
     (c_lambda / n_lambda) * e = e; and the trace of e's action.  The report
     keeps a snapshot of e's integer numerators over its denominator, left
     out of equality; the `BrauerElement` (`element`) and the map P
@@ -489,25 +490,27 @@ def _report(x: "_ElementAtZ0", lam: Optional[YoungDiagram]) -> ProjectorReport:
     Three checks, read in B_D at z0 but for one map where B_D is not
     faithful:
 
-    - A * e is formed in B_D.  Only if it is not zero (B_D need not act
-      faithfully at small N) is the map of A * e built, and it must be
-      zero.  Either way A.P = 0 on the tensor space.
+    - e * A is formed in B_D, and equals A * e: e is c_lambda times a
+      polynomial in A, and A commutes with every permutation (Nazarov,
+      J. Algebra 182 (1996)).  Only if it is not zero (B_D need not act
+      faithfully at small N) is its map built, and it must be zero.
+      Either way A.P = 0 on the tensor space.
     - (c_lambda / n_lambda) * e = e, by one more symmetrizer pass on a
       copy of x, when lam is given.
     - The trace is `_ElementAtZ0.trace`; an idempotent's rank equals its
       trace, so the rank is read off it with no elimination.
 
-    P.P = P then follows.  T - 1 = A * q(A) for a polynomial q, and A
-    commutes with every permutation, so T commutes with c_lambda.  With
-    (c_lambda / n_lambda) * e = e checked, e * e - e is q(A) * (A * e) in
-    all three cases, and its action vanishes with that of A * e.
+    P.P = P then follows.  T - 1 = A * q(A) for a polynomial q, and T
+    commutes with c_lambda.  With (c_lambda / n_lambda) * e = e checked,
+    e * e - e is q(A) * (A * e) in all three cases, and its action
+    vanishes with that of A * e.
 
     The report keeps a copy of x's numerators and denominator, not x
     itself; e is converted to a `BrauerElement` only when the report's
     element is read.
     """
-    ad_e = x.ad_times()
-    if ad_e.terms and not element_to_map(ad_e.element(), x.form).is_zero():
+    e_ad = x.times_ad()
+    if e_ad.terms and not element_to_map(e_ad.element(), x.form).is_zero():
         raise ArithmeticError("projector image is not traceless")
     if lam is not None and not x.fixed_by_symmetrizer(lam):
         raise ArithmeticError("projector is not idempotent")
@@ -523,14 +526,11 @@ class _ElementAtZ0:
     shared `brauer.diagram_basis(D)`, over one common denominator.
 
     Right factors (1 - A/alpha), Young symmetrizers below, the product
-    A * self, the trace and `element` read only the basis's rows, with no
-    general Brauer product, no polynomial in z and no partner tuple.
-    Diagrams are numbered per D on first visit, and each row is compiled
-    once and shared by every element at that D in the process.  Sharing
-    is the gain: rows compiled afresh for each build ran bench `projector`
-    at 0.105 s per pass on a 2-core VM, against 0.099 s on partner tuples
-    and 0.070 s shared.  The rows of B_6 take `projector 6 --N 3` to a
-    27.5 MB peak RSS (22 MB on partner tuples).
+    self * A (A * self for a projector element, see `_report`), the trace
+    and `element` read only the basis's rows, with no general Brauer
+    product, no polynomial in z and no partner tuple.  Each row is
+    compiled once and shared by every element at that D in the process
+    (see `brauer` for what sharing gains and costs).
     """
 
     __slots__ = ("D", "form", "z0", "basis", "terms", "den")
@@ -543,25 +543,26 @@ class _ElementAtZ0:
         self.terms: Dict[int, int] = {0: 1}  # the identity
         self.den = 1
 
+    def _add_times_ad(self, out: Dict[int, int], sign: int) -> Dict[int, int]:
+        """Add sign * self * A into out and return it: beta_ij above a
+        diagram acts at its top points i, j, and closes a loop, a factor
+        z0, exactly when it leaves the diagram unchanged."""
+        top, z0 = self.basis.top, self.z0
+        for k, c in self.terms.items():
+            c *= sign
+            for q in top(k):
+                out[q] = out.get(q, 0) + (c * z0 if q == k else c)
+        return out
+
     def times_traceless_factor(self, alpha: int):
         """self * (1 - A/alpha) = (alpha * self - sum_{i<j} self * beta_ij) / alpha."""
-        top, z0 = self.basis.top, self.z0
-        out = {k: alpha * c for k, c in self.terms.items()}
-        for k, c in self.terms.items():
-            for q in top(k):
-                out[q] = out.get(q, 0) - (c * z0 if q == k else c)
+        out = self._add_times_ad({k: alpha * c for k, c in self.terms.items()}, -1)
         self.terms = {k: c for k, c in out.items() if c}
         self.den *= alpha
 
-    def ad_times(self) -> "_ElementAtZ0":
-        """A * self (A below self) over self.den, zeros dropped: beta_ij
-        below a diagram acts at its bottom points D+i, D+j."""
-        bottom, z0 = self.basis.bottom, self.z0
-        out: Dict[int, int] = {}
-        for k, c in self.terms.items():
-            for q in bottom(k):
-                out[q] = out.get(q, 0) + (c * z0 if q == k else c)
-        return self._with({k: c for k, c in out.items() if c})
+    def times_ad(self) -> "_ElementAtZ0":
+        """self * A (A above self) over self.den, zeros dropped."""
+        return self._with({k: c for k, c in self._add_times_ad({}, 1).items() if c})
 
     def _times_transpositions(self, arcs: List[int], sign: int):
         """self times (1 + sign * sum of the transpositions (i j) below,
@@ -621,7 +622,7 @@ class _ElementAtZ0:
         """The trace of self's action on the tensor space, with no map.
 
         A diagram d acts with trace (-1)^(b D) z0^L(d), L(d) its loops
-        closed by the identity (`brauer.closure_loops`); the grading sign
+        closed by the identity (`DiagramBasis.loops`); the grading sign
         eta(d) does not enter.  At b = 0 each loop is a delta cycle, a
         factor N; on a permutation at b = 1 it is sign(sigma) N^L with
         sign(sigma) = (-1)^(D - L).
@@ -658,7 +659,7 @@ def traceless_element(D: int, form: GradedForm) -> BrauerElement:
 def traceless_projector(D: int, form: GradedForm) -> ProjectorReport:
     """Projector onto tensors annihilated by every form contraction.
 
-    e = T acts as an idempotent once A * e acts as zero (see `_report`),
+    e = T acts as an idempotent once e * A acts as zero (see `_report`),
     with no symmetrizer check.
     """
     _check_cap(form.N, D)

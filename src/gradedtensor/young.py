@@ -1,9 +1,9 @@
 """Partitions, Young diagrams, hook lengths, Young symmetrizers and
 Littlewood-Richardson coefficients.
 
-Only the canonical row-major tableau is supported; row and column
-groups are materialized as explicit permutation sets, which caps
-practical diagram sizes at |lambda| around 8.
+Only the canonical row-major tableau is supported.  The group-algebra
+symmetrizer over explicit row and column groups is the tests' reference;
+projectors apply c_lambda as transposition factors (`representation`).
 """
 
 from __future__ import annotations

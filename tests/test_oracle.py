@@ -776,6 +776,19 @@ def test_signed_contraction_matches_berezin_on_random_graphs(case):
     assert numeric_invariant_expectation(g, table, N, 1) == reference_invariant_expectation(g, table, N, 1)
 
 
+def test_odd_parity_past_n_to_the_d_components_is_zero_with_no_contraction(monkeypatch):
+    # v anticommuting components drawn from the N^D = 2 of D = 1 at Sp(2)
+    # repeat one, so every moment vanishes before a vertex pairing is taken
+    calls = []
+    monkeypatch.setattr(oracle, "_sparse_contraction", lambda *a: calls.append(a))
+    rng = random.Random(10200)
+    for vertices in range(4, 13, 2):
+        g = rand_stranded_graph(rng, 1, vertices)
+        pipeline = gaussian_expectation(g, Propagator.identity(1), 1)(Fraction(2))
+        assert numeric_invariant_expectation(g, Propagator.identity(1), 2, 1) == 0 == pipeline
+    assert calls == []
+
+
 POOL = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "bench" / "pools" / "oracle-check.json").read_text()
 )

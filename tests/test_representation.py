@@ -33,6 +33,8 @@ from gradedtensor.representation import (
     diagram_to_map,
     element_to_map,
     _ElementAtZ0,
+    _irreducible,
+    _symmetric_traceless,
     _traceless,
     encode_index,
     irreducible_element,
@@ -683,20 +685,67 @@ def test_factored_symmetrizer_matches_the_sum_over_permutations_at_d5():
     assert_factored_symmetrizer_matches(5, GradedForm(2, 1))
 
 
-@pytest.mark.parametrize("N,b", [(2, 0), (3, 0), (2, 1), (4, 1)])
-@pytest.mark.parametrize("D", [2, 3, 4])
-def test_algebra_traceless_check_multiplies_a_below(D, N, b):
-    # A * e in B_D at z0 must map to the composite A.P, on elements that are
-    # not projectors, so that a zero product implies A.P = 0
-    form = GradedForm(N, b)
-    rng = random.Random(7 * D + 3 * N + b)
+def random_elements(D, form, seed):
+    """Four elements at z0 with four random diagrams each, not projectors."""
+    rng = random.Random(seed)
     for _ in range(4):
         x = _ElementAtZ0(D, form)
         diagrams = [partners(rand_diagram(rng, D)) for _ in range(4)]
         x.terms = {x.basis.number(p): rng.choice((-3, -2, -1, 1, 2, 3)) for p in diagrams}
-        product = x.ad_times()
+        yield x
+
+
+@pytest.mark.parametrize("N,b", [(2, 0), (3, 0), (2, 1), (4, 1)])
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_algebra_traceless_check_multiplies_a_below(D, N, b):
+    # A * e in B_D at z0 maps to the composite A.P, on elements that are not
+    # projectors; the check's e * A equals A * e (see
+    # test_times_ad_is_a_times_the_element_for_every_builder), so a
+    # zero product implies A.P = 0
+    form = GradedForm(N, b)
+    for x in random_elements(D, form, 7 * D + 3 * N + b):
+        product = multiply(casimir_ad(D), x.element())
         expected = ad_matrix(D, form).compose(element_to_map(x.element(), form))
-        assert element_to_map(product.element(), form) == expected
+        assert element_to_map(product, form) == expected
+
+
+@pytest.mark.parametrize("N,b", [(2, 0), (3, 0), (2, 1), (4, 1)])
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_algebra_traceless_check_multiplies_a_above(D, N, b):
+    # the rows' e * A maps to the composite P.A on elements that are not
+    # projectors, and so do not commute with A
+    form = GradedForm(N, b)
+    for x in random_elements(D, form, 11 * D + 5 * N + b):
+        expected = element_to_map(x.element(), form).compose(ad_matrix(D, form))
+        assert element_to_map(x.times_ad().element(), form) == expected
+
+
+def builder_elements(form):
+    """Every builder's element at the form: T for D = 2..4, the symmetric
+    traceless product where no factor's alpha is 0, and c_lambda * T for
+    every lambda of 2..4 boxes."""
+    for D in range(2, 5):
+        yield _traceless(D, form)
+        try:
+            yield _symmetric_traceless(D, form)
+        except ValueError:  # degenerate N, e.g. D = 3 at Sp(2)
+            pass
+        for rows in partitions(D):
+            yield _irreducible(YoungDiagram(rows), form)
+
+
+def test_times_ad_is_a_times_the_element_for_every_builder():
+    # the report checks e * A; it certifies A.P = 0 because e * A = A * e
+    # exactly in B_D: A commutes with every permutation and with itself
+    count = 0
+    for N, b in [(2, 0), (3, 0), (4, 0), (2, 1), (4, 1), (6, 1)]:
+        form = GradedForm(N, b)
+        for x in builder_elements(form):
+            a_e = multiply(casimir_ad(x.D), x.element())
+            at_z0 = BrauerElement(x.D, {d: c(form.z_value) for d, c in a_e.terms.items()})
+            assert x.times_ad().element() == at_z0, (N, b, x.D)
+            count += 1
+    assert count == 93
 
 
 def count_maps(monkeypatch):
@@ -718,11 +767,11 @@ def count_maps(monkeypatch):
     "rows,N,b,calls", [((2, 1), 3, 0, 0), ((2, 2), 2, 0, 1), ((4,), 2, 1, 1)]
 )
 def test_tensor_map_of_a_only_where_the_algebra_check_fails(monkeypatch, rows, N, b, calls):
-    # the one map a fallback report builds is that of A * e, not of e or of A
+    # the one map a fallback report builds is that of e * A, not of e or of A
     made = count_maps(monkeypatch)
     rep = irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
     assert rep.idempotent
-    assert made == [rep._snapshot.ad_times().element()] * calls
+    assert made == [rep._snapshot.times_ad().element()] * calls
 
 
 FALLBACK_CASES = [((2, 2), 2, 0), ((4,), 2, 1)]
@@ -810,7 +859,7 @@ def test_algebra_report_builds_no_tensor_map(monkeypatch, rows, N, rank):
 
 
 def test_unfaithful_algebra_falls_back_to_the_map(monkeypatch):
-    # A * e != 0 in B_D for (2,2) at O(2), although A.P = 0 on the tensors
+    # e * A != 0 in B_D for (2,2) at O(2), although A.P = 0 on the tensors
     refuse_maps(monkeypatch)
     with pytest.raises(MapBuilt):
         irreducible_projector(YoungDiagram((2, 2)), GradedForm(2, 0))
@@ -859,8 +908,8 @@ def test_fallback_report_is_unchanged(monkeypatch, rows, N, b):
     made = count_element_builds(monkeypatch)
     rep = irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
     assert (rep.trace, rep.rank, rep.idempotent) == (0, 0, True)
-    # only A * e is converted, for its map; e is not
-    assert [x.terms for x in made] == [rep._snapshot.ad_times().terms]
+    # only e * A is converted, for its map; e is not
+    assert [x.terms for x in made] == [rep._snapshot.times_ad().terms]
     assert rep.projector.is_zero()
 
 
