@@ -25,6 +25,7 @@ from .model import (
     Propagator,
     StrandedGraph,
     _field,
+    _integer,
     _size,
     duality_check,
     enumerate_invariants,
@@ -76,7 +77,7 @@ def _propagator_from_spec(spec: dict, D: int, b: int, N: Optional[int]) -> Propa
         return Propagator.from_json({"D": D, "terms": spec["terms"]})
     if "projector" in spec:
         proj = spec["projector"]
-        lam = _field(proj, "lambda", lambda rows: YoungDiagram(tuple(int(r) for r in rows)))
+        lam = _field(proj, "lambda", lambda rows: YoungDiagram(tuple(map(_integer, rows))))
         scale = _field(proj, "scale", lambda x: Fraction(str(x))) if "scale" in proj else None
         if lam.size != D:
             raise ValueError(f"field 'lambda': a partition of {lam.size} does not match D = {D}")
@@ -99,7 +100,7 @@ def _dimension(data: dict, b: int, given: Optional[int] = None) -> Optional[int]
         return given
 
     def parse(value) -> int:
-        n = GradedForm(int(value), b).N
+        n = GradedForm(_integer(value), b).N
         if given is not None and n != given:
             raise ValueError(f"{n} differs from --N {given}")
         return n
@@ -117,7 +118,7 @@ def _model_from_json(data: dict) -> ModelSpec:
         return tuple(Interaction(it["name"], StrandedGraph.from_json(it["graph"])) for it in items)
 
     D = _field(data, "D", _size)
-    b = _field(data, "b", lambda value: grading_bit(int(value))) if "b" in data else 0
+    b = _field(data, "b", lambda value: grading_bit(_integer(value))) if "b" in data else 0
     N = _dimension(data, b)
     prop = _field(data, "propagator", lambda spec: _propagator_from_spec(spec, D, b, N))
     found = _field(data, "interactions", interactions) if "interactions" in data else ()

@@ -41,9 +41,16 @@ def _field(data: dict, key: str, parse):
         raise ValueError(f"field '{key}': {exc}") from exc
 
 
+def _integer(value) -> int:
+    """An integer read from JSON: a boolean or a number with a fractional part is an error."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _size(value) -> int:
     """A count read from JSON: an integer that is not negative."""
-    n = int(value)
+    n = _integer(value)
     if n < 0:
         raise ValueError(f"must not be negative, got {n}")
     return n
@@ -149,7 +156,7 @@ class StrandedGraph:
         nv = _field(data, "vertices", _size)
 
         def node(end) -> int:
-            v, c = map(int, end)
+            v, c = map(_integer, end)
             if not (1 <= v <= nv and 1 <= c <= D):
                 raise ValueError(f"endpoint [{v}, {c}] needs vertex 1..{nv} and slot 1..{D}")
             return (v - 1) * D + c
@@ -253,10 +260,10 @@ class Propagator:
             return Poly.const(Fraction(str(gamma)))
 
         def term(item: dict) -> PropagatorTerm:
-            pairs = tuple((int(a), int(b)) for a, b in item["pairs"])
+            pairs = tuple((_integer(a), _integer(b)) for a, b in item["pairs"])
             return PropagatorTerm(pairs, _field(item, "gamma", weight))
 
-        D = _field(data, "D", int)
+        D = _field(data, "D", _integer)
         return _field(data, "terms", lambda items: cls(D, tuple(map(term, items))))
 
 
@@ -386,28 +393,28 @@ def graph_amplitude(G: TwoColoredGraph, b: int) -> Poly:
 
 
 def _pair_level(states: dict, D: int, terms: List[Tuple[List[Pair], int]], bits: int) -> dict:
-    """One level of `_wick_fold`: each state pairs its smallest unpaired vertex
+    """One level of `_wick_fold`: each group pairs its smallest unpaired vertex
     i with each later j by each (local strands, packed weight) term, merged."""
     merged: dict = {}
-    for (unpaired, key), value in states.items():
+    for unpaired, group in states.items():
         i, later = unpaired[0], unpaired[1:]
-        scaled = [(strands, value * w) for strands, w in terms]
         for k, j in enumerate(later):
-            rest = later[:k] + later[k + 1:]
+            target = merged.setdefault(later[:k] + later[k + 1:], {})
             nodes = _edge_nodes(D, i, j)
-            for strands, vw in scaled:
-                partner = list(key)
-                faces = 0
-                for x, y in strands:
-                    a, b = nodes[x], nodes[y]
-                    pa, pb = partner[a], partner[b]
-                    if pa == b:
-                        faces += 1
-                    else:
-                        partner[pa], partner[pb] = pb, pa
-                    partner[a] = partner[b] = 0
-                nxt = (rest, tuple(partner))
-                merged[nxt] = merged.get(nxt, 0) + (vw << faces * bits)
+            for strands, w in terms:
+                placed = [(nodes[x], nodes[y]) for x, y in strands]
+                for key, value in group.items():
+                    partner = list(key)
+                    faces = 0
+                    for a, b in placed:
+                        pa, pb = partner[a], partner[b]
+                        if pa == b:
+                            faces += 1
+                        else:
+                            partner[pa], partner[pb] = pb, pa
+                        partner[a] = partner[b] = 0
+                    nxt = tuple(partner)
+                    target[nxt] = target.get(nxt, 0) + (value * w << faces * bits)
     return merged
 
 
@@ -416,13 +423,12 @@ def _wick_fold(S: StrandedGraph, C: Propagator) -> Poly:
 
     Every completion with F faces and chosen terms t contributes
     z^F * prod(w_t(z)).  Vertices are paired one edge at a time in the
-    order of `_completions`, one `_pair_level` per edge.  A state is the
-    list of unpaired vertices and the partner map on the open nodes,
-    those of unpaired vertices: each open node ends an alternating path
-    of the strands placed so far, and the map sends it to the other end.
-    A color-0 strand (a, b) closes a face when b is a's partner and
-    otherwise joins the partners of a and b.  Equal states merge.  The
-    empty graph gives 1; an odd number of vertices gives 0.
+    order of `_completions`, one `_pair_level` per edge.  States, grouped
+    by their unpaired vertices, map each open node to the other end of
+    the alternating path of placed strands that it ends.  A color-0
+    strand (a, b) closes a face when b is a's partner and otherwise joins
+    the partners of a and b.  Equal states merge.  The empty graph gives
+    1; an odd number of vertices gives 0.
 
     A state carries one int, its z-polynomial of integer numerators over
     den^(v/2) (den the lcm of the weights' denominators) at z = 2^bits;
@@ -452,10 +458,10 @@ def _wick_fold(S: StrandedGraph, C: Propagator) -> Poly:
     start = [0] * (n + 1)
     for a, b in S.strands:
         start[a], start[b] = b, a
-    states = {(tuple(range(1, S.vertices + 1)), tuple(start)): 1}
+    states = {tuple(range(1, S.vertices + 1)): {tuple(start): 1}}
     for _ in range(edges):
         states = _pair_level(states, S.D, terms, bits)
-    packed, digits, half = states.get(((), (0,) * (n + 1)), 0), [], 1 << (bits - 1)
+    packed, digits, half = states[()].get((0,) * (n + 1), 0), [], 1 << (bits - 1)
     while packed:
         digits.append(((packed + half) & ((1 << bits) - 1)) - half)
         packed = (packed - digits[-1]) >> bits

@@ -3,16 +3,15 @@
 An invariant expectation is the literal sum, over vertex pairings and
 index assignments, of form entries times numeric covariance entries.
 With anticommuting components (odd parity b*D) each term also carries
-its vertex pairing's sign against the straight pairing (1 2)(3 4)...:
-Wick's theorem for Grassmann variables, under which a moment is the
-Pfaffian of the covariance block on its components.  The sum is
-regrouped by the distributive law only: for each vertex pairing the
-pairs are taken in order, only the covariance entries that agree with
-the slot values already forced by strands are visited, and partial sums
-with equal forced values on the pairs not yet reached are merged
-(`_sparse_contraction`).  No face is counted and no strand is walked, so
-the fermionic signs come from the vertex pairings rather than from the
-pipeline's face counting.  Berezin integration in an exterior algebra
+its vertex pairing's sign: Wick's theorem for Grassmann variables, under
+which a moment is the Pfaffian of the covariance block on its
+components.  The sum is regrouped by the distributive law only: vertex
+pairings grow one pair at a time, the first open position paired with
+the k-th later one at the Pfaffian's row sign (-1)^k; only covariance
+entries that agree with the slot values already forced by strands are
+visited, and partial sums that reach the same positions with equal
+forced values merge (`_sparse_contraction`).  No face is counted and no
+strand is walked.  Berezin integration in an exterior algebra
 (`berezin_expectation`) is kept as the first-principles reference for
 the fermionic moments.  Two further signs come from `pairing_sign`, as
 in the pipeline: the covariance's grading sign per propagator term
@@ -23,7 +22,6 @@ Agreement of the two routes is the package's central correctness property.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -114,17 +112,13 @@ class ExplicitCovariance:
             base = weight.numerator * (den // weight.denominator)
             base *= pairing_sign(oriented, ref) if form.b else 1
             # per pair, per upper entry: its parts of the X and Y codes, and the entry
-            per_pair = []
+            # (part of X, part of Y, value) per choice of upper entries on the pairs so far
+            entries = [(0, 0, base)]
             for i, j in oriented.pairs:
                 (xi, yi), (xj, yj) = digit[i - 1], digit[j - 1]
-                per_pair.append([(u * xi + v * xj, u * yi + v * yj, g) for u, v, g in upper])
-            for choice in itertools.product(*per_pair):
-                x = y = 0
-                val = base
-                for dx, dy, g in choice:
-                    x += dx
-                    y += dy
-                    val *= g
+                choices = [(u * xi + v * xj, u * yi + v * yj, g) for u, v, g in upper]
+                entries = [(x + dx, y + dy, val * g) for x, y, val in entries for dx, dy, g in choices]
+            for x, y, val in entries:
                 row = rows[x]
                 row[y] = row.get(y, 0) + val
         return cls(N, D, form.b, rows, den)
@@ -364,10 +358,11 @@ def _sparse_contraction(ends: List[List[tuple]], rows: Sequence[Dict[int, int]],
     """The sum of `numeric_invariant_expectation`: over the vertex pairings
     and the index assignments, sign times the form entries times the
     covariance numerators, taken over the covariance's nonzero entries.
-    At odd `parity` each pairing's terms also carry its sign against the
-    straight pairing (1 2)(3 4)...; its pairs (p, q) have p < q and read
-    rows[X][Y] with X at p, so the sum over pairings of one assignment is
-    the Pfaffian of the covariance block on its components.
+    Pairs (p, q) have p < q and read rows[X][Y] with X at p.  At odd
+    `parity` the sum over pairings of one assignment is the Pfaffian of
+    the covariance block on its components, expanded along its first row:
+    pairing the first open position with the k-th later one (from 0)
+    carries (-1)^k.
 
     `ends[p]` lists, per node of the tensor at product position p, the
     position of the strand's far end and the strand's form entries as
@@ -375,54 +370,49 @@ def _sparse_contraction(ends: List[List[tuple]], rows: Sequence[Dict[int, int]],
     slot's digit, entry); the head of a strand inside one tensor has None,
     as the strand is chosen once, from its tail.
 
-    Each pairing's pairs are taken in order.  A state holds the slot
-    values forced by strands from the pairs already taken on the
-    positions not yet reached, as one int, the code forced on position r
-    times (N^D)^r, so that states with equal forced values merge.  At the
-    pair (p, q) each choice of form entries on p's strands not taken yet
-    gives X and fixes Y on every slot but those of strands inside q or
-    leaving the pair from q; each choice on those gives one candidate Y,
-    looked up in row X.  The choices at a pair depend only on p, q and
-    the positions already reached, so they are listed once per call
-    (`_pair_plan`) and shared by every pairing that takes the same pair
-    after the same positions.
+    Pairings grow one pair at a time.  States are grouped by the bitmask
+    of positions already reached; a state holds the slot values forced by
+    strands from the pairs already taken on the positions not yet
+    reached, as one int, the code forced on position r times (N^D)^r.  In
+    each group p is the smallest unreached position, paired with each
+    later unreached q; each choice of form entries on p's strands not
+    taken yet (`_pair_plan`) gives X and fixes Y on every slot but those
+    of strands inside q or leaving the pair from q; each choice on those
+    gives one candidate Y, looked up in row X.  The new states go to the
+    group of reached | p | q, where equal forced values merge across the
+    pairings that reach the same positions.
     """
     size, n = len(rows), len(ends)
     shift = [size**k for k in range(n)]
-    straight = DirectedPairing(n, tuple((i, i + 1) for i in range(1, n, 2)))
-    plans: Dict[tuple, tuple] = {}  # (p, q, positions reached) -> (xs, ys)
-    total = 0
-    for pairing in all_pairings(n):
-        states = {0: sign * pairing_sign(DirectedPairing(n, pairing), straight) if parity else sign}
-        reached = 0
-        for i, j in pairing:
-            p, q = i - 1, j - 1
-            plan = plans.get((p, q, reached))
-            if plan is None:
-                plan = plans[p, q, reached] = _pair_plan(ends, p, q, reached, shift)
-            xs, ys = plan
-            reached |= 1 << p | 1 << q
-            sp, sq = shift[p], shift[q]
-            new: Dict[int, int] = {}
-            for state, weight in states.items():
-                fp = state // sp % size
-                fq = state // sq % size
-                rest = state - fp * sp - fq * sq
-                for f, g, y, d in xs:
-                    row = rows[fp + f]
-                    if not row:
-                        continue
-                    y += fq
-                    d += rest
-                    g *= weight
-                    for fy, h, e in ys:
-                        a = row.get(y + fy)
-                        if a:
-                            key = d + e
-                            new[key] = new.get(key, 0) + g * h * a
-            states = new
-        total += states.get(0, 0)
-    return total
+    groups: Dict[int, Dict[int, int]] = {0: {0: sign}}  # positions reached -> state -> weight
+    for _ in range(n // 2):
+        merged: Dict[int, Dict[int, int]] = {}
+        for reached, states in groups.items():
+            p, *later = (r for r in range(n) if not reached >> r & 1)
+            for k, q in enumerate(later):
+                xs, ys = _pair_plan(ends, p, q, reached, shift)
+                if parity and k % 2:
+                    xs = [(f, -g, y, d) for f, g, y, d in xs]
+                new = merged.setdefault(reached | 1 << p | 1 << q, {})
+                sp, sq = shift[p], shift[q]
+                for state, weight in states.items():
+                    fp = state // sp % size
+                    fq = state // sq % size
+                    rest = state - fp * sp - fq * sq
+                    for f, g, y, d in xs:
+                        row = rows[fp + f]
+                        if not row:
+                            continue
+                        y += fq
+                        d += rest
+                        g *= weight
+                        for fy, h, e in ys:
+                            a = row.get(y + fy)
+                            if a:
+                                key = d + e
+                                new[key] = new.get(key, 0) + g * h * a
+        groups = merged
+    return groups[(1 << n) - 1].get(0, 0)
 
 
 def numeric_invariant_expectation(
@@ -438,19 +428,18 @@ def numeric_invariant_expectation(
     supported on the strand contractions, the moments of the ordered
     tensor product, with the bosonic or fermionic rule as the component
     parity demands.  Shares no face counting with the stranded-graph
-    pipeline; at b = 1 the covariance's grading sign, the invariant's
-    sign from `invariant_sign_normal_form` and, at odd parity, the sign
-    of each vertex pairing in the fermionic moments are all pairing signs.
+    pipeline; at b = 1 the covariance's grading sign and the invariant's
+    sign from `invariant_sign_normal_form` are pairing signs, and at odd
+    parity the fermionic moments carry the Pfaffian's row signs.
 
     Each strand node is compiled once to its tensor position and the
     digit weight of its slot, so a component code is a sum of ints.  The
     sum over assignments and vertex pairings of products of integer
-    covariance numerators is taken per vertex pairing as a contraction
-    over the covariance's nonzero entries (`_sparse_contraction`), at
-    either parity: the same terms, regrouped, with no assignment listed.
-    The total is divided by den^(v/2) once at the end; at odd parity it
-    is 0 when v > N^D, as v anticommuting components of N^D repeat one.
-    Above `WORK_CAP` (see `oracle_work`) the call raises
+    covariance numerators is one contraction over the covariance's
+    nonzero entries that grows the pairings pair by pair
+    (`_sparse_contraction`), at either parity: the same terms, regrouped,
+    with no assignment listed.  The total is divided by den^(v/2) once at
+    the end.  Above `WORK_CAP` (see `oracle_work`) the call raises
     `CapExceededError` before building the covariance.
     """
     if S.vertices == 0:
@@ -462,8 +451,6 @@ def numeric_invariant_expectation(
     if work > WORK_CAP:
         raise CapExceededError(f"oracle work {work} exceeds cap {WORK_CAP}")
     cov = ExplicitCovariance.from_propagator(C, form)
-    if cov.parity and S.vertices > cov.size:
-        return Fraction(0)
     if ref is None:
         ref = DirectedPairing(
             S.vertices, tuple((v, v + 1) for v in range(1, S.vertices, 2))

@@ -194,7 +194,9 @@ class Poly:
     def from_coeff_map(cls, data: dict) -> "Poly":
         if not data:
             return cls()
-        top = max(int(k) for k in data)
+        low, top = min(map(int, data)), max(map(int, data))
+        if low < 0:
+            raise ValueError(f"negative exponent {low}")
         out = [Fraction(0)] * (top + 1)
         for k, v in data.items():
             out[int(k)] = Fraction(str(v))

@@ -14,7 +14,6 @@ diagram grading sign.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -250,27 +249,22 @@ def _add_action(cols: Dict[int, Dict[int, int]], d: BrauerDiagram, c: int, form:
 
     Each pair of d is one factor that fixes the index values at both its
     points, so a choice of one nonzero factor per pair is one nonzero
-    entry.  Column digits are the top-row indices b, row digits the
-    bottom-row indices a.
+    entry; the choices are extended one pair at a time.  Column digits
+    are the top-row indices b, row digits the bottom-row indices a.
     """
     N, D = form.N, d.D
     # (column, row) code of index value 1 at each point
     unit = {q: (N ** (D - q), 0) if q <= D else (0, N ** (2 * D - q)) for q in range(1, 2 * D + 1)}
     delta = {(x, x): 1 for x in range(N)}
-    per_pair = []
+    # (column, row, value) per choice of one factor on each pair taken so far
+    entries = [(0, 0, c * eta_sign(d) if form.b else c)]
     for m, p in d.pairs:
         # (i, j) -> g puts i at the right point p and j at the left point m
-        entries = delta if m <= D < p else form.lower if p <= D else form.upper
+        factors = delta if m <= D < p else form.lower if p <= D else form.upper
         (cm, rm), (cp, rp) = unit[m], unit[p]
-        per_pair.append([(i * cp + j * cm, i * rp + j * rm, g) for (i, j), g in entries.items()])
-    start = c * eta_sign(d) if form.b else c
-    for choice in itertools.product(*per_pair):
-        col = row = 0
-        val = start
-        for dc, dr, g in choice:
-            col += dc
-            row += dr
-            val *= g
+        choices = [(i * cp + j * cm, i * rp + j * rm, g) for (i, j), g in factors.items()]
+        entries = [(col + dc, row + dr, val * g) for col, row, val in entries for dc, dr, g in choices]
+    for col, row, val in entries:
         dst = cols.setdefault(col, {})
         dst[row] = dst.get(row, 0) + val
 

@@ -394,6 +394,16 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
             {"terms": [{"pairs": [[1, 4], [2, 5], [3, 6]], "gamma": "1"}]},
             "field 'terms': propagator term has wrong slot count",
         ),
+        ("propagator", {"terms": [dict(GOOD_PROP["terms"][0], gamma={"0": "1", "-1": "5"})]}, "field 'gamma': "),
+        ("propagator", {"terms": [dict(GOOD_PROP["terms"][0], gamma={"-1": "5"})]}, "field 'gamma': "),
+        ("graph", dict(GOOD_GRAPH, vertices=2.9), "field 'vertices': "),
+        ("graph", dict(GOOD_GRAPH, strands=[[[1, 1], [2.7, 1]], [[1, 2], [2, 2]]]), "field 'strands': "),
+        ("graph", dict(GOOD_GRAPH, D=True), "field 'D': "),
+        ("propagator", {"terms": [dict(GOOD_PROP["terms"][0], pairs=[[1, 3.5], [2, 4]])]}, "field 'terms': "),
+        ("propagator", {"N": 2.5, "projector": {"lambda": [2]}}, "field 'N': "),
+        ("propagator", {"N": 3, "projector": {"lambda": [1.5, 0.5]}}, "field 'lambda': "),
+        ("model", dict(QUARTIC_D2, b=False), "field 'b': "),
+        ("model", dict(QUARTIC_D2, D=2.5), "field 'D': "),
     ],
     ids=[
         "graph",
@@ -426,6 +436,16 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         "graph-D-negative",
         "model-D-negative",
         "terms-slot-count",
+        "gamma-negative-exponent",
+        "gamma-negative-exponent-only",
+        "graph-vertices-fractional",
+        "strands-endpoint-fractional",
+        "graph-D-boolean",
+        "terms-pair-fractional",
+        "prop-N-fractional",
+        "prop-lambda-fractional",
+        "model-b-boolean",
+        "model-D-fractional",
     ],
 )
 def test_malformed_json_error_names_file_and_field(tmp_path, capsys, bad, contents, named):

@@ -776,17 +776,31 @@ def test_signed_contraction_matches_berezin_on_random_graphs(case):
     assert numeric_invariant_expectation(g, table, N, 1) == reference_invariant_expectation(g, table, N, 1)
 
 
-def test_odd_parity_past_n_to_the_d_components_is_zero_with_no_contraction(monkeypatch):
+def test_odd_parity_past_n_to_the_d_components_folds_to_zero():
     # v anticommuting components drawn from the N^D = 2 of D = 1 at Sp(2)
-    # repeat one, so every moment vanishes before a vertex pairing is taken
-    calls = []
-    monkeypatch.setattr(oracle, "_sparse_contraction", lambda *a: calls.append(a))
+    # repeat one, so every moment vanishes: the signed pairings cancel
     rng = random.Random(10200)
     for vertices in range(4, 13, 2):
         g = rand_stranded_graph(rng, 1, vertices)
         pipeline = gaussian_expectation(g, Propagator.identity(1), 1)(Fraction(2))
         assert numeric_invariant_expectation(g, Propagator.identity(1), 2, 1) == 0 == pipeline
-    assert calls == []
+
+
+def test_pfaffian_row_signs_match_the_pipeline_at_d3_v6_and_v8():
+    # past the first pair the fold's (-1)^k signs meet pairs taken after
+    # others; at D = 3, Sp(2) the components are fermionic and v > N^D = 8
+    # is not reached, so moments need not vanish
+    rng = random.Random(10300)
+    tables = [Propagator.identity(3), sp_projector_table((1, 1, 1), 2), sp_projector_table((3,), 2)]
+    nonzero = 0
+    for vertices in (6, 8):
+        for table in tables:
+            for _ in range(6):
+                g = rand_stranded_graph(rng, 3, vertices)
+                pipeline = gaussian_expectation(g, table, 1)(Fraction(2))
+                assert numeric_invariant_expectation(g, table, 2, 1) == pipeline, (g, table)
+                nonzero += pipeline != 0
+    assert nonzero > 0
 
 
 POOL = json.loads(

@@ -49,6 +49,12 @@ def test_coeff_map_round_trip():
     assert Poly.from_coeff_map({}) == Poly()
 
 
+@pytest.mark.parametrize("coeffs", [{"0": "1", "-1": "5"}, {"-1": "5"}])
+def test_coeff_map_rejects_negative_exponents(coeffs):
+    with pytest.raises(ValueError, match="negative exponent -1"):
+        Poly.from_coeff_map(coeffs)
+
+
 def test_parse_rational():
     assert parse_rational("-3/4") == Fraction(-3, 4)
     assert parse_rational("7") == 7
