@@ -11,7 +11,10 @@ z = (-1)^b N: they keep integer numerators keyed by diagram number in
 compiles each diagram's moves once into int rows.  The rows are filled
 from partner tuples (`partners`) by two local products, `times_beta` and
 the transposition `transposed`, which stay the tests' reference for the
-rows.  Products with the arc sum A are taken as e*A, A above e: on the
+rows.  The grading sign of each diagram is compiled once into an int
+too (`eta`, read by the tensor-map filler of `representation`, with
+`eta_sign` as its reference).  Products with the arc sum A are taken
+as e*A, A above e: on the
 projector elements, polynomials in A times a Young symmetrizer, that is
 A*e, since A commutes with every permutation (Nazarov, J. Algebra 182
 (1996)).  One basis per D serves every build in the process, because the
@@ -217,6 +220,7 @@ class DiagramBasis:
     - `swapped(k)`: sigma_ij*d, `transposed` at D+i, D+j;
     - `loops(k)`: the loops of d closed by the identity, the cycles of
       `strand_walk` against the closure pairs (i, D+i);
+    - `eta(k)`: the grading sign of d, `eta_sign` of its diagram;
     - `diagram(k)`: the `BrauerDiagram`.
 
     beta_ij closes a loop exactly when it leaves the diagram unchanged, so
@@ -227,7 +231,7 @@ class DiagramBasis:
 
     __slots__ = (
         "D", "arcs", "arc_number", "partners", "_index",
-        "_top", "_swapped", "_loops", "_diagrams",
+        "_top", "_swapped", "_loops", "_eta", "_diagrams",
     )
 
     def __init__(self, D: int):
@@ -239,6 +243,7 @@ class DiagramBasis:
         self._top: Dict[int, Tuple[int, ...]] = {}
         self._swapped: Dict[int, Tuple[int, ...]] = {}
         self._loops: Dict[int, int] = {}
+        self._eta: Dict[int, int] = {}
         self._diagrams: Dict[int, BrauerDiagram] = {}
         self.number(partners(identity_diagram(D)))
 
@@ -271,6 +276,12 @@ class DiagramBasis:
             diagram, closure = (dict(enumerate(self.partners[x][1:], 1)) for x in (k, 0))
             loops = self._loops[k] = strand_walk(diagram, closure)[1]
         return loops
+
+    def eta(self, k: int) -> int:
+        sign = self._eta.get(k)
+        if sign is None:
+            sign = self._eta[k] = eta_sign(from_partners(self.partners[k]))
+        return sign
 
     def diagram(self, k: int) -> BrauerDiagram:
         d = self._diagrams.get(k)

@@ -7,9 +7,10 @@ and irreducible-symmetry projectors.  The projector elements are built
 at the loop weight z0 = (-1)^b N in integers (`_ElementAtZ0`), and every
 report is read there too, by one route (`_report`); the only tensor map
 it builds is that of e * A, which equals A * e, where that product is
-not zero in B_D (B_D does not act faithfully at small N).  The
-symplectic grading enters through the form (delta or omega) and the
-diagram grading sign.
+not zero in B_D (B_D does not act faithfully at small N).  Every tensor
+map of a Brauer element is filled by one routine (`_numerator_map`) from
+integer numerators keyed by diagram number.  The symplectic grading
+enters through the form (delta or omega) and the diagram grading sign.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from typing import Dict, List, Optional, Set, Tuple
 from .brauer import (
     BrauerDiagram,
     BrauerElement,
+    DiagramBasis,
     casimir_ad,
     diagram_basis,
-    eta_sign,
+    partners,
 )
 from .errors import CapExceededError
 from .polynomial import Poly
@@ -38,6 +40,7 @@ from .young import (
 )
 
 SIZE_CAP = 20736  # N**D above this errors instead of thrashing
+MAP_WORK_CAP = 4_000_000  # entries the small-N fallback map of e * A may fill
 
 
 # -- graded bilinear forms ---------------------------------------------------
@@ -244,29 +247,51 @@ def _check_cap(N: int, D: int):
 # -- diagram and element actions ---------------------------------------------
 
 
-def _add_action(cols: Dict[int, Dict[int, int]], d: BrauerDiagram, c: int, form: GradedForm):
-    """Add the integer c times the action of d into cols (column -> row -> entry).
+def _numerator_map(
+    basis: DiagramBasis, numerators: Dict[int, int], den: int, form: GradedForm
+) -> TensorMap:
+    """The map of the sum over k of numerators[k] / den times the action
+    of diagram k of basis.
 
-    Each pair of d is one factor that fixes the index values at both its
-    points, so a choice of one nonzero factor per pair is one nonzero
-    entry; the choices are extended one pair at a time.  Column digits
-    are the top-row indices b, row digits the bottom-row indices a.
+    Each pair of a diagram is one factor that fixes the index values at
+    both its points, so a choice of one nonzero factor per pair is one
+    nonzero entry; the choices are extended one pair at a time.  Column
+    digits are the top-row indices b, row digits the bottom-row indices
+    a.  A diagram is read from its partner tuple and, at b = 1, its
+    grading sign `basis.eta(k)`; the choices of each pair are listed once
+    per call, for the first diagram that has it.
     """
-    N, D = form.N, d.D
+    N, D = form.N, basis.D
     # (column, row) code of index value 1 at each point
-    unit = {q: (N ** (D - q), 0) if q <= D else (0, N ** (2 * D - q)) for q in range(1, 2 * D + 1)}
+    unit = [(N ** (D - q), 0) if q <= D else (0, N ** (2 * D - q)) for q in range(2 * D + 1)]
     delta = {(x, x): 1 for x in range(N)}
-    # (column, row, value) per choice of one factor on each pair taken so far
-    entries = [(0, 0, c * eta_sign(d) if form.b else c)]
-    for m, p in d.pairs:
-        # (i, j) -> g puts i at the right point p and j at the left point m
-        factors = delta if m <= D < p else form.lower if p <= D else form.upper
-        (cm, rm), (cp, rp) = unit[m], unit[p]
-        choices = [(i * cp + j * cm, i * rp + j * rm, g) for (i, j), g in factors.items()]
-        entries = [(col + dc, row + dr, val * g) for col, row, val in entries for dc, dr, g in choices]
-    for col, row, val in entries:
-        dst = cols.setdefault(col, {})
-        dst[row] = dst.get(row, 0) + val
+    # (m, q) -> (column, row, value) per nonzero factor on the pair (m, q)
+    pair_choices: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+    eta = basis.eta if form.b else None
+    cols: Dict[int, Dict[int, int]] = {}
+    for k, c in numerators.items():
+        p = basis.partners[k]
+        # (column, row, value) per choice of one factor on each pair taken so far
+        entries = [(0, 0, c * eta(k) if eta else c)]
+        for m in range(1, 2 * D + 1):
+            q = p[m]
+            if q < m:
+                continue
+            choices = pair_choices.get((m, q))
+            if choices is None:
+                # (i, j) -> g puts i at the right point q and j at the left point m
+                factors = delta if m <= D < q else form.lower if q <= D else form.upper
+                (cm, rm), (cq, rq) = unit[m], unit[q]
+                choices = pair_choices[m, q] = [
+                    (i * cq + j * cm, i * rq + j * rm, g) for (i, j), g in factors.items()
+                ]
+            entries = [
+                (col + dc, row + dr, val * g) for col, row, val in entries for dc, dr, g in choices
+            ]
+        for col, row, val in entries:
+            dst = cols.setdefault(col, {})
+            dst[row] = dst.get(row, 0) + val
+    return TensorMap(N, D, cols, den)
 
 
 def diagram_to_map(d: BrauerDiagram, form: GradedForm) -> TensorMap:
@@ -287,18 +312,22 @@ def element_to_map(e: BrauerElement, form: GradedForm) -> TensorMap:
     """Linear extension of the diagram action, with z evaluated at (-1)^b N.
 
     Each coefficient is evaluated once; the map's denominator is the lcm
-    of their denominators, so every term adds integer entries, one
-    nonzero form entry per pair (see `diagram_to_map`), into one column
+    of their denominators.  Each diagram is numbered in the shared
+    `diagram_basis(e.D)`, and the integer numerators go through the one
+    filler the projector reports use (`_numerator_map`), which adds one
+    nonzero form entry per pair (see `diagram_to_map`) into one column
     dict; no N^D scan and no map per diagram.
     """
     _check_cap(form.N, e.D)
     values = {d: coeff(form.z_value) for d, coeff in e.terms.items()}
     den = math.lcm(*(c.denominator for c in values.values()))
-    cols: Dict[int, Dict[int, int]] = {}
-    for d, c in values.items():
-        if c:
-            _add_action(cols, d, c.numerator * (den // c.denominator), form)
-    return TensorMap(form.N, e.D, cols, den)
+    basis = diagram_basis(e.D)
+    numerators = {
+        basis.number(partners(d)): c.numerator * (den // c.denominator)
+        for d, c in values.items()
+        if c
+    }
+    return _numerator_map(basis, numerators, den, form)
 
 
 # -- spectra and projectors ---------------------------------------------------
@@ -454,7 +483,8 @@ class ProjectorReport:
     (c_lambda / n_lambda) * e = e; and the trace of e's action.  The report
     keeps a snapshot of e's integer numerators over its denominator, left
     out of equality; the `BrauerElement` (`element`) and the map P
-    (`projector`) are built from it only on demand.
+    (`projector`, filled from the numerators by `_numerator_map`) are
+    built from it only on demand.
     """
 
     trace: Fraction
@@ -470,8 +500,9 @@ class ProjectorReport:
 
     @property
     def projector(self) -> TensorMap:
-        """P as an N^D x N^D map, built from `element` on each access."""
-        return element_to_map(self.element, self.form)
+        """P as an N^D x N^D map, built from the snapshot on each access."""
+        x = self._snapshot
+        return _numerator_map(x.basis, x.terms, x.den, self.form)
 
 
 def _report(x: "_ElementAtZ0", lam: Optional[YoungDiagram]) -> ProjectorReport:
@@ -488,7 +519,11 @@ def _report(x: "_ElementAtZ0", lam: Optional[YoungDiagram]) -> ProjectorReport:
       polynomial in A, and A commutes with every permutation (Nazarov,
       J. Algebra 182 (1996)).  Only if it is not zero (B_D need not act
       faithfully at small N) is its map built, and it must be zero.
-      Either way A.P = 0 on the tensor space.
+      Either way A.P = 0 on the tensor space.  The map is filled from
+      e * A's integer numerators over x's denominator by
+      `_numerator_map`, with no `BrauerElement`, no polynomial and no
+      lcm; it has N^D entries per term, and above `MAP_WORK_CAP` of them
+      the call raises `CapExceededError` before filling.
     - (c_lambda / n_lambda) * e = e, by one more symmetrizer pass on a
       copy of x, when lam is given.
     - The trace is `_ElementAtZ0.trace`; an idempotent's rank equals its
@@ -504,8 +539,14 @@ def _report(x: "_ElementAtZ0", lam: Optional[YoungDiagram]) -> ProjectorReport:
     element is read.
     """
     e_ad = x.times_ad()
-    if e_ad.terms and not element_to_map(e_ad.element(), x.form).is_zero():
-        raise ArithmeticError("projector image is not traceless")
+    if e_ad.terms:
+        work = len(e_ad.terms) * x.form.N**x.D
+        if work > MAP_WORK_CAP:
+            raise CapExceededError(
+                f"the map of e * A needs {work} entries, above the cap {MAP_WORK_CAP}"
+            )
+        if not _numerator_map(x.basis, e_ad.terms, x.den, x.form).is_zero():
+            raise ArithmeticError("projector image is not traceless")
     if lam is not None and not x.fixed_by_symmetrizer(lam):
         raise ArithmeticError("projector is not idempotent")
     trace = x.trace()

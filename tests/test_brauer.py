@@ -275,6 +275,7 @@ def assert_rows_match_primitives(d):
         assert basis.partners[basis.swapped(k)[a]] == transposed(p, D + i, D + j)
     assert basis.loops(k) == face_decomposition(d.oriented(), reference_pairing(D)).total
     assert basis.diagram(k) == from_partners(p) == d
+    assert basis.eta(k) == eta_sign(basis.diagram(k))
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4])

@@ -95,6 +95,15 @@ def test_projector_cap_exit_code(capsys):
     assert "cap" in err
 
 
+def test_projector_map_work_cap_exit_code(capsys):
+    # N^D = 4096 is under SIZE_CAP, but the small-N map of e * A for (6)
+    # at Sp(4) has 9,675 terms of 4096 entries, above MAP_WORK_CAP
+    code, out, err = invoke(capsys, "projector", "6", "--N", "4", "--b", "1", "--json")
+    assert code == 3
+    assert out == ""
+    assert "39628800 entries" in err
+
+
 def test_projector_size_cap_is_not_an_option(capsys):
     code, out, _ = invoke(capsys, "projector", "2", "--N", "3", "--size-cap", "100")
     assert code == 2

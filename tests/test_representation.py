@@ -34,6 +34,7 @@ from gradedtensor.representation import (
     element_to_map,
     _ElementAtZ0,
     _irreducible,
+    _numerator_map,
     _symmetric_traceless,
     _traceless,
     encode_index,
@@ -749,17 +750,18 @@ def test_times_ad_is_a_times_the_element_for_every_builder():
 
 
 def count_maps(monkeypatch):
-    """Record the element of every `element_to_map` call in representation."""
+    """Record the numerators and denominator of every map filled in
+    representation."""
     import gradedtensor.representation as rep_mod
 
     made = []
-    full = rep_mod.element_to_map
+    full = rep_mod._numerator_map
 
-    def counted(e, form):
-        made.append(e)
-        return full(e, form)
+    def counted(basis, numerators, den, form):
+        made.append((dict(numerators), den))
+        return full(basis, numerators, den, form)
 
-    monkeypatch.setattr(rep_mod, "element_to_map", counted)
+    monkeypatch.setattr(rep_mod, "_numerator_map", counted)
     return made
 
 
@@ -767,11 +769,13 @@ def count_maps(monkeypatch):
     "rows,N,b,calls", [((2, 1), 3, 0, 0), ((2, 2), 2, 0, 1), ((4,), 2, 1, 1)]
 )
 def test_tensor_map_of_a_only_where_the_algebra_check_fails(monkeypatch, rows, N, b, calls):
-    # the one map a fallback report builds is that of e * A, not of e or of A
+    # the one map a fallback report builds is that of e * A's numerators,
+    # not of e or of A
     made = count_maps(monkeypatch)
     rep = irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
     assert rep.idempotent
-    assert made == [rep._snapshot.times_ad().element()] * calls
+    e_ad = rep._snapshot.times_ad()
+    assert made == [(e_ad.terms, e_ad.den)] * calls
 
 
 FALLBACK_CASES = [((2, 2), 2, 0), ((4,), 2, 1)]
@@ -781,9 +785,48 @@ FALLBACK_CASES = [((2, 2), 2, 0), ((4,), 2, 1)]
 def test_fallback_with_a_nonzero_map_of_a_e_is_not_traceless(monkeypatch, rows, N, b):
     import gradedtensor.representation as rep_mod
 
-    monkeypatch.setattr(rep_mod, "element_to_map", lambda e, form: TensorMap.identity(N, e.D))
+    def nonzero(basis, numerators, den, form):
+        return TensorMap.identity(N, basis.D)
+
+    monkeypatch.setattr(rep_mod, "_numerator_map", nonzero)
     with pytest.raises(ArithmeticError, match="not traceless"):
         irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
+
+
+@pytest.mark.parametrize(
+    "N,b,shapes",
+    [
+        (2, 0, [rows for n in range(2, 5) for rows in partitions(n)]),
+        (2, 1, [rows for n in range(2, 5) for rows in partitions(n)]),
+        (4, 1, [(5,), (4, 1), (3, 2)]),
+    ],
+)
+def test_fallback_map_of_the_numerators_is_the_map_of_the_element(N, b, shapes):
+    # the map `_report` fills from e * A's numerators equals the one
+    # `element_to_map` builds from the `BrauerElement`
+    form = GradedForm(N, b)
+    for rows in shapes:
+        lam = YoungDiagram(rows)
+        e_ad = _irreducible(lam, form).times_ad()
+        numerator_map = _numerator_map(e_ad.basis, e_ad.terms, e_ad.den, form)
+        assert numerator_map == element_to_map(e_ad.element(), form), rows
+        if N == 2:  # and so does the report's map P
+            rep = irreducible_projector(lam, form)
+            assert rep.projector == element_to_map(rep.element, form), rows
+
+
+def test_fallback_past_the_map_work_cap_is_refused(monkeypatch):
+    # (4) at Sp(2): e * A has 81 terms of N^D = 16 entries each
+    import gradedtensor.representation as rep_mod
+
+    lam, form = YoungDiagram((4,)), GradedForm(2, 1)
+    assert len(_irreducible(lam, form).times_ad().terms) == 81
+    monkeypatch.setattr(rep_mod, "MAP_WORK_CAP", 81 * 16)
+    assert irreducible_projector(lam, form).rank == 0
+    monkeypatch.setattr(rep_mod, "MAP_WORK_CAP", 81 * 16 - 1)
+    refuse_maps(monkeypatch)
+    with pytest.raises(CapExceededError, match="1296 entries"):
+        irreducible_projector(lam, form)
 
 
 @pytest.mark.parametrize("rows,N,b", FALLBACK_CASES)
@@ -848,7 +891,7 @@ def refuse_maps(monkeypatch):
         raise MapBuilt
 
     monkeypatch.setattr(rep_mod, "element_to_map", refuse)
-    monkeypatch.setattr(rep_mod, "_add_action", refuse)
+    monkeypatch.setattr(rep_mod, "_numerator_map", refuse)
 
 
 @pytest.mark.parametrize("rows,N,rank", [((5,), 4, 36), ((3, 2), 4, 24), ((6,), 3, 13)])
@@ -908,9 +951,9 @@ def test_fallback_report_is_unchanged(monkeypatch, rows, N, b):
     made = count_element_builds(monkeypatch)
     rep = irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
     assert (rep.trace, rep.rank, rep.idempotent) == (0, 0, True)
-    # only e * A is converted, for its map; e is not
-    assert [x.terms for x in made] == [rep._snapshot.times_ad().terms]
+    # the maps of e * A and of e are filled from numerators: neither is converted
     assert rep.projector.is_zero()
+    assert made == []
 
 
 def test_report_keeps_a_snapshot_of_its_element(monkeypatch):
