@@ -356,7 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="connected invariants up to isomorphism")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--slot-symmetries", action="store_true")
+    p.add_argument(
+        "--slot-symmetries",
+        action="store_true",
+        help="also identify graphs that differ by permuting each vertex's slots, for a fully "
+        "symmetric propagator: one class per connected D-regular multigraph with loops",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 

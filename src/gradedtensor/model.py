@@ -29,7 +29,7 @@ from .polynomial import Poly
 
 Pair = Tuple[int, int]
 
-ENUMERATE_TABLE_CAP = 100_000  # relabelings enumerate_invariants may compile
+ENUMERATE_TABLE_CAP = 100_000  # vertex relabelings enumerate_invariants compares a graph with
 
 
 def _field(data: dict, key: str, parse):
@@ -589,27 +589,27 @@ def perturbative_expansion(model: ModelSpec, order: int) -> Tuple[ExpansionTerm,
 
 
 Relabeling = Tuple[List[int], List[int]]  # (move, inverse) node lists
+Matrix = List[List[int]]  # m[u][u] loops at vertex u, m[u][w] strands between u and w
 
 
-def _relabelings(D: int, vertices: int, slot_perms: Sequence[Tuple[int, ...]]) -> List[Relabeling]:
-    """Every relabeling but the identity, as (move, inverse) node lists.
+def _relabelings(D: int, vertices: int) -> List[Relabeling]:
+    """Every vertex relabeling but the identity, as (move, inverse) node lists.
 
-    A relabeling permutes the vertices and the D slots of every vertex by
-    one of `slot_perms`, independently per vertex.  move[0] is a sentinel
-    above every node id: an open node (partner 0) moves to it.
+    A relabeling moves each node to the same slot of its vertex's image.
+    move[0] is a sentinel above every node id: an open node (partner 0)
+    moves to it.
     """
     n = D * vertices
     identity = [n + 1] + list(range(1, n + 1))
     table = []
     for vperm in itertools.permutations(range(vertices)):
-        for slots in itertools.product(slot_perms, repeat=vertices):
-            move = [n + 1] + [vperm[v] * D + c + 1 for v in range(vertices) for c in slots[v]]
-            if move == identity:
-                continue
-            inverse = [0] * (n + 1)
-            for x in range(1, n + 1):
-                inverse[move[x]] = x
-            table.append((move, inverse))
+        move = [n + 1] + [vperm[v] * D + c for v in range(vertices) for c in range(1, D + 1)]
+        if move == identity:
+            continue
+        inverse = [0] * (n + 1)
+        for x in range(1, n + 1):
+            inverse[move[x]] = x
+        table.append((move, inverse))
     return table
 
 
@@ -644,6 +644,140 @@ def _undecided(
     return kept
 
 
+def _least_fill(D: int, m: Matrix) -> Tuple[Pair, ...]:
+    """The least sorted strand tuple of the matchings with multiplicities m.
+
+    Nodes are walked in order, and each open node of vertex u is paired
+    with the least open slot of the least vertex w >= u that still has an
+    unused strand to u, a loop being a strand of u to itself.  The slots
+    of a vertex are interchangeable, so the least partner always leaves a
+    completion, and the walk reads the least partner list, which orders
+    sorted strand tuples (see `_undecided`).  The open nodes of u are its
+    slots past the strands from earlier vertices, each the smaller end of
+    its strand, so the strands come out sorted.
+    """
+    taken = [0] * len(m)  # slots of each vertex paired from earlier vertices
+    strands = []
+    for u, row in enumerate(m):
+        x = u * D + taken[u]  # the last node of u paired so far
+        for _ in range(row[u]):
+            strands.append((x + 1, x + 2))
+            x += 2
+        for w in range(u + 1, len(m)):
+            for _ in range(row[w]):
+                x += 1
+                taken[w] += 1
+                strands.append((x, w * D + taken[w]))
+    return tuple(strands)
+
+
+def _relabeling_reads_greater(m: Matrix) -> bool:
+    """Whether a vertex relabeling makes the upper triangle of m, read row
+    by row, lexicographically greater.
+
+    Within a cell, a run of columns that agree on all earlier rows, m must
+    not increase along a row, as `_multigraphs` builds it.  Positions
+    take vertices in order.  A cell (start, stop, members) is the
+    positions start..stop-1, whose earlier rows agree, and the vertices
+    that read those rows alike; position i takes a vertex a of its cell.
+    With m[a][a] = m[i][i], a reads row i at its greatest with each later
+    cell's members in decreasing order of m[a][x]: greater than m's row
+    ends the search, smaller drops a, and equal splits every cell by the
+    row's values, positions and members alike, for row i + 1.  At most
+    v! relabelings reach the last row.
+    """
+    v = len(m)
+
+    def search(i: int, cells: List[Tuple[int, int, List[int]]]) -> bool:
+        if i == v:
+            return False
+        row = m[i]
+        (_, end, first), later = cells[0], cells[1:]
+        for a in first:
+            if m[a][a] != row[i]:
+                if m[a][a] > row[i]:
+                    return True
+                continue
+            split = []
+            for start, stop, members in [(i + 1, end, [x for x in first if x != a])] + later:
+                values = sorted((m[a][x] for x in members), reverse=True)
+                if values != row[start:stop]:
+                    if values > row[start:stop]:
+                        return True
+                    break
+                while start < stop:
+                    value, run = row[start], start + 1
+                    while run < stop and row[run] == value:
+                        run += 1
+                    split.append((start, run, [x for x in members if m[a][x] == value]))
+                    start = run
+            else:
+                if search(i + 1, split):
+                    return True
+        return False
+
+    return search(0, [(0, v, list(range(v)))])
+
+
+def _multigraphs(D: int, vertices: int) -> List[Matrix]:
+    """Connected D-regular multigraphs with loops on `vertices` vertices,
+    one per class under vertex relabeling, as multiplicity matrices.
+
+    A row sums to D with its loops counted twice.  A class is given by its
+    relabeling whose upper triangle, read row by row, is lexicographically
+    greatest, and the triangle is filled in that order, each entry up to
+    what the free slots allow.  Within a cell, a run of
+    columns w > u that agree on rows 0..u-1, row u does not increase,
+    since swapping two of them would read greater.  So the vertices that
+    rows 0..u join to vertex 0 are 0..r for some r: a new neighbour takes
+    the first column of the all-zero cell past r.  The matrix is then
+    connected when every complete row u < v - 1 leaves a strand to some
+    vertex past u, and a complete matrix is kept when no relabeling reads
+    greater (`_relabeling_reads_greater`).
+    """
+    m = [[0] * vertices for _ in range(vertices)]
+    free = [D] * vertices  # slots of each vertex not yet given a strand
+    tied = [True] * vertices  # tied[w]: columns w - 1 and w agree on the rows filled
+    out: List[Matrix] = []
+
+    def fill(u: int, w: int) -> None:
+        if w == vertices:  # row u is complete
+            if free[u]:
+                return
+            if u + 1 == vertices:
+                if not _relabeling_reads_greater(m):
+                    out.append([row[:] for row in m])
+                return
+            if all(free[x] == D for x in range(u + 1, vertices)):
+                return  # no strand leaves vertices 0..u
+            kept = tied[:]
+            for x in range(u + 2, vertices):
+                tied[x] = tied[x] and m[u][x] == m[u][x - 1]
+            fill(u + 1, u + 1)
+            tied[:] = kept
+            return
+        if w == u:
+            for loops in range(free[u] // 2, -1, -1):
+                m[u][u] = loops
+                free[u] -= 2 * loops
+                fill(u, u + 1)
+                free[u] += 2 * loops
+            return
+        top = min(free[u], free[w], m[u][w - 1] if w > u + 1 and tied[w] else D)
+        low = max(free[u] - sum(free[w + 1:]), 0)
+        for k in range(top, low - 1, -1):
+            m[u][w] = m[w][u] = k
+            free[u] -= k
+            free[w] -= k
+            fill(u, w + 1)
+            free[u] += k
+            free[w] += k
+        m[u][w] = m[w][u] = 0
+
+    fill(0, 0)
+    return out
+
+
 def enumerate_invariants(
     D: int, vertices: int, slot_symmetry: bool = False
 ) -> Tuple[StrandedGraph, ...]:
@@ -652,24 +786,33 @@ def enumerate_invariants(
     Classes are taken under vertex relabeling; with `slot_symmetry` the
     D node slots of every vertex may additionally be permuted
     independently (appropriate when the propagator is fully symmetric).
-    Each class is given by its least strand set, found by orderly
-    generation: matchings grow in the order of `all_pairings`, the
-    smallest open node paired with each larger open node, so the k-th
-    strand placed is the k-th of the sorted strand tuple and the output
-    is sorted.  A prefix that a vertex relabeling makes smaller is
-    dropped with all its completions, since none of them can be least;
-    with `slot_symmetry` the whole group is checked on every connected
-    matching that survives.  The relabelings are compiled once per call:
-    v! (D!)^v of them with `slot_symmetry` and v! without.  Above
-    `ENUMERATE_TABLE_CAP` the call raises `CapExceededError` before
-    building any.
+    Each class is given by its least strand tuple, and the classes come
+    in increasing order.  Both searches compare a graph with its images
+    under the v! vertex relabelings; above `ENUMERATE_TABLE_CAP` the
+    call raises `CapExceededError` before either starts.
 
-    Connectivity is counted as strands are placed: each prefix carries a
-    part label per vertex and the number of parts, and a strand joining
-    two parts relabels one of them in a new list.  A complete matching is
-    connected when one part is left.  Its strands are already sorted,
-    oriented a < b and perfect, so the class is built without
-    re-validation (`StrandedGraph._canonical`).
+    Without `slot_symmetry` the classes come from orderly generation:
+    matchings grow in the order of `all_pairings`, the smallest open node
+    paired with each larger open node, so the k-th strand placed is the
+    k-th of the sorted strand tuple and the output is sorted.  A prefix
+    that a vertex relabeling makes smaller is dropped with all its
+    completions, since none of them can be least; the relabelings are
+    compiled once per call.  Connectivity is counted as strands are
+    placed: each prefix carries a part label per vertex and the number of
+    parts, and a strand joining two parts relabels one of them in a new
+    list.  A complete matching is connected when one part is left.
+
+    With `slot_symmetry` a class is fixed by its multiplicity matrix, a
+    connected D-regular multigraph with loops on which only the vertex
+    relabelings act (`_multigraphs`).  Its least strand tuple is the
+    greedy fill (`_least_fill`) of the relabeling whose upper triangle,
+    read row by row, is greatest: at the first entry (u, w) where two
+    matrices differ, the next node of u is paired into w in the greater
+    one and into a later vertex in the other.
+
+    Either way the strands are already sorted, oriented a < b and
+    perfect, so each class is built without re-validation
+    (`StrandedGraph._canonical`).
     """
     if D < 1:
         raise ValueError(f"D must be at least 1, got {D}")
@@ -678,15 +821,14 @@ def enumerate_invariants(
     n = D * vertices
     if n % 2 != 0 or (D == 1 and vertices > 2):  # D = 1: only the dipole is connected
         return ()
-    size = math.factorial(vertices) * (math.factorial(D) ** vertices if slot_symmetry else 1)
+    size = math.factorial(vertices)
     if size > ENUMERATE_TABLE_CAP:
         raise CapExceededError(
             f"enumerate needs {size} relabelings, above the cap {ENUMERATE_TABLE_CAP}"
         )
-    vertex_moves = _relabelings(D, vertices, [tuple(range(D))])
-    full_moves = []
     if slot_symmetry:
-        full_moves = _relabelings(D, vertices, list(itertools.permutations(range(D))))
+        fills = sorted(_least_fill(D, m) for m in _multigraphs(D, vertices))
+        return tuple(StrandedGraph._canonical(D, vertices, s) for s in fills)
     vertex_of = [0] + [(x - 1) // D for x in range(1, n + 1)]
     partner = [0] * (n + 1)
     strands: List[Pair] = []
@@ -703,7 +845,7 @@ def enumerate_invariants(
             following = first + 1
             while following <= n and partner[following]:
                 following += 1
-            kept = _undecided(partner, following, table)
+            kept = _undecided(partner, following, table) if table else table
             if kept is not None:
                 merged = component[vertex_of[other]]
                 if merged == label:
@@ -713,10 +855,10 @@ def enumerate_invariants(
                     left = parts - 1
                 if following <= n:
                     extend(following, kept, joined, left)
-                elif left == 1 and _undecided(partner, following, full_moves) is not None:
+                elif left == 1:
                     out.append(StrandedGraph._canonical(D, vertices, tuple(strands)))
             strands.pop()
             partner[first] = partner[other] = 0
 
-    extend(1, vertex_moves, list(range(vertices)), vertices)
+    extend(1, _relabelings(D, vertices), list(range(vertices)), vertices)
     return tuple(out)

@@ -676,6 +676,7 @@ def test_enumerate_d1_past_two_vertices_is_empty_without_a_table(monkeypatch, sl
         raise AssertionError("relabeling table built for D = 1")
 
     monkeypatch.setattr(model, "_relabelings", no_table)
+    monkeypatch.setattr(model, "_multigraphs", no_table)
     assert enumerate_invariants(1, 10, slot_symmetry) == ()
     assert enumerate_invariants(1, 4, slot_symmetry) == ()
 
@@ -832,19 +833,158 @@ def test_enumerate_neither_validates_nor_walks_its_classes(monkeypatch):
     assert two_dipoles not in kept
 
 
-@pytest.mark.parametrize("D,nv,slot_symmetry", [(2, 9, False), (10, 1, True), (4, 4, True)])
+@pytest.mark.parametrize("D,nv,slot_symmetry", [(2, 9, False), (2, 9, True)])
 def test_enumerate_refuses_a_relabeling_table_above_the_cap(monkeypatch, D, nv, slot_symmetry):
-    size = _table_size(D, nv, slot_symmetry)
+    # both searches compare a graph with its images under the v! vertex
+    # relabelings, with or without slot symmetries
+    size = math.factorial(nv)
     assert size > model.ENUMERATE_TABLE_CAP
 
-    def no_table(*args):
-        raise AssertionError("relabeling table built above the cap")
+    def no_search(*args):
+        raise AssertionError("enumerate started above the cap")
 
-    monkeypatch.setattr(model, "_relabelings", no_table)
+    monkeypatch.setattr(model, "_relabelings", no_search)
+    monkeypatch.setattr(model, "_multigraphs", no_search)
     with pytest.raises(CapExceededError) as info:
         enumerate_invariants(D, nv, slot_symmetry)
     assert str(size) in str(info.value)
     assert str(model.ENUMERATE_TABLE_CAP) in str(info.value)
+
+
+def _labelled_multigraphs(D, nv):
+    """Every connected D-regular multigraph with loops on vertices
+    0..nv-1, as the tuple of its upper triangle read row by row: loops at
+    u on the diagonal, strands between u and w above it."""
+    cells = [(u, w) for u in range(nv) for w in range(u, nv)]
+    free = [D] * nv
+    entries = []
+    out = []
+
+    def fill(k):
+        if k == len(cells):
+            if not any(free):
+                m = dict(zip(cells, entries))
+                pairs = [(u, w) for (u, w), c in m.items() if c]
+                if model._connected(nv, pairs, range(nv)):
+                    out.append(tuple(entries))
+            return
+        u, w = cells[k]
+        top = free[u] // 2 if u == w else min(free[u], free[w])
+        for c in range(top + 1):
+            free[u] -= c
+            free[w] -= c
+            entries.append(c)
+            fill(k + 1)
+            entries.pop()
+            free[u] += c
+            free[w] += c
+
+    fill(0)
+    return out
+
+
+def _burnside_classes(D, nv):
+    """(1/v!) * sum over vertex permutations pi of the labelled matrices
+    that pi fixes; fix(pi) depends only on pi's cycle type."""
+    cells = [(u, w) for u in range(nv) for w in range(u, nv)]
+    matrices = _labelled_multigraphs(D, nv)
+    by_type = {}  # cycle type: (a permutation of that type, how many have it)
+    for perm in itertools.permutations(range(nv)):
+        seen, cycle_type = set(), []
+        for start in range(nv):
+            length = 0
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+                length += 1
+            cycle_type.append(length)
+        key = tuple(sorted(cycle_type))
+        rep, size = by_type.get(key, (perm, 0))
+        by_type[key] = (rep, size + 1)
+    total = 0
+    for perm, size in by_type.values():
+        moved = [cells.index(tuple(sorted((perm[u], perm[w])))) for u, w in cells]
+        fixed = sum(all(m[moved[k]] == m[k] for k in range(len(cells))) for m in matrices)
+        total += size * fixed
+    assert total % math.factorial(nv) == 0
+    return total // math.factorial(nv)
+
+
+@pytest.mark.parametrize("D,nv,classes", [(6, 2, 3), (4, 4, 10), (3, 6, 17), (10, 1, 1)])
+def test_enumerate_slot_classes_match_a_burnside_count(D, nv, classes):
+    # (3, 6) is the 17 of OEIS A005967 (connected cubic multigraphs with
+    # loops on 2n nodes: 2, 5, 17 for n = 1, 2, 3)
+    found = enumerate_invariants(D, nv, slot_symmetry=True)
+    assert len(found) == classes == _burnside_classes(D, nv)
+    assert list(found) == sorted(found, key=lambda g: g.strands)
+    for g in found:
+        assert g == StrandedGraph(D, nv, g.strands) and g.is_connected()
+
+
+def _multiplicities(D, nv, strands):
+    m = [[0] * nv for _ in range(nv)]
+    for a, b in strands:
+        u, w = sorted(((a - 1) // D, (b - 1) // D))
+        m[u][w] += 1
+        if u != w:
+            m[w][u] += 1
+    return m
+
+
+def _least_over_slot_permutations(D, nv, strands):
+    """The least sorted strand tuple over every relabeling of the slots of
+    each vertex, by brute force: the orbit of `strands` under the moves
+    that swap two slots of one vertex, which generate those relabelings."""
+    swaps = []
+    for v in range(nv):
+        for c in range(1, D):
+            move = list(range(D * nv + 1))
+            move[v * D + c], move[v * D + c + 1] = v * D + c + 1, v * D + c
+            swaps.append(move)
+    orbit, frontier = {strands}, [strands]
+    while frontier:
+        current = frontier.pop()
+        for move in swaps:
+            image = tuple(sorted(tuple(sorted((move[a], move[b]))) for a, b in current))
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return min(orbit)
+
+
+FILL_SIZES = [
+    (D, nv)
+    for D in range(1, 11)
+    for nv in range(1, 11)
+    if D * nv <= 10 and D * nv % 2 == 0 and not (D == 1 and nv > 2)
+]
+
+
+@st.composite
+def labelled_connected_multigraphs(draw):
+    """(D, v, strands) of a connected graph on labelled vertices: a spanning
+    tree in a drawn vertex order, each vertex joined to a drawn earlier
+    one with a free slot, then a drawn matching of the slots left.  Every
+    connected graph arises, from a breadth-first order of its vertices."""
+    D, nv = draw(st.sampled_from(FILL_SIZES))
+    free = {v: list(range(v * D + 1, (v + 1) * D + 1)) for v in range(nv)}
+    order = draw(st.permutations(range(nv)))
+    strands = []
+    for k in range(1, nv):
+        u = draw(st.sampled_from([u for u in order[:k] if free[u]]))
+        strands.append((free[u].pop(0), free[order[k]].pop(0)))
+    rest = draw(st.permutations(sorted(x for slots in free.values() for x in slots)))
+    strands += zip(rest[::2], rest[1::2])
+    return D, nv, tuple(sorted(tuple(sorted(p)) for p in strands))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=labelled_connected_multigraphs())
+def test_least_fill_is_the_least_strand_tuple_over_slot_permutations(case):
+    D, nv, strands = case
+    assert StrandedGraph(D, nv, strands).is_connected()
+    m = _multiplicities(D, nv, strands)
+    assert model._least_fill(D, m) == _least_over_slot_permutations(D, nv, strands)
 
 
 @pytest.mark.parametrize("D", [0, -2])
