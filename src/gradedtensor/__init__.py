@@ -66,6 +66,7 @@ from .representation import (
     element_to_map,
     irreducible_projector,
     symmetric_traceless_projector,
+    traceless_component_occurs,
     traceless_projector,
 )
 from .young import (

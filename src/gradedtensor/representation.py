@@ -7,10 +7,13 @@ and irreducible-symmetry projectors.  The projector elements are built
 at the loop weight z0 = (-1)^b N in integers (`_ElementAtZ0`), and every
 report is read there too, by one route (`_report`); the only tensor map
 it builds is that of e * A, which equals A * e, where that product is
-not zero in B_D (B_D does not act faithfully at small N).  Every tensor
-map of a Brauer element is filled by one routine (`_numerator_map`) from
-integer numerators keyed by diagram number.  The symplectic grading
-enters through the form (delta or omega) and the diagram grading sign.
+not zero in B_D (B_D does not act faithfully at small N).  An
+irreducible projector whose traceless component does not occur on the
+tensor space (`traceless_component_occurs`) is zero, and is reported
+from that rule with no build.  Every tensor map of a Brauer element is
+filled by one routine (`_numerator_map`) from integer numerators keyed
+by diagram number.  The symplectic grading enters through the form
+(delta or omega) and the diagram grading sign.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .young import (
 
 SIZE_CAP = 20736  # N**D above this errors instead of thrashing
 MAP_WORK_CAP = 4_000_000  # entries the small-N fallback map of e * A may fill
+DIAGRAM_CAP = 135_135  # (2D - 1)!! diagrams of B_D a build may visit: all of B_7
 
 
 # -- graded bilinear forms ---------------------------------------------------
@@ -244,6 +248,12 @@ def _check_cap(N: int, D: int):
         raise CapExceededError(f"N^D = {N**D} exceeds the size cap {SIZE_CAP}")
 
 
+def _check_diagram_cap(D: int):
+    diagrams = math.prod(range(1, 2 * D, 2))
+    if diagrams > DIAGRAM_CAP:
+        raise CapExceededError(f"B_{D} has {diagrams} diagrams, above the cap {DIAGRAM_CAP}")
+
+
 # -- diagram and element actions ---------------------------------------------
 
 
@@ -444,6 +454,19 @@ def minimal_polynomial(m: TensorMap) -> Poly:
     return p
 
 
+def traceless_component_occurs(rows: Tuple[int, ...], form: GradedForm) -> bool:
+    """Whether the traceless tensors of symmetry type rows occur on V^(tensor D).
+
+    The traceless tensors are the sum of [lambda]_G (x) S^lambda over the
+    lambda that occur (Weyl, The Classical Groups, 1939, ch. V): those with
+    lambda'_1 + lambda'_2 <= N for O(N), and, in the graded form at b = 1,
+    2 lambda_1 <= N for Sp(N).  The empty shape always occurs.
+    """
+    if form.b:
+        return 2 * max(rows, default=0) <= form.N
+    return len(rows) + sum(r >= 2 for r in rows) <= form.N
+
+
 def ad_nonzero_eigenvalues(D: int, form: GradedForm) -> Set[int]:
     """Distinct nonzero eigenvalues of the arc-sum element, in closed form.
 
@@ -452,20 +475,21 @@ def ad_nonzero_eigenvalues(D: int, form: GradedForm) -> Set[int]:
     component labelled by mu |- D - 2f and lambda |- D, where lambda occurs
     in mu times an even-row nu |- 2f, c is the content sum and
     z = (-1)^b N.  Only pairs present on the tensor space count: l(lambda)
-    <= N and mu'_1 + mu'_2 <= N for O(N), lambda_1 <= N and mu_1 <= N/2
-    for Sp(N).  No tensor map is built.
+    <= N for O(N) and lambda_1 <= N for Sp(N), and mu's traceless
+    component occurs (`traceless_component_occurs`).  No tensor map is
+    built.
     """
     N, z = form.N, int(form.z_value)
     if form.b:
         lambdas = [lam for lam in partitions(D) if lam[0] <= N]
-        mu_occurs = lambda mu: 2 * max(mu, default=0) <= N
     else:
         lambdas = [lam for lam in partitions(D) if len(lam) <= N]
-        mu_occurs = lambda mu: len(mu) + sum(r >= 2 for r in mu) <= N
     found: Set[int] = set()
     for f in range(1, D // 2 + 1):
         even_nus = [nu for nu in partitions(2 * f) if all(r % 2 == 0 for r in nu)]
-        for mu in filter(mu_occurs, partitions(D - 2 * f)):
+        for mu in partitions(D - 2 * f):
+            if not traceless_component_occurs(mu, form):
+                continue
             for lam in lambdas:
                 alpha = content_sum(lam) - content_sum(mu) + f * (z - 1)
                 if alpha and any(lr_coefficient(lam, mu, nu) for nu in even_nus):
@@ -485,23 +509,32 @@ class ProjectorReport:
     out of equality; the `BrauerElement` (`element`) and the map P
     (`projector`, filled from the numerators by `_numerator_map`) are
     built from it only on demand.
+
+    A zero component (`irreducible_projector` on a shape whose traceless
+    component does not occur) has no snapshot, only its shape: P is the
+    zero map, and e is built, and checked, by `_report` on each access.
     """
 
     trace: Fraction
     rank: int
     idempotent: bool
     form: GradedForm
-    _snapshot: "_ElementAtZ0" = field(compare=False, repr=False)
+    _snapshot: Optional["_ElementAtZ0"] = field(compare=False, repr=False)
+    _shape: Optional[YoungDiagram] = field(default=None, compare=False, repr=False)
 
     @property
     def element(self) -> BrauerElement:
         """e as a `BrauerElement` at z0, built from the snapshot on each access."""
+        if self._snapshot is None:
+            return _report(_irreducible(self._shape, self.form), self._shape).element
         return self._snapshot.element()
 
     @property
     def projector(self) -> TensorMap:
         """P as an N^D x N^D map, built from the snapshot on each access."""
         x = self._snapshot
+        if x is None:
+            return TensorMap(self.form.N, self._shape.size, {})
         return _numerator_map(x.basis, x.terms, x.den, self.form)
 
 
@@ -571,6 +604,7 @@ class _ElementAtZ0:
     __slots__ = ("D", "form", "z0", "basis", "terms", "den")
 
     def __init__(self, D: int, form: GradedForm):
+        _check_diagram_cap(D)
         self.D = D
         self.form = form
         self.z0 = int(form.z_value)
@@ -750,7 +784,17 @@ def irreducible_element(lam: YoungDiagram, form: GradedForm) -> BrauerElement:
 
 
 def irreducible_projector(lam: YoungDiagram, form: GradedForm) -> ProjectorReport:
-    """Projector for an irreducible symmetry type, with its invariants."""
+    """Projector for an irreducible symmetry type, with its invariants.
+
+    Where lam's traceless component does not occur on the tensor space
+    (`traceless_component_occurs`), P is zero and the report says so with
+    no B_D build; its element is built on access (see `ProjectorReport`).
+    """
+    _check_cap(form.N, lam.size)
+    if not traceless_component_occurs(lam.rows, form):
+        return ProjectorReport(
+            trace=Fraction(0), rank=0, idempotent=True, form=form, _snapshot=None, _shape=lam
+        )
     return _report(_irreducible(lam, form), lam)
 
 

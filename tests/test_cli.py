@@ -95,13 +95,43 @@ def test_projector_cap_exit_code(capsys):
     assert "cap" in err
 
 
-def test_projector_map_work_cap_exit_code(capsys):
-    # N^D = 4096 is under SIZE_CAP, but the small-N map of e * A for (6)
-    # at Sp(4) has 9,675 terms of 4096 entries, above MAP_WORK_CAP
+def test_projector_zero_component_past_the_map_work_cap_prints_rank_0(capsys):
+    # (6) at Sp(4) does not occur (2 * 6 > 4), so P = 0 is read off the
+    # occurrence rule; the map of e * A that would certify it in B_D, 9,675
+    # terms of 4096 entries, is past MAP_WORK_CAP and is not built
     code, out, err = invoke(capsys, "projector", "6", "--N", "4", "--b", "1", "--json")
+    assert code == 0
+    assert err == ""
+    data = json.loads(out)
+    assert (data["trace"], data["rank"], data["idempotent"]) == ("0", 0, True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["4,3", "--N", "3"],
+        ["6,1", "--N", "2"],
+        ["7", "--N", "2", "--b", "1"],
+        ["8", "--N", "2", "--b", "1"],
+    ],
+)
+def test_projector_zero_components_print_rank_0(capsys, argv):
+    # read off the occurrence rule with no B_D build: (4,3) at O(3) took
+    # 20 s in B_D, (6,1) at O(2) and (7) at Sp(2) exited 3 past
+    # MAP_WORK_CAP, and B_8 is past the diagram cap
+    code, out, _ = invoke(capsys, "projector", *argv, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["trace"], data["rank"], data["idempotent"]) == ("0", 0, True)
+
+
+def test_projector_past_the_diagram_cap_exit_code(capsys):
+    # (8) occurs at O(2), and B_8 has 15!! = 2,027,025 diagrams, past the
+    # 135,135 of B_7
+    code, out, err = invoke(capsys, "projector", "8", "--N", "2")
     assert code == 3
     assert out == ""
-    assert "39628800 entries" in err
+    assert "2027025 diagrams" in err
 
 
 def test_projector_size_cap_is_not_an_option(capsys):

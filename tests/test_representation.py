@@ -23,6 +23,7 @@ from gradedtensor.brauer import (
 from gradedtensor.errors import CapExceededError
 from gradedtensor.polynomial import Poly
 from gradedtensor.representation import (
+    DIAGRAM_CAP,
     SIZE_CAP,
     GradedForm,
     TensorMap,
@@ -35,6 +36,7 @@ from gradedtensor.representation import (
     _ElementAtZ0,
     _irreducible,
     _numerator_map,
+    _report,
     _symmetric_traceless,
     _traceless,
     encode_index,
@@ -43,6 +45,7 @@ from gradedtensor.representation import (
     minimal_polynomial,
     symmetric_traceless_element,
     symmetric_traceless_projector,
+    traceless_component_occurs,
     traceless_element,
     traceless_projector,
 )
@@ -749,6 +752,14 @@ def test_times_ad_is_a_times_the_element_for_every_builder():
     assert count == 93
 
 
+def checked_report(rows, N, b):
+    """The report of the checked B_D build, which `irreducible_projector`
+    skips for a zero component: the route of `ProjectorReport.element`,
+    `--decompose` and model projectors, where the fallback map is built."""
+    lam = YoungDiagram(rows)
+    return _report(_irreducible(lam, GradedForm(N, b)), lam)
+
+
 def count_maps(monkeypatch):
     """Record the numerators and denominator of every map filled in
     representation."""
@@ -772,7 +783,7 @@ def test_tensor_map_of_a_only_where_the_algebra_check_fails(monkeypatch, rows, N
     # the one map a fallback report builds is that of e * A's numerators,
     # not of e or of A
     made = count_maps(monkeypatch)
-    rep = irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
+    rep = checked_report(rows, N, b)
     assert rep.idempotent
     e_ad = rep._snapshot.times_ad()
     assert made == [(e_ad.terms, e_ad.den)] * calls
@@ -790,7 +801,7 @@ def test_fallback_with_a_nonzero_map_of_a_e_is_not_traceless(monkeypatch, rows, 
 
     monkeypatch.setattr(rep_mod, "_numerator_map", nonzero)
     with pytest.raises(ArithmeticError, match="not traceless"):
-        irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
+        checked_report(rows, N, b)
 
 
 @pytest.mark.parametrize(
@@ -822,11 +833,11 @@ def test_fallback_past_the_map_work_cap_is_refused(monkeypatch):
     lam, form = YoungDiagram((4,)), GradedForm(2, 1)
     assert len(_irreducible(lam, form).times_ad().terms) == 81
     monkeypatch.setattr(rep_mod, "MAP_WORK_CAP", 81 * 16)
-    assert irreducible_projector(lam, form).rank == 0
+    assert checked_report((4,), 2, 1).rank == 0
     monkeypatch.setattr(rep_mod, "MAP_WORK_CAP", 81 * 16 - 1)
     refuse_maps(monkeypatch)
     with pytest.raises(CapExceededError, match="1296 entries"):
-        irreducible_projector(lam, form)
+        checked_report((4,), 2, 1)
 
 
 @pytest.mark.parametrize("rows,N,b", FALLBACK_CASES)
@@ -834,7 +845,99 @@ def test_fallback_checks_the_symmetrizer_for_idempotence(monkeypatch, rows, N, b
     # a fallback report takes the same idempotence check as any other
     monkeypatch.setattr(_ElementAtZ0, "fixed_by_symmetrizer", lambda self, lam: False)
     with pytest.raises(ArithmeticError, match="not idempotent"):
-        irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
+        checked_report(rows, N, b)
+
+
+# -- zero components, read off the occurrence rule ------------------------------
+
+
+def test_occurrence_rule_matches_the_rank_of_the_build():
+    # the rule against the checked B_D build, not against
+    # irreducible_projector, which reads it: every lambda |- 2..5 at every
+    # (N, b) under SIZE_CAP, and lambda |- 6 at N = 2 at both gradings; the
+    # one build past MAP_WORK_CAP, (5) at Sp(6), is counted apart
+    cases = [
+        (rows, N, b)
+        for D in range(2, 6)
+        for N in range(1, math.isqrt(SIZE_CAP) + 1)
+        for b in (0, 1)
+        if N**D <= SIZE_CAP and not (b and N % 2)
+        for rows in partitions(D)
+    ]
+    cases += [(rows, 2, b) for b in (0, 1) for rows in partitions(6)]
+    counts = {"occurs": 0, "zero": 0, "capped": 0}
+    for rows, N, b in cases:
+        try:
+            rank = checked_report(rows, N, b).rank
+        except CapExceededError:
+            assert (rows, N, b) == ((5,), 6, 1)
+            counts["capped"] += 1
+            continue
+        occurs = traceless_component_occurs(rows, GradedForm(N, b))
+        assert (rank > 0) == occurs, (rows, N, b, rank)
+        counts["occurs" if occurs else "zero"] += 1
+    assert counts == {"occurs": 651, "zero": 82, "capped": 1}
+
+
+@pytest.mark.parametrize("N,b", GRADED_FORMS)
+def test_zero_report_is_the_zero_map_of_the_irreducible_element(N, b):
+    form = GradedForm(N, b)
+    zeros = 0
+    for n in range(2, 5):
+        for rows in partitions(n):
+            if traceless_component_occurs(rows, form):
+                continue
+            lam = YoungDiagram(rows)
+            rep = irreducible_projector(lam, form)
+            assert (rep.trace, rep.rank, rep.idempotent) == (0, 0, True)
+            assert rep.projector == TensorMap(N, n, {})
+            assert rep.element == irreducible_element(lam, form)
+            zeros += 1
+    # all ten shapes at O(1); at O(2) all but one row and (1,1); at Sp(2)
+    # all but one column; (2,2), (2,1,1) and (1^4) at O(3); (3), (4) and
+    # (3,1) at Sp(4); (4) at Sp(6)
+    assert zeros == {(1, 0): 10, (2, 0): 6, (2, 1): 7, (3, 0): 3, (4, 1): 3, (6, 1): 1}.get(
+        (N, b), 0
+    )
+
+
+class DiagramsNumbered(Exception):
+    pass
+
+
+def refuse_diagrams(monkeypatch):
+    """Make numbering the diagrams of any B_D in representation raise
+    DiagramsNumbered."""
+    import gradedtensor.representation as rep_mod
+
+    def refuse(D):
+        raise DiagramsNumbered
+
+    monkeypatch.setattr(rep_mod, "diagram_basis", refuse)
+
+
+def test_zero_component_builds_no_diagram(monkeypatch, capsys):
+    from gradedtensor.cli import run
+
+    refuse_diagrams(monkeypatch)
+    assert run(["projector", "4,3", "--N", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["trace = 0", "rank = 0", "idempotent = True"]
+    rep = irreducible_projector(YoungDiagram((4, 3)), GradedForm(3, 0))
+    assert rep.projector.is_zero()
+    with pytest.raises(DiagramsNumbered):  # the element is built, and checked, on access
+        rep.element
+
+
+def test_diagram_cap_is_checked_before_any_diagram_is_numbered(monkeypatch):
+    # the cap is all of B_7; (8) occurs at O(2), while at Sp(2) it does not
+    assert DIAGRAM_CAP == math.prod(range(1, 14, 2))
+    refuse_diagrams(monkeypatch)
+    with pytest.raises(CapExceededError, match="2027025 diagrams"):
+        irreducible_projector(YoungDiagram((8,)), GradedForm(2, 0))
+    assert irreducible_projector(YoungDiagram((8,)), GradedForm(2, 1)).rank == 0
+    with pytest.raises(CapExceededError, match="2027025 diagrams"):
+        traceless_projector(8, GradedForm(2, 0))
 
 
 # -- reports read in B_D at z0 against the map route ---------------------------
@@ -905,7 +1008,7 @@ def test_unfaithful_algebra_falls_back_to_the_map(monkeypatch):
     # e * A != 0 in B_D for (2,2) at O(2), although A.P = 0 on the tensors
     refuse_maps(monkeypatch)
     with pytest.raises(MapBuilt):
-        irreducible_projector(YoungDiagram((2, 2)), GradedForm(2, 0))
+        checked_report((2, 2), 2, 0)
 
 
 # -- the report's element, built only when it is read ----------------------------
@@ -949,7 +1052,7 @@ def test_report_element_is_the_irreducible_element(N, b):
 @pytest.mark.parametrize("rows,N,b", FALLBACK_CASES)
 def test_fallback_report_is_unchanged(monkeypatch, rows, N, b):
     made = count_element_builds(monkeypatch)
-    rep = irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
+    rep = checked_report(rows, N, b)
     assert (rep.trace, rep.rank, rep.idempotent) == (0, 0, True)
     # the maps of e * A and of e are filled from numerators: neither is converted
     assert rep.projector.is_zero()
@@ -994,7 +1097,7 @@ def test_shared_rows_leak_no_state(capsys):
     from gradedtensor.cli import run
 
     def build(rows, N, b):
-        rep = irreducible_projector(YoungDiagram(rows), GradedForm(N, b))
+        rep = checked_report(rows, N, b)
         argv = ["projector", ",".join(map(str, rows)), "--N", str(N), "--b", str(b)]
         assert run(argv + ["--decompose", "--json"]) == 0
         return rep, (rep.trace, rep.rank, rep.element, capsys.readouterr().out)
