@@ -30,6 +30,7 @@ from .polynomial import Poly
 Pair = Tuple[int, int]
 
 ENUMERATE_TABLE_CAP = 100_000  # vertex relabelings enumerate_invariants compares a graph with
+ENUMERATE_CLASS_CAP = 2_000_000  # orbit-least matchings the search without slot symmetries reaches
 
 
 def _field(data: dict, key: str, parse):
@@ -59,7 +60,7 @@ def _size(value) -> int:
 # -- stranded graphs ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrandedGraph:
     """A contraction pattern: `vertices` groups of D nodes and a perfect
     matching of the nodes.  Node ids are 1-based: vertex v, slot c maps
@@ -99,7 +100,10 @@ class StrandedGraph:
         `enumerate_invariants`, whose generator builds its strands so,
         calls this."""
         g = object.__new__(cls)
-        g.__dict__.update(D=D, vertices=vertices, strands=strands, orientation=None)
+        _set_D(g, D)
+        _set_vertices(g, vertices)
+        _set_strands(g, strands)
+        _set_orientation(g, None)
         return g
 
     @property
@@ -163,6 +167,13 @@ class StrandedGraph:
 
         strands = _field(data, "strands", lambda pairs: tuple((node(a), node(b)) for a, b in pairs))
         return cls(D, nv, strands)
+
+
+# the slots' own setters, which pass over the frozen check as object.__setattr__
+# does, without its lookup by name
+_set_D, _set_vertices, _set_strands, _set_orientation = (
+    getattr(StrandedGraph, name).__set__ for name in ("D", "vertices", "strands", "orientation")
+)
 
 
 def _connected(vertices: int, strands: Iterable[Pair], vertex_of: Sequence[int]) -> bool:
@@ -588,12 +599,13 @@ def perturbative_expansion(model: ModelSpec, order: int) -> Tuple[ExpansionTerm,
 # -- enumeration of invariants -------------------------------------------------
 
 
-Relabeling = Tuple[List[int], List[int]]  # (move, inverse) node lists
+Relabeling = Tuple[List[int], List[int], int]  # (move, inverse) node lists, resume position
 Matrix = List[List[int]]  # m[u][u] loops at vertex u, m[u][w] strands between u and w
 
 
 def _relabelings(D: int, vertices: int) -> List[Relabeling]:
-    """Every vertex relabeling but the identity, as (move, inverse) node lists.
+    """Every vertex relabeling but the identity, as (move, inverse, 1):
+    node lists and the position `_undecided` starts comparing at.
 
     A relabeling moves each node to the same slot of its vertex's image.
     move[0] is a sentinel above every node id: an open node (partner 0)
@@ -609,7 +621,7 @@ def _relabelings(D: int, vertices: int) -> List[Relabeling]:
         inverse = [0] * (n + 1)
         for x in range(1, n + 1):
             inverse[move[x]] = x
-        table.append((move, inverse))
+        table.append((move, inverse, 1))
     return table
 
 
@@ -617,7 +629,8 @@ def _undecided(
     partner: List[int], first_open: int, table: List[Relabeling]
 ) -> Optional[List[Relabeling]]:
     """The relabelings of `table` that may still make a completion of the
-    matching prefix smaller, or None when one makes the prefix smaller.
+    matching prefix smaller, each with its new resume position, or None
+    when one makes the prefix smaller.
 
     `partner` holds the prefix, 0 for an open node, and every node below
     `first_open` is closed.  Comparing the relabeled partner of node y,
@@ -625,22 +638,33 @@ def _undecided(
     the sorted strand tuples.  A relabeling that reads larger at a closed
     node is larger on every completion and is dropped; one that reads the
     sentinel, at a node its prefix leaves open, is kept undecided.
+
+    Each relabeling resumes at its stored position y, the first node not
+    yet known to read equal.  Every node below y read equal on a shorter
+    prefix, and an equal read compares two closed partners (the sentinel
+    equals no node), which no extension of that prefix reopens; so the
+    restart from node 1 would read equal up to y again.  A kept relabeling
+    stores the node it stopped at: the one that read the sentinel, or
+    `first_open`.  One whose position did not move is passed on as the
+    same tuple.
     """
     n = len(partner) - 1
     kept = []
     for relabeling in table:
-        move, inverse = relabeling
-        for y in range(1, first_open):
+        move, inverse, y = relabeling
+        start = y
+        while y < first_open:
             q = move[partner[inverse[y]]]
             if q != partner[y]:
                 break
-        else:
-            kept.append(relabeling)  # equal on the whole prefix
+            y += 1
+        else:  # equal on the whole prefix
+            kept.append(relabeling if y == start else (move, inverse, y))
             continue
         if q < partner[y]:
             return None
         if q > n:
-            kept.append(relabeling)
+            kept.append(relabeling if y == start else (move, inverse, y))
     return kept
 
 
@@ -789,7 +813,12 @@ def enumerate_invariants(
     Each class is given by its least strand tuple, and the classes come
     in increasing order.  Both searches compare a graph with its images
     under the v! vertex relabelings; above `ENUMERATE_TABLE_CAP` the
-    call raises `CapExceededError` before either starts.
+    call raises `CapExceededError` before either starts.  Without
+    `slot_symmetry` an orbit holds at most v! matchings, so the search
+    reaches at least (Dv-1)!!/v! orbit-least complete matchings; above
+    `ENUMERATE_CLASS_CAP` it raises `CapExceededError` before it starts,
+    naming the quotient of the largest factors of (Dv-1)!! that already
+    passes the cap.
 
     Without `slot_symmetry` the classes come from orderly generation:
     matchings grow in the order of `all_pairings`, the smallest open node
@@ -797,10 +826,13 @@ def enumerate_invariants(
     k-th of the sorted strand tuple and the output is sorted.  A prefix
     that a vertex relabeling makes smaller is dropped with all its
     completions, since none of them can be least; the relabelings are
-    compiled once per call.  Connectivity is counted as strands are
-    placed: each prefix carries a part label per vertex and the number of
-    parts, and a strand joining two parts relabels one of them in a new
-    list.  A complete matching is connected when one part is left.
+    compiled once per call.  Each prefix carries the relabelings still
+    undecided on it, each with the first node whose comparison is not yet
+    known to be equal; the next strand resumes it there (`_undecided`).
+    Connectivity is counted as strands are placed: each prefix carries a
+    part label per vertex and the number of parts, and a strand joining
+    two parts relabels one of them in a new list.  A complete matching is
+    connected when one part is left.
 
     With `slot_symmetry` a class is fixed by its multiplicity matrix, a
     connected D-regular multigraph with loops on which only the vertex
@@ -829,6 +861,19 @@ def enumerate_invariants(
     if slot_symmetry:
         fills = sorted(_least_fill(D, m) for m in _multigraphs(D, vertices))
         return tuple(StrandedGraph._canonical(D, vertices, s) for s in fills)
+    # (n-1)!! from its largest factor down, stopped once the quotient passes
+    # the cap: a few products at any D, where the whole (n-1)!! may take
+    # seconds and have more digits than an int is allowed to print
+    reached, factor = 1, n - 1
+    while factor > 1 and reached // size <= ENUMERATE_CLASS_CAP:
+        reached *= factor
+        factor -= 2
+    reached //= size
+    if reached > ENUMERATE_CLASS_CAP:
+        raise CapExceededError(
+            f"enumerate reaches at least {reached} orbit-least matchings, "
+            f"above the cap {ENUMERATE_CLASS_CAP}"
+        )
     vertex_of = [0] + [(x - 1) // D for x in range(1, n + 1)]
     partner = [0] * (n + 1)
     strands: List[Pair] = []

@@ -207,6 +207,23 @@ def test_enumerate_cap_exit_code(capsys):
     assert "362880" in err and "cap" in err
 
 
+@pytest.mark.parametrize("D,vertices", [("6", "4"), ("100000", "2")])
+def test_enumerate_class_cap_exit_code(monkeypatch, capsys, D, vertices):
+    # both pass the v! cap, but reach at least (Dv - 1)!!/v! orbit-least
+    # matchings: exit 3 before the relabeling table is built, and at once
+    # where (Dv - 1)!! has more digits than an int may print
+    from gradedtensor import model
+
+    def no_search(*args):
+        raise AssertionError("enumerate started above the class cap")
+
+    monkeypatch.setattr(model, "_relabelings", no_search)
+    code, out, err = invoke(capsys, "enumerate", "--D", D, "--vertices", vertices)
+    assert code == 3
+    assert out == ""
+    assert "orbit-least matchings" in err and str(model.ENUMERATE_CLASS_CAP) in err
+
+
 @pytest.mark.parametrize("vertices,classes", [(10, 0), (2, 1)])
 def test_enumerate_d1_needs_no_relabeling_table(capsys, vertices, classes):
     # with D = 1 only the dipole is connected, so v = 10 is answered at once

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -70,6 +72,22 @@ def test_graph_validation_and_json():
             StrandedGraph(D, vertices, ())
     assert StrandedGraph(2, 0, ()).to_json() == {"D": 2, "vertices": 0, "strands": []}
     assert StrandedGraph(0, 3, ()).vertices == 3
+
+
+def test_graphs_keep_no_instance_dict_and_stay_frozen():
+    # enumerate holds a graph per class, so each keeps its four fields in slots
+    checked = StrandedGraph(2, 2, ((3, 1), (4, 2)))
+    built = StrandedGraph._canonical(2, 2, ((1, 3), (2, 4)))
+    assert built == checked and hash(built) == hash(checked)
+    assert built.orientation is None
+    for g in (checked, built):
+        assert not hasattr(g, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.D = 3
+        # a name that is no field has no slot; before Python 3.12 the
+        # frozen check of a slotted dataclass raises TypeError for it
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            g.extra = 1
 
 
 def _reference_strands(D, vertices, strands):
@@ -760,6 +778,63 @@ def test_enumerate_d4_v4_pinned():
     assert digest == "ae1ac87e42ee3a5cf434c3c6e5b2ade8e947533a16ab1aaa80d1ba542f0f1a9e"
 
 
+def test_enumerate_d7_v2_pinned():
+    # both values computed from the output of the search that compared
+    # every relabeling from node 1 at each prefix
+    classes = enumerate_invariants(7, 2)
+    assert len(classes) == 68219
+    digest = hashlib.sha256(repr([g.strands for g in classes]).encode()).hexdigest()
+    assert digest == "b62729f74c617f1050a379c999c770a78c2cb314b9ff48abe0e6377dc74be0d8"
+
+
+def _undecided_from_node_1(partner, first_open, table):
+    """Reference for `model._undecided` on (move, inverse) pairs: every
+    relabeling's comparison is read again from node 1."""
+    n = len(partner) - 1
+    kept = []
+    for relabeling in table:
+        move, inverse = relabeling
+        for y in range(1, first_open):
+            q = move[partner[inverse[y]]]
+            if q != partner[y]:
+                break
+        else:
+            kept.append(relabeling)
+            continue
+        if q < partner[y]:
+            return None
+        if q > n:
+            kept.append(relabeling)
+    return kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.sampled_from([(2, 4), (3, 4), (4, 3), (2, 5), (6, 2), (2, 6), (4, 4), (3, 6)]),
+    data=st.data(),
+)
+def test_resumed_comparison_matches_the_restart_from_node_1(size, data):
+    # a matching grown in the order of all_pairings: the least open node is
+    # paired with a drawn later open node, and both checks run after every strand
+    D, nv = size
+    n = D * nv
+    table = model._relabelings(D, nv)
+    reference = [(move, inverse) for move, inverse, _ in table]
+    partner = [0] * (n + 1)
+    first = 1
+    while first <= n:
+        other = data.draw(st.sampled_from([x for x in range(first + 1, n + 1) if not partner[x]]))
+        partner[first], partner[other] = other, first
+        while first <= n and partner[first]:
+            first += 1
+        table = model._undecided(partner, first, table)
+        reference = _undecided_from_node_1(partner, first, reference)
+        if reference is None:
+            assert table is None
+            return
+        assert [(move, inverse) for move, inverse, _ in table] == reference
+
+
 def _is_least(strands, D, vertices, slot_symmetry):
     """Per-matching reference: True when no relabeling makes the sorted
     strand tuple smaller.  Relabelings permute the vertices and, with
@@ -849,6 +924,64 @@ def test_enumerate_refuses_a_relabeling_table_above_the_cap(monkeypatch, D, nv, 
         enumerate_invariants(D, nv, slot_symmetry)
     assert str(size) in str(info.value)
     assert str(model.ENUMERATE_TABLE_CAP) in str(info.value)
+
+
+def _orbit_least_bound(D, nv):
+    # an orbit holds at most v! matchings, so there are at least
+    # (Dv - 1)!!/v! orbits, each with one least matching the search reaches
+    return double_factorial(D * nv - 1) // math.factorial(nv)
+
+
+class _SearchStarted(Exception):
+    pass
+
+
+def _refuse_search(*args):
+    raise _SearchStarted
+
+
+def _named_bound(message):
+    # the count a class-cap message names, and the cap it names
+    found = re.fullmatch(
+        r"enumerate reaches at least (\d+) orbit-least matchings, above the cap (\d+)", message
+    )
+    assert found, message
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("D,nv", [(6, 4), (5, 4), (3, 8), (16, 1), (100_000, 2), (10**40, 8)])
+def test_enumerate_refuses_a_search_past_the_class_cap(monkeypatch, D, nv):
+    # the message names a lower bound on (Dv - 1)!!/v! that passes the cap,
+    # found with a few products even where (Dv - 1)!! has no printable size
+    assert math.factorial(nv) <= model.ENUMERATE_TABLE_CAP
+    monkeypatch.setattr(model, "_relabelings", _refuse_search)
+    with pytest.raises(CapExceededError) as info:
+        enumerate_invariants(D, nv)
+    named, cap = _named_bound(str(info.value))
+    assert cap == model.ENUMERATE_CLASS_CAP < named
+    if D * nv < 100:
+        assert named <= _orbit_least_bound(D, nv)
+
+
+def test_the_class_cap_refuses_exactly_past_the_whole_bound(monkeypatch):
+    # every (D, v) with D >= 2, v <= 8 and Dv < 64, none of them run: the
+    # search starts for (8,2) (1,013,512), (14,1), (4,4), (7,2), (2,8) and
+    # (3,6), and is refused for (16,1) (2,027,025)
+    assert _orbit_least_bound(8, 2) <= model.ENUMERATE_CLASS_CAP < _orbit_least_bound(16, 1)
+    monkeypatch.setattr(model, "_relabelings", _refuse_search)
+    for D in range(2, 64):
+        for nv in range(1, 9):
+            if D * nv % 2 or D * nv >= 64:
+                continue
+            refused = _orbit_least_bound(D, nv) > model.ENUMERATE_CLASS_CAP
+            with pytest.raises(CapExceededError if refused else _SearchStarted):
+                enumerate_invariants(D, nv)
+
+
+def test_the_class_cap_leaves_the_slot_search_alone():
+    # (6,4) is past the class cap without slot symmetries; with them it is
+    # 47 multigraphs
+    assert len(enumerate_invariants(6, 4, slot_symmetry=True)) == 47
 
 
 def _labelled_multigraphs(D, nv):
