@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import signal
 import sys
@@ -39,6 +40,8 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+CLASS_CHUNK = 1024  # enumerate class lines per write to stdout
 
 
 def _parse_partition(text: str) -> YoungDiagram:
@@ -229,8 +232,8 @@ def _cmd_duality_check(args) -> int:
     return EXIT_OK if verdict else EXIT_FALSE
 
 
-def _class_lines(graphs, D: int, vertices: int) -> list:
-    """Each graph as `json.dumps(g.to_json(), sort_keys=True)`, byte for byte.
+def _class_lines(graphs, D: int, vertices: int):
+    """Yield each graph as `json.dumps(g.to_json(), sort_keys=True)`, byte for byte.
 
     The text of every strand (a, b), a < b, of the D*vertices nodes is
     built once, so a line is one join of its strands' texts.  No table is
@@ -238,22 +241,37 @@ def _class_lines(graphs, D: int, vertices: int) -> list:
     with many vertices, cost nothing.
     """
     if not graphs:
-        return []
+        return
     n = D * vertices
     ends = [f"[{v}, {c}]" for v in range(1, vertices + 1) for c in range(1, D + 1)]  # node a+1 at a
     texts = {(a + 1, b + 1): f"[{ends[a]}, {ends[b]}]" for a in range(n) for b in range(a + 1, n)}
     head, tail = f'{{"D": {D}, "strands": [', f'], "vertices": {vertices}}}'
-    return [head + ", ".join(map(texts.__getitem__, g.strands)) + tail for g in graphs]
+    for g in graphs:
+        yield head + ", ".join(map(texts.__getitem__, g.strands)) + tail
+
+
+def _chunks(lines):
+    """Lists of at most CLASS_CHUNK consecutive lines."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, CLASS_CHUNK)):
+        yield chunk
 
 
 def _cmd_enumerate(args) -> int:
+    """The classes are written CLASS_CHUNK lines at a time, so the output
+    never holds more than one chunk of text."""
     graphs = enumerate_invariants(args.D, args.vertices, slot_symmetry=args.slot_symmetries)
-    lines = _class_lines(graphs, args.D, args.vertices)
+    chunks = _chunks(_class_lines(graphs, args.D, args.vertices))
+    out = sys.stdout
     if args.json:
-        print("[" + ", ".join(lines) + "]")
+        out.write("[")
+        for k, chunk in enumerate(chunks):
+            out.write((", " if k else "") + ", ".join(chunk))
+        out.write("]\n")
     else:
-        header = f"{len(graphs)} connected invariant(s) for D={args.D}, vertices={args.vertices}"
-        print("\n".join([header, *lines]))
+        out.write(f"{len(graphs)} connected invariant(s) for D={args.D}, vertices={args.vertices}\n")
+        for chunk in chunks:
+            out.write("\n".join(chunk) + "\n")
     return EXIT_OK
 
 

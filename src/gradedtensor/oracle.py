@@ -13,10 +13,11 @@ visited, and partial sums that reach the same positions with equal
 forced values merge (`_sparse_contraction`).  No face is counted and no
 strand is walked.  Berezin integration in an exterior algebra
 (`berezin_expectation`) is kept as the first-principles reference for
-the fermionic moments.  Two further signs come from `pairing_sign`, as
-in the pipeline: the covariance's grading sign per propagator term
-(`ExplicitCovariance.from_propagator`) and the invariant's grading sign
-against the reference vertex pairing (`invariant_sign_normal_form`).
+the fermionic moments.  Two further signs are pairing signs, as in the
+pipeline: the covariance's grading sign per propagator term, read with
+`perm_sign` from its oriented pairs (`ExplicitCovariance.from_propagator`),
+and the invariant's grading sign against the reference vertex pairing
+(`invariant_sign_normal_form`).
 Agreement of the two routes is the package's central correctness property.
 """
 
@@ -26,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .combinatorics import DirectedPairing, all_pairings, double_factorial, pairing_sign
+from .combinatorics import DirectedPairing, all_pairings, double_factorial, perm_sign
 from .errors import CapExceededError
 from .model import Propagator, StrandedGraph, invariant_sign_normal_form
 from .representation import GradedForm, row_reduce
@@ -89,39 +90,62 @@ class ExplicitCovariance:
 
         Entry (X, Y) sums, over the terms, gamma(z0) * sign times the
         product of form.upper_entry over the term's oriented pairs, read at
-        the slot values of X (slots 1..D) and Y (slots D+1..2D).  Every
-        slot lies on exactly one pair, so only the choices of one nonzero
-        upper entry per pair are visited, and each adds its value straight
-        into the sparse rows; sums that cancel to zero are dropped.  The
-        sums are kept as integer numerators over the lcm of the weights'
-        denominators.
+        the slot values of X (slots 1..D) and Y (slots D+1..2D).  A pair
+        (a, b) of the canonical pairing is oriented (a, b) when a is a top
+        slot and (b, a) when both are bottom slots, as in
+        `BrauerDiagram.oriented`; at b = 1 the sign is that of the map from
+        the flattened oriented pairs to 1, D+1, 2, D+2, ....  Every slot
+        lies on exactly one pair, so only the choices of one nonzero upper
+        entry per pair are visited.  An entry is keyed by the one int
+        X * N^D + Y, in which slot s carries the digit N^(2D - s); the
+        entries of all terms add into one dict, split into rows at the end;
+        the constructor drops sums that cancel to zero.
+
+        Weights are integer numerators read at z0 = (-1)^b N by Horner's
+        rule over `common`, the lcm of all coefficient denominators; den is
+        common over the gcd of common and every numerator, which is the
+        lcm of the reduced weights' denominators.
         """
         N, D = form.N, C.D
         size = N**D
         if size > COVARIANCE_SIZE_CAP:
             raise CapExceededError(f"covariance size N^D = {size} exceeds cap {COVARIANCE_SIZE_CAP}")
-        ref = DirectedPairing(2 * D, tuple((c, D + c) for c in range(1, D + 1)))
+        z0 = int(form.z_value)
+        common = math.lcm(*(c.denominator for term in C.terms for c in term.weight.coeffs))
+        numerators = []
+        for term in C.terms:
+            value = 0
+            for c in reversed(term.weight.coeffs):
+                value = value * z0 + c.numerator * (common // c.denominator)
+            numerators.append(value)
+        divisor = math.gcd(common, *numerators)
+        # slot s (1-based) -> its digit in the flat code X * N^D + Y, and the
+        # 0-based slots 1, D+1, 2, D+2, ... that the oriented pairs map to
+        digit = [0] + [N ** (2 * D - s) for s in range(1, 2 * D + 1)]
+        ref = [s for c in range(D) for s in (c, D + c)]
         upper = form.upper_nonzeros()
-        weights = [term.weight(form.z_value) for term in C.terms]
-        den = math.lcm(*(w.denominator for w in weights))
-        # slot s -> (digit weight in X, digit weight in Y), as in encode_index
-        digit = [(N ** (D - s), 0) for s in range(1, D + 1)] + [(0, N ** (D - s)) for s in range(1, D + 1)]
+        total: Dict[int, int] = {}
+        for term, numerator in zip(C.terms, numerators):
+            oriented = [(a, b) if a <= D else (b, a) for a, b in term.pairing]
+            base = numerator // divisor
+            if form.b:
+                sigma = [0] * (2 * D)
+                for u, v in zip((s for pair in oriented for s in pair), ref):
+                    sigma[u - 1] = v
+                base *= perm_sign(sigma)
+            # (code, value) per choice of upper entries on the pairs so far
+            entries = [(0, base)]
+            for a, b in oriented:
+                da, db = digit[a], digit[b]
+                steps = [(u * da + v * db, g) for u, v, g in upper]
+                entries = [(code + step, value * g) for code, value in entries for step, g in steps]
+            for code, value in entries:
+                total[code] = total.get(code, 0) + value
         rows: List[Dict[int, int]] = [{} for _ in range(size)]
-        for term, weight in zip(C.terms, weights):
-            oriented = term.oriented()
-            base = weight.numerator * (den // weight.denominator)
-            base *= pairing_sign(oriented, ref) if form.b else 1
-            # per pair, per upper entry: its parts of the X and Y codes, and the entry
-            # (part of X, part of Y, value) per choice of upper entries on the pairs so far
-            entries = [(0, 0, base)]
-            for i, j in oriented.pairs:
-                (xi, yi), (xj, yj) = digit[i - 1], digit[j - 1]
-                choices = [(u * xi + v * xj, u * yi + v * yj, g) for u, v, g in upper]
-                entries = [(x + dx, y + dy, val * g) for x, y, val in entries for dx, dy, g in choices]
-            for x, y, val in entries:
-                row = rows[x]
-                row[y] = row.get(y, 0) + val
-        return cls(N, D, form.b, rows, den)
+        for code, value in total.items():
+            x, y = divmod(code, size)
+            rows[x][y] = value
+        return cls(N, D, form.b, rows, common // divisor)
 
 
 # -- bosonic moments -----------------------------------------------------------

@@ -267,22 +267,24 @@ def _numerator_map(
     both its points, so a choice of one nonzero factor per pair is one
     nonzero entry; the choices are extended one pair at a time.  Column
     digits are the top-row indices b, row digits the bottom-row indices
-    a.  A diagram is read from its partner tuple and, at b = 1, its
-    grading sign `basis.eta(k)`; the choices of each pair are listed once
-    per call, for the first diagram that has it.
+    a.  An entry is keyed by the one int column * N^D + row, in which
+    point q carries the digit N^(2D - q); the entries of all diagrams add
+    into one dict, split into columns at the end.  A diagram is read from
+    its partner tuple and, at b = 1, its grading sign `basis.eta(k)`; the
+    choices of each pair are listed once per call, for the first diagram
+    that has it.
     """
     N, D = form.N, basis.D
-    # (column, row) code of index value 1 at each point
-    unit = [(N ** (D - q), 0) if q <= D else (0, N ** (2 * D - q)) for q in range(2 * D + 1)]
+    digit = [N ** (2 * D - q) for q in range(2 * D + 1)]
     delta = {(x, x): 1 for x in range(N)}
-    # (m, q) -> (column, row, value) per nonzero factor on the pair (m, q)
-    pair_choices: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+    # (m, q) -> (code, value) per nonzero factor on the pair (m, q)
+    pair_choices: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     eta = basis.eta if form.b else None
-    cols: Dict[int, Dict[int, int]] = {}
+    total: Dict[int, int] = {}
     for k, c in numerators.items():
         p = basis.partners[k]
-        # (column, row, value) per choice of one factor on each pair taken so far
-        entries = [(0, 0, c * eta(k) if eta else c)]
+        # (code, value) per choice of one factor on each pair taken so far
+        entries = [(0, c * eta(k) if eta else c)]
         for m in range(1, 2 * D + 1):
             q = p[m]
             if q < m:
@@ -291,16 +293,17 @@ def _numerator_map(
             if choices is None:
                 # (i, j) -> g puts i at the right point q and j at the left point m
                 factors = delta if m <= D < q else form.lower if q <= D else form.upper
-                (cm, rm), (cq, rq) = unit[m], unit[q]
                 choices = pair_choices[m, q] = [
-                    (i * cq + j * cm, i * rq + j * rm, g) for (i, j), g in factors.items()
+                    (i * digit[q] + j * digit[m], g) for (i, j), g in factors.items()
                 ]
-            entries = [
-                (col + dc, row + dr, val * g) for col, row, val in entries for dc, dr, g in choices
-            ]
-        for col, row, val in entries:
-            dst = cols.setdefault(col, {})
-            dst[row] = dst.get(row, 0) + val
+            entries = [(code + step, value * g) for code, value in entries for step, g in choices]
+        for code, value in entries:
+            total[code] = total.get(code, 0) + value
+    size = N**D
+    cols: Dict[int, Dict[int, int]] = {}
+    for code, value in total.items():
+        col, row = divmod(code, size)
+        cols.setdefault(col, {})[row] = value
     return TensorMap(N, D, cols, den)
 
 

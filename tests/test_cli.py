@@ -1,7 +1,9 @@
 import hashlib
+import io
 import json
 import pathlib
 import signal
+import sys
 
 import pytest
 
@@ -295,6 +297,40 @@ def test_enumerate_searches_once_through_the_cli_binding_without_to_json(
     code, out, err = invoke(capsys, "enumerate", "--D", "4", "--vertices", "2", *flags)
     assert (code, err) == (0, "") and out
     assert calls == [((4, 2), {"slot_symmetry": "--slot-symmetries" in flags})]
+
+
+class RecordedWrites(io.StringIO):
+    """A text stream that keeps every string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_enumerate_writes_its_classes_in_bounded_chunks(monkeypatch, flags):
+    # (6,2) has 5,243 classes, more than one chunk: no write holds more
+    # than CLASS_CHUNK class lines, and the writes join to the whole output
+    from gradedtensor import cli
+
+    graphs = enumerate_invariants(6, 2)
+    assert len(graphs) > cli.CLASS_CHUNK
+    if flags:
+        expected = json.dumps([g.to_json() for g in graphs], sort_keys=True) + "\n"
+    else:
+        header = f"{len(graphs)} connected invariant(s) for D=6, vertices=2\n"
+        expected = header + "".join(json.dumps(g.to_json(), sort_keys=True) + "\n" for g in graphs)
+    out = RecordedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run(["enumerate", "--D", "6", "--vertices", "2", *flags]) == 0
+    assert out.getvalue() == expected
+    per_write = [text.count('{"D": ') for text in out.writes]
+    assert max(per_write) <= cli.CLASS_CHUNK
+    assert sum(per_write) == len(graphs)
 
 
 def test_expand_table(quartic_model, capsys):

@@ -1,4 +1,5 @@
 import ast
+import functools
 import hashlib
 import itertools
 import json
@@ -65,7 +66,7 @@ def test_two_point_function_is_the_covariance():
             assert bosonic_moment(cov, [x, y]) == cov.entry(x, y)
 
 
-@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
 @pytest.mark.parametrize("N,b", [(2, 0), (2, 1), (3, 0), (4, 0), (4, 1)])
 def test_covariance_entries_match_their_definition(D, N, b):
     # entry (x, y) = sum over terms of gamma(z0) * sign * prod of upper form
@@ -82,20 +83,112 @@ def test_covariance_entries_match_their_definition(D, N, b):
     assert C.terms[0].weight(z0) == 0
     ref = DirectedPairing(2 * D, tuple((c, D + c) for c in range(1, D + 1)))
     cov = ExplicitCovariance.from_propagator(C, form)
+    # per term: gamma(z0) * sign and the oriented pairs
+    signed = [
+        (t.weight(z0) * (pairing_sign(t.oriented(), ref) if b else 1), t.oriented().pairs)
+        for t in C.terms
+    ]
     components = list(itertools.product(range(N), repeat=D))  # in encode_index order
     nonzero = 0
     for x, xv in enumerate(components):
         for y, yv in enumerate(components):
             value = xv + yv  # value[s - 1] is the index on slot s
             expected = sum(
-                t.weight(z0)
-                * (pairing_sign(t.oriented(), ref) if b else 1)
-                * math.prod(form.upper_entry(value[i - 1], value[j - 1]) for i, j in t.oriented().pairs)
-                for t in C.terms
+                w * math.prod(form.upper_entry(value[i - 1], value[j - 1]) for i, j in pairs)
+                for w, pairs in signed
             )
             assert cov.entry(x, y) == expected, (x, y)
             nonzero += expected != 0
     assert nonzero > 0
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+def test_each_term_carries_its_pairing_sign_at_b1(D):
+    # a one-term table at Sp(2), for every block-symmetric pairing: each
+    # nonzero entry is pairing_sign(t.oriented(), ref) times the product of
+    # upper form entries over the oriented pairs, and both signs occur
+    form = GradedForm(2, 1)
+    ref = DirectedPairing(2 * D, tuple((c, D + c) for c in range(1, D + 1)))
+    components = list(itertools.product(range(2), repeat=D))  # in encode_index order
+    signs = set()
+    for pairing in block_symmetric_pairings(D):
+        t = PropagatorTerm(pairing, Poly.const(1))
+        oriented = t.oriented()
+        sign = pairing_sign(oriented, ref)
+        signs.add(sign)
+        cov = ExplicitCovariance.from_propagator(Propagator(D, (t,)), form)
+        assert cov.den == 1 and any(cov.rows)
+        for x, row in enumerate(cov.rows):
+            for y, a in row.items():
+                value = components[x] + components[y]
+                product = math.prod(form.upper_entry(value[i - 1], value[j - 1]) for i, j in oriented.pairs)
+                assert a == sign * product, (pairing, x, y)
+    assert signs == ({1} if D == 1 else {1, -1})
+
+
+def _reference_covariance(C: Propagator, form: GradedForm) -> ExplicitCovariance:
+    """The covariance built term by term: each weight read as a Fraction at
+    z0, each term's orientation and grading sign from its `DirectedPairing`,
+    and each entry added into its row as (X, Y, value)."""
+    N, D = form.N, C.D
+    ref = DirectedPairing(2 * D, tuple((c, D + c) for c in range(1, D + 1)))
+    upper = form.upper_nonzeros()
+    weights = [term.weight(form.z_value) for term in C.terms]
+    den = math.lcm(*(w.denominator for w in weights))
+    digit = [(N ** (D - s), 0) for s in range(1, D + 1)] + [(0, N ** (D - s)) for s in range(1, D + 1)]
+    rows = [{} for _ in range(N**D)]
+    for term, weight in zip(C.terms, weights):
+        oriented = term.oriented()
+        base = weight.numerator * (den // weight.denominator)
+        base *= pairing_sign(oriented, ref) if form.b else 1
+        entries = [(0, 0, base)]
+        for i, j in oriented.pairs:
+            (xi, yi), (xj, yj) = digit[i - 1], digit[j - 1]
+            choices = [(u * xi + v * xj, u * yi + v * yj, g) for u, v, g in upper]
+            entries = [(x + dx, y + dy, val * g) for x, y, val in entries for dx, dy, g in choices]
+        for x, y, val in entries:
+            rows[x][y] = rows[x].get(y, 0) + val
+    return ExplicitCovariance(N, D, form.b, rows, den)
+
+
+@functools.cache
+def cached_block_symmetric_pairings(D: int) -> tuple:
+    return tuple(block_symmetric_pairings(D))
+
+
+@st.composite
+def covariance_tables(draw):
+    """A block-symmetric table at D <= 4 (through strands, caps and cups)
+    with z-polynomial weights, the first of which vanishes at z0, and a
+    form of either grading with N <= 4."""
+    D = draw(st.integers(1, 4))
+    b = draw(st.integers(0, 1))
+    N = draw(st.sampled_from((2, 4) if b else (1, 2, 3, 4)))
+    z0 = -N if b else N
+    pairings = cached_block_symmetric_pairings(D)
+    coefficients = st.lists(st.fractions(-3, 3, max_denominator=6), min_size=1, max_size=3)
+    weights = coefficients.map(Poly)
+    vanishing = Poly((-z0, 1)) * draw(weights.filter(bool))
+    terms = [PropagatorTerm(draw(st.sampled_from(pairings)), vanishing)]
+    for _ in range(draw(st.integers(0, 4))):
+        terms.append(PropagatorTerm(draw(st.sampled_from(pairings)), draw(weights)))
+    return Propagator(D, tuple(terms)), GradedForm(N, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=covariance_tables())
+def test_covariance_matches_the_term_by_term_reference(case):
+    C, form = case
+    assert C.terms[0].weight(form.z_value) == 0
+    cov, ref = ExplicitCovariance.from_propagator(C, form), _reference_covariance(C, form)
+    assert (cov.rows, cov.den) == (ref.rows, ref.den)
+
+
+@pytest.mark.parametrize("D,N,b", [(5, 3, 0), (5, 4, 0), (5, 2, 1), (6, 2, 0), (6, 3, 0)])
+def test_full_symmetrizer_covariance_matches_the_reference(D, N, b):
+    C, form = full_symmetrizer_table(D), GradedForm(N, b)
+    cov, ref = ExplicitCovariance.from_propagator(C, form), _reference_covariance(C, form)
+    assert (cov.rows, cov.den) == (ref.rows, ref.den)
 
 
 def test_fourth_moment_of_unit_gaussian_is_three():
