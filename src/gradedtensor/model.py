@@ -335,11 +335,6 @@ def invariant_sign_normal_form(S: StrandedGraph, ref: DirectedPairing) -> Invari
     return InvariantNormalForm(sign=pairing_sign(promoted, strands), contractions=strands)
 
 
-def _edge_nodes(D: int, i: int, j: int) -> List[int]:
-    """Node ids of the edge (i, j) by local slot index: i's D nodes, then j's."""
-    return [*range((i - 1) * D + 1, i * D + 1), *range((j - 1) * D + 1, j * D + 1)]
-
-
 def _completions(
     S: StrandedGraph, C: Propagator
 ) -> Iterator[Tuple[Tuple[Pair, ...], Tuple[int, ...], Tuple[Pair, ...]]]:
@@ -347,13 +342,14 @@ def _completions(
 
     One completion per vertex pairing of `all_pairings`, given as
     (smaller, larger) pairs in sorted order, and per choice of a
-    propagator term for each edge, placed by `_edge_nodes`.
+    propagator term for each edge, its local slots read as i's D nodes,
+    then j's.
     """
-    terms = [[(a - 1, b - 1) for a, b in t.oriented().pairs] for t in C.terms]
+    D, terms = S.D, [[(a - 1, b - 1) for a, b in t.oriented().pairs] for t in C.terms]
     for matching in all_pairings(S.vertices):
         placed = []
         for i, j in matching:
-            nodes = _edge_nodes(S.D, i, j)
+            nodes = [*range((i - 1) * D + 1, i * D + 1), *range((j - 1) * D + 1, j * D + 1)]
             placed.append([tuple((nodes[x], nodes[y]) for x, y in term) for term in terms])
         for choice in itertools.product(range(len(terms)), repeat=len(matching)):
             color0 = tuple(p for edge, t in zip(placed, choice) for p in edge[t])
@@ -403,43 +399,46 @@ def graph_amplitude(G: TwoColoredGraph, b: int) -> Poly:
     return G.weight * sign * Poly.monomial(total)
 
 
-def _pair_level(states: dict, D: int, terms: List[Tuple[List[Pair], int]], bits: int) -> dict:
-    """One level of `_wick_fold`: each group pairs its smallest unpaired vertex
-    i with each later j by each (local strands, packed weight) term, merged."""
+def _pair_level(
+    states: dict, k: int, D: int, terms: List[Tuple[List[Pair], int]], bits: int
+) -> dict:
+    """One level of `_wick_fold`, k > 2 vertices left: positions 0..D-1 (the
+    first vertex) pair with each later vertex j by each (local strands,
+    packed weight) term, and the positions kept are renumbered from 0."""
     merged: dict = {}
-    for unpaired, group in states.items():
-        i, later = unpaired[0], unpaired[1:]
-        for k, j in enumerate(later):
-            target = merged.setdefault(later[:k] + later[k + 1:], {})
-            nodes = _edge_nodes(D, i, j)
-            for strands, w in terms:
-                placed = [(nodes[x], nodes[y]) for x, y in strands]
-                for key, value in group.items():
-                    partner = list(key)
-                    faces = 0
-                    for a, b in placed:
-                        pa, pb = partner[a], partner[b]
-                        if pa == b:
-                            faces += 1
-                        else:
-                            partner[pa], partner[pb] = pb, pa
-                        partner[a] = partner[b] = 0
-                    nxt = tuple(partner)
-                    target[nxt] = target.get(nxt, 0) + (value * w << faces * bits)
+    n = k * D
+    for j in range(1, k):
+        nodes = [*range(D), *range(j * D, (j + 1) * D)]
+        kept = [*range(D, j * D), *range((j + 1) * D, n)]
+        renum = [p - D if p < j * D else p - 2 * D for p in range(n)]  # read at kept ones only
+        for strands, w in terms:
+            placed = [(nodes[x], nodes[y]) for x, y in strands]
+            for key, value in states.items():
+                partner = list(key)
+                faces = 0
+                for a, b in placed:
+                    pa, pb = partner[a], partner[b]
+                    if pa == b:
+                        faces += 1
+                    else:
+                        partner[pa], partner[pb] = pb, pa
+                nxt = tuple([renum[partner[p]] for p in kept])
+                merged[nxt] = merged.get(nxt, 0) + (value * w << faces * bits)
     return merged
 
 
 def _wick_fold(S: StrandedGraph, C: Propagator) -> Poly:
     """The Wick sum of S as a polynomial in the loop weight z.
 
-    Every completion with F faces and chosen terms t contributes
-    z^F * prod(w_t(z)).  Vertices are paired one edge at a time in the
-    order of `_completions`, one `_pair_level` per edge.  States, grouped
-    by their unpaired vertices, map each open node to the other end of
-    the alternating path of placed strands that it ends.  A color-0
-    strand (a, b) closes a face when b is a's partner and otherwise joins
-    the partners of a and b.  Equal states merge.  The empty graph gives
-    1; an odd number of vertices gives 0.
+    A completion with F faces and terms t adds z^F * prod(w_t(z)); edges are
+    placed in the order of `_completions`.  A state maps each open node of
+    the vertices left, by position (vertex rank, then slot), to the position
+    at the other end of its alternating path.  A color-0 strand (a, b)
+    closes a face when b is a's partner, else joins the partners of a and
+    b.  Equal states merge, across vertex sets too: at most (kD-1)!! enter
+    the `_pair_level` with k vertices left.  At the last edge each state
+    adds its value times one sum over the terms.  The empty graph gives 1;
+    an odd number of vertices gives 0.
 
     A state carries one int, its z-polynomial of integer numerators over
     den^(v/2) (den the lcm of the weights' denominators) at z = 2^bits;
@@ -457,7 +456,7 @@ def _wick_fold(S: StrandedGraph, C: Propagator) -> Poly:
         raise ValueError("propagator strand count does not match the graph")
     if S.vertices % 2 != 0:
         return Poly()
-    n, edges = S.node_count, S.vertices // 2
+    edges = S.vertices // 2
     den = math.lcm(*(c.denominator for t in C.terms for c in t.weight.coeffs))
     numerators = [[int(c * den) for c in t.weight.coeffs] for t in C.terms]
     bound = double_factorial(S.vertices - 1) * sum(abs(c) for w in numerators for c in w) ** edges
@@ -466,13 +465,25 @@ def _wick_fold(S: StrandedGraph, C: Propagator) -> Poly:
         ([(a - 1, b - 1) for a, b in t.pairing], sum(c << k * bits for k, c in enumerate(w)))
         for t, w in zip(C.terms, numerators)
     ]
-    start = [0] * (n + 1)
+    start = [0] * S.node_count
     for a, b in S.strands:
-        start[a], start[b] = b, a
-    states = {tuple(range(1, S.vertices + 1)): {tuple(start): 1}}
-    for _ in range(edges):
-        states = _pair_level(states, S.D, terms, bits)
-    packed, digits, half = states[()].get((0,) * (n + 1), 0), [], 1 << (bits - 1)
+        start[a - 1], start[b - 1] = b - 1, a - 1
+    states = {tuple(start): 1}
+    for k in range(S.vertices, 2, -2):
+        states = _pair_level(states, k, S.D, terms, bits)
+    packed, digits, half = 0, [], 1 << (bits - 1)
+    for key, value in states.items():  # a matching of the last two vertices' 2D positions
+        closed = 0
+        for strands, w in terms:
+            partner, faces = list(key), 0
+            for a, b in strands:
+                pa, pb = partner[a], partner[b]
+                if pa == b:
+                    faces += 1
+                else:
+                    partner[pa], partner[pb] = pb, pa
+            closed += w << faces * bits
+        packed += value * closed
     while packed:
         digits.append(((packed + half) & ((1 << bits) - 1)) - half)
         packed = (packed - digits[-1]) >> bits

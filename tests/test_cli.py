@@ -345,6 +345,46 @@ def test_expand_table(quartic_model, capsys):
     assert rows[1]["coefficient"] == "1/4"
 
 
+EXPAND_POOL_FILES = json.loads(
+    (pathlib.Path(__file__).resolve().parents[1] / "bench" / "pools" / "expand.json").read_text()
+)["files"]
+
+# `expand --order 4 --json` on README's g4 under the expand pool's d2_sym
+# table, as printed by the fold that grouped its states by unpaired vertices
+G4_D2_SYM_ORDER_4 = (
+    '[{"amplitude": {"0": "1"}, "coefficient": "1", "couplings": "1"}, '
+    '{"amplitude": {"1": "7/12", "2": "1/4", "3": "1/2"}, "coefficient": "1/4", '
+    '"couplings": "g4"}, '
+    '{"amplitude": {"1": "19/9", "2": "6203/432", "3": "-27/8", "4": "343/48", "5": "1/4", '
+    '"6": "1/4"}, "coefficient": "1/32", "couplings": "g4^2"}, '
+    '{"amplitude": {"1": "1238/3", "2": "-5609/12", "3": "1813663/1728", "4": "-211349/576", '
+    '"5": "162589/576", "6": "-523/64", "7": "329/32", "8": "3/16", "9": "1/8"}, '
+    '"coefficient": "1/384", "couplings": "g4^3"}, '
+    '{"amplitude": {"1": "-105832/3", "10": "973/96", "11": "1/8", "12": "1/16", '
+    '"2": "1443505/9", "3": "-35040517/216", "4": "2954224049/20736", "5": "-79660769/1728", '
+    '"6": "72496117/3456", "7": "-1067125/576", "8": "1640905/2304", "9": "-361/32"}, '
+    '"coefficient": "1/6144", "couplings": "g4^4"}]\n'
+)
+
+
+def test_expand_order_4_matches_the_recorded_bytes(tmp_path, capsys):
+    # g4^4 is a 16-vertex fold over 15!! * 3^8 Wick graphs
+    model = {
+        "D": 2,
+        "b": 0,
+        "propagator": EXPAND_POOL_FILES["d2_sym.json"],
+        "interactions": QUARTIC_D2["interactions"],
+    }
+    path = tmp_path / "g4_d2_sym.json"
+    path.write_text(json.dumps(model))
+    assert invoke(capsys, "expand", "--model", str(path), "--order", "4", "--json") == (
+        0, G4_D2_SYM_ORDER_4, ""
+    )
+    assert hashlib.sha256(G4_D2_SYM_ORDER_4.encode()).hexdigest() == (
+        "9d23b956e27d341575b6375e2b4ab832d5fca95c491c58956696899e5521f974"
+    )
+
+
 @pytest.mark.parametrize("argv", [["expand", "--order", "2"], ["duality-check"]])
 def test_duplicate_interaction_names_are_rejected(tmp_path, capsys, argv):
     # two connected D = 2 v = 2 interactions, both named g: their rows would

@@ -524,25 +524,67 @@ def test_fold_of_vertices_without_slots():
             assert gaussian_expectation(g, C, b) == reference_expectation(census, C, b)
 
 
-def test_fold_merges_equal_states(monkeypatch):
-    # D=2 v=8 with four terms has 105 * 4^4 = 26880 completions; the four
-    # levels of the fold take 1, 12, 42 and 24 merged states, and it stops
-    # early here if it does not merge (1, 28, 560 and 6720 states)
-    g = rand_connected_graph(random.Random(8), 2, 8)
-    C = coprime_z_table(random.Random(8), 2)
-    entering = []
+@pytest.mark.parametrize("D", [0, 1, 2])
+def test_fold_of_an_all_zero_table(D):
+    # the table drops every zero-weight term, so no completion is left
+    # and every level, the last edge too, meets no term
+    pairings = all_pairings(2 * D) if D else [(), ()]
+    C = Propagator(D, tuple(PropagatorTerm(m, Poly()) for m in pairings))
+    assert C.terms == ()
+    for vertices in (2, 4, 6, 8):
+        g = rand_stranded_graph(random.Random(vertices), D, vertices)
+        for b in (0, 1):
+            assert gaussian_expectation(g, C, b) == Poly()
+        assert duality_check(g, C) == DualityReport(True, Poly(), Poly())
+
+
+def counted_levels(monkeypatch, cap=None):
+    """Wrap `_pair_level` to record (vertices left, states entering, states
+    leaving) per call; with `cap`, stop once the states seen pass it."""
+    levels = []
     level = model._pair_level
 
-    def counted(states, *args):
-        entering.append(sum(map(len, states.values())))  # states, summed over groups
-        assert sum(entering) <= 1000, "the fold does not merge equal states"
-        return level(states, *args)
+    def counted(states, k, *args):
+        out = level(states, k, *args)
+        levels.append((k, len(states), len(out)))
+        seen = sum(n for _, n, _ in levels) + len(out)
+        assert cap is None or seen <= cap, "the fold does not merge equal states"
+        return out
 
     monkeypatch.setattr(model, "_pair_level", counted)
+    return levels
+
+
+def test_fold_merges_equal_states(monkeypatch):
+    # D=2 v=8 with four terms has 105 * 4^4 = 26880 completions.  States
+    # are keyed by position, so they merge across vertex sets too: the
+    # three levels before the last edge take 1, 12 and 23 states and at
+    # most 3!! = 3 reach the last edge.  It stops early here if it does
+    # not merge (1, 28 and 560 states, then 6720 at the last edge)
+    g = rand_connected_graph(random.Random(8), 2, 8)
+    C = coprime_z_table(random.Random(8), 2)
+    levels = counted_levels(monkeypatch, cap=1000)
     assert gaussian_expectation(g, C, 0) == reference_expectation(
         reference_face_census(g, C), C, 0
     )
-    assert entering == [1, 12, 42, 24]
+    assert [n for _, n, _ in levels] == [1, 12, 23]
+    assert levels[-1][2] <= 3
+
+
+@pytest.mark.parametrize("D,vertices", [(2, 6), (2, 8), (2, 10), (3, 6), (3, 8)])
+def test_fold_states_are_matchings_of_their_positions(monkeypatch, D, vertices):
+    # a state is a matching of the kD open positions of the k vertices
+    # left: at most (kD-1)!! enter that level, (2D-1)!! reach the last edge
+    rng = random.Random(vertices * 10 + D)
+    levels = counted_levels(monkeypatch)
+    for _ in range(3):
+        levels.clear()
+        g = rand_connected_graph(rng, D, vertices)
+        gaussian_expectation(g, coprime_z_table(rng, D), 0)
+        assert [k for k, _, _ in levels] == list(range(vertices, 2, -2))
+        for k, entering, _ in levels:
+            assert entering <= double_factorial(k * D - 1)
+        assert levels[-1][2] <= double_factorial(2 * D - 1)
 
 
 def symmetric_d3_table() -> Propagator:
