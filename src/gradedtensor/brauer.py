@@ -31,7 +31,7 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .combinatorics import DirectedPairing, pairing_sign, partner_map, strand_walk
+from .combinatorics import DirectedPairing, canonical_matching, pairing_sign, partner_map, strand_walk
 from .polynomial import Poly
 from .young import GroupAlgebraElement, Perm
 
@@ -53,14 +53,10 @@ class BrauerDiagram:
     pairs: Tuple[Pair, ...]
 
     def __post_init__(self):
-        try:
-            canon = tuple(sorted((a, b) if a < b else (b, a) for a, b in self.pairs))
-        except ValueError:  # an item that is not a pair
-            raise ValueError("pairs must form a perfect matching of {1..2D}") from None
-        object.__setattr__(self, "pairs", canon)
-        seen = [x for p in canon for x in p]
-        if len(canon) != self.D or sorted(seen) != list(range(1, 2 * self.D + 1)):
+        canon = canonical_matching(self.pairs, 2 * self.D)
+        if canon is None:
             raise ValueError("pairs must form a perfect matching of {1..2D}")
+        object.__setattr__(self, "pairs", canon)
 
     # -- structure queries --------------------------------------------------
 

@@ -131,25 +131,27 @@ def _model_from_json(data: dict) -> ModelSpec:
 # -- subcommands ----------------------------------------------------------------
 
 
+def _emit(args, data, lines) -> None:
+    """A subcommand's report: `data` as one sorted-key JSON line under
+    --json, else each text line of `lines()`, which runs only then."""
+    if args.json:
+        print(json.dumps(data, sort_keys=True))
+    else:
+        for line in lines():
+            print(line)
+
+
 def _cmd_dim(args) -> int:
     lam = _parse_partition(args.partition)
-    poly = gl_dimension_poly(lam)
-    dual = gl_dimension_poly(transpose(lam))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "partition": list(lam.rows),
-                    "dimension": poly.to_coeff_map(),
-                    "transpose": list(transpose(lam).rows),
-                    "transpose_dimension": dual.to_coeff_map(),
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"dim({lam}) = {poly.format('N')}")
-        print(f"dim({transpose(lam)}) = {dual.format('N')}")
+    dual = transpose(lam)
+    poly, dual_poly = gl_dimension_poly(lam), gl_dimension_poly(dual)
+    data = {
+        "partition": list(lam.rows),
+        "dimension": poly.to_coeff_map(),
+        "transpose": list(dual.rows),
+        "transpose_dimension": dual_poly.to_coeff_map(),
+    }
+    _emit(args, data, lambda: [f"dim({lam}) = {poly.format('N')}", f"dim({dual}) = {dual_poly.format('N')}"])
     return EXIT_OK
 
 
@@ -159,28 +161,27 @@ def _cmd_projector(args) -> int:
     if args.decompose:
         rep_mod.check_table_cap(lam.size)
     report = rep_mod.irreducible_projector(lam, form)
-    decomposition = None
+    data = {
+        "partition": list(lam.rows),
+        "N": args.N,
+        "b": args.b,
+        "trace": str(report.trace),
+        "rank": report.rank,
+        "idempotent": report.idempotent,
+    }
     if args.decompose:
-        decomposition = report.element.to_json()
-    if args.json:
-        out = {
-            "partition": list(lam.rows),
-            "N": args.N,
-            "b": args.b,
-            "trace": str(report.trace),
-            "rank": report.rank,
-            "idempotent": report.idempotent,
-        }
-        if decomposition is not None:
-            out["decomposition"] = decomposition
-        print(json.dumps(out, sort_keys=True))
-    else:
-        print(f"projector lambda={lam} N={args.N} b={args.b}")
-        print(f"trace = {report.trace}")
-        print(f"rank = {report.rank}")
-        print(f"idempotent = {report.idempotent}")
-        if decomposition is not None:
-            print(json.dumps(decomposition, sort_keys=True))
+        data["decomposition"] = report.element.to_json()
+    _emit(
+        args,
+        data,
+        lambda: [
+            f"projector lambda={lam} N={args.N} b={args.b}",
+            f"trace = {report.trace}",
+            f"rank = {report.rank}",
+            f"idempotent = {report.idempotent}",
+        ]
+        + ([json.dumps(data["decomposition"], sort_keys=True)] if args.decompose else []),
+    )
     return EXIT_OK
 
 
@@ -188,47 +189,33 @@ def _cmd_amplitude(args) -> int:
     graph = _read(args.graph, StrandedGraph.from_json)
     prop = _read_propagator(args.propagator, graph.D, args.b, None)
     amp = gaussian_expectation(graph, prop, args.b)
-    if args.json:
-        print(json.dumps({"b": args.b, "amplitude": amp.to_coeff_map()}, sort_keys=True))
-    else:
-        print(amp.format("N"))
+    _emit(args, {"b": args.b, "amplitude": amp.to_coeff_map()}, lambda: [amp.format("N")])
     return EXIT_OK
 
 
 def _cmd_duality_check(args) -> int:
     spec = _read(args.model, _model_from_json)
-    verdict = True
-    reports = []
-    for it in spec.interactions:
-        rep = duality_check(it.graph, spec.propagator)
-        reports.append((it.name, rep))
-        verdict = verdict and rep.equal
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "verdict": verdict,
-                    "interactions": [
-                        {
-                            "name": name,
-                            "equal": rep.equal,
-                            "orthogonal": rep.orthogonal.to_coeff_map(),
-                            "symplectic": rep.symplectic.to_coeff_map(),
-                        }
-                        for name, rep in reports
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        for name, rep in reports:
-            print(
-                f"{name}: b=0 -> {rep.orthogonal.format('N')}; "
-                f"b=1 -> {rep.symplectic.format('N')}; "
-                f"{'dual' if rep.equal else 'NOT dual'}"
-            )
-        print(f"verdict: {'dual' if verdict else 'NOT dual'}")
+    reports = [(it.name, duality_check(it.graph, spec.propagator)) for it in spec.interactions]
+    verdict = all(rep.equal for _, rep in reports)
+    rows = [
+        {
+            "name": name,
+            "equal": rep.equal,
+            "orthogonal": rep.orthogonal.to_coeff_map(),
+            "symplectic": rep.symplectic.to_coeff_map(),
+        }
+        for name, rep in reports
+    ]
+    _emit(
+        args,
+        {"verdict": verdict, "interactions": rows},
+        lambda: [
+            f"{name}: b=0 -> {rep.orthogonal.format('N')}; b=1 -> {rep.symplectic.format('N')}; "
+            f"{'dual' if rep.equal else 'NOT dual'}"
+            for name, rep in reports
+        ]
+        + [f"verdict: {'dual' if verdict else 'NOT dual'}"],
+    )
     return EXIT_OK if verdict else EXIT_FALSE
 
 
@@ -278,24 +265,22 @@ def _cmd_enumerate(args) -> int:
 def _cmd_expand(args) -> int:
     spec = _read(args.model, _model_from_json)
     terms = perturbative_expansion(spec, args.order)
-    rows = []
-    for term in terms:
-        label = (
-            " ".join(f"{name}^{p}" if p > 1 else name for name, p in term.couplings)
-            or "1"
-        )
-        rows.append(
-            {
-                "couplings": label,
-                "coefficient": str(term.coefficient),
-                "amplitude": term.amplitude.to_coeff_map(),
-            }
-        )
-    if args.json:
-        print(json.dumps(rows, sort_keys=True))
-    else:
-        for row, term in zip(rows, terms):
-            print(f"{row['couplings']}: {row['coefficient']} * ({term.amplitude.format('N')})")
+    rows = [
+        {
+            "couplings": " ".join(f"{name}^{p}" if p > 1 else name for name, p in term.couplings) or "1",
+            "coefficient": str(term.coefficient),
+            "amplitude": term.amplitude.to_coeff_map(),
+        }
+        for term in terms
+    ]
+    _emit(
+        args,
+        rows,
+        lambda: [
+            f"{row['couplings']}: {row['coefficient']} * ({term.amplitude.format('N')})"
+            for row, term in zip(rows, terms)
+        ],
+    )
     return EXIT_OK
 
 
@@ -307,23 +292,15 @@ def _cmd_oracle_check(args) -> int:
     numeric = oracle_mod.numeric_invariant_expectation(graph, prop, args.N, args.b)
     pipeline = gaussian_expectation(graph, prop, args.b)(Fraction(args.N))
     agree = pipeline == numeric
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "N": args.N,
-                    "b": args.b,
-                    "pipeline": str(pipeline),
-                    "oracle": str(numeric),
-                    "agree": agree,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"pipeline = {pipeline}")
-        print(f"oracle   = {numeric}")
-        print(f"verdict: {'agree' if agree else 'DISAGREE'}")
+    _emit(
+        args,
+        {"N": args.N, "b": args.b, "pipeline": str(pipeline), "oracle": str(numeric), "agree": agree},
+        lambda: [
+            f"pipeline = {pipeline}",
+            f"oracle   = {numeric}",
+            f"verdict: {'agree' if agree else 'DISAGREE'}",
+        ],
+    )
     return EXIT_OK if agree else EXIT_FALSE
 
 

@@ -12,9 +12,23 @@ cycle refines the sign into a face count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Pair = Tuple[int, int]
+
+
+def canonical_matching(pairs: Iterable[Sequence[int]], n: int) -> Optional[Tuple[Pair, ...]]:
+    """The pairs as sorted (smaller, larger) tuples, or None when they are
+    not a perfect matching of {1, ..., n}; a node that does not compare
+    with an int raises TypeError.  The pair count is compared with n/2
+    before any list of n nodes is built."""
+    try:
+        canon = sorted((a, b) if a < b else (b, a) for a, b in pairs)
+    except ValueError:  # an item that is not a pair
+        return None
+    if 2 * len(canon) != n or sorted([x for p in canon for x in p]) != list(range(1, n + 1)):
+        return None
+    return tuple(canon)
 
 
 @dataclass(frozen=True)
@@ -30,12 +44,7 @@ class DirectedPairing:
     pairs: Tuple[Pair, ...]
 
     def __post_init__(self):
-        seen = set()
-        for p in self.pairs:
-            if len(p) != 2:
-                raise ValueError(f"not a pair: {p!r}")
-            seen.update(p)
-        if len(seen) != self.n or 2 * len(self.pairs) != self.n or seen != set(range(1, self.n + 1)):
+        if canonical_matching(self.pairs, self.n) is None:
             raise ValueError("pairs must partition {1..n} with each element used exactly once")
 
     def flatten(self) -> Tuple[int, ...]:

@@ -20,6 +20,7 @@ from .brauer import BrauerDiagram, BrauerElement
 from .combinatorics import (
     DirectedPairing,
     all_pairings,
+    canonical_matching,
     double_factorial,
     face_decomposition,
     pairing_sign,
@@ -75,17 +76,10 @@ class StrandedGraph:
     def __post_init__(self):
         if self.D < 0 or self.vertices < 0:
             raise ValueError("D and vertices must not be negative")
-        try:
-            pairs = [(a, b) if a < b else (b, a) for a, b in self.strands]
-        except ValueError:  # an item that is not a pair
-            raise ValueError("strands must form a perfect matching of the nodes") from None
-        pairs.sort()
-        canon = tuple(pairs)
-        object.__setattr__(self, "strands", canon)
-        flat = [x for p in canon for x in p]
-        flat.sort()
-        if flat != list(range(1, self.node_count + 1)):
+        canon = canonical_matching(self.strands, self.node_count)
+        if canon is None:
             raise ValueError("strands must form a perfect matching of the nodes")
+        object.__setattr__(self, "strands", canon)
         if self.orientation is not None:
             ori = tuple(self.orientation)
             if {frozenset(p) for p in ori} != {frozenset(p) for p in canon}:
@@ -824,7 +818,8 @@ def enumerate_invariants(
     Each class is given by its least strand tuple, and the classes come
     in increasing order.  Both searches compare a graph with its images
     under the v! vertex relabelings; above `ENUMERATE_TABLE_CAP` the
-    call raises `CapExceededError` before either starts.  Without
+    call raises `CapExceededError` before either starts, naming the first
+    k! past the cap, k <= v.  Without
     `slot_symmetry` an orbit holds at most v! matchings, so the search
     reaches at least (Dv-1)!!/v! orbit-least complete matchings; above
     `ENUMERATE_CLASS_CAP` it raises `CapExceededError` before it starts,
@@ -864,11 +859,13 @@ def enumerate_invariants(
     n = D * vertices
     if n % 2 != 0 or (D == 1 and vertices > 2):  # D = 1: only the dipole is connected
         return ()
-    size = math.factorial(vertices)
-    if size > ENUMERATE_TABLE_CAP:
-        raise CapExceededError(
-            f"enumerate needs {size} relabelings, above the cap {ENUMERATE_TABLE_CAP}"
-        )
+    size = 1  # v!, multiplied only until it passes the cap
+    for k in range(2, vertices + 1):
+        size *= k
+        if size > ENUMERATE_TABLE_CAP:
+            raise CapExceededError(
+                f"enumerate needs at least {size} relabelings, above the cap {ENUMERATE_TABLE_CAP}"
+            )
     if slot_symmetry:
         fills = sorted(_least_fill(D, m) for m in _multigraphs(D, vertices))
         return tuple(StrandedGraph._canonical(D, vertices, s) for s in fills)

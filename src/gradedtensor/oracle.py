@@ -346,36 +346,20 @@ def oracle_work(S: StrandedGraph, N: int) -> int:
     return N ** len(S.strands) * double_factorial(S.vertices - 1)
 
 
-def _pair_plan(ends: List[List[tuple]], p: int, q: int, reached: int, shift: List[int]) -> tuple:
-    """The choices of form entries at the pair (p, q) of a vertex pairing,
-    once the positions in the bitmask `reached` are taken.
-
-    xs holds (part of X, entry product, part of Y, forced values onward)
-    per choice of one entry on each of p's strands not taken yet: a strand
-    inside p adds both its parts to X, one to q adds its far part to Y,
-    and one onward adds its far part times its position's shift to the
-    forced values.  ys holds (part of Y, entry product, forced values
-    onward) per choice on q's strands that are inside q or go onward; the
-    other slots of Y are fixed by p or by earlier pairs."""
-    xs = [(0, 1, 0, 0)]
+def _choices(ends: List[List[tuple]], p: int, reached: int, shift: List[int]) -> List[tuple]:
+    """(code part at p, entry product, forced values onward) per choice of
+    one form entry on each of p's strands not taken yet, once the
+    positions in the bitmask `reached` are taken: a strand inside p adds
+    both its parts to p's code, and one to an unreached position r adds
+    its far part times r's shift to the forced values."""
+    out = [(0, 1, 0)]
     for r, options in ends[p]:
         if r == p:
-            if options:
-                xs = [(f + a + c, g * h, y, d) for f, g, y, d in xs for a, c, h in options]
-        elif r == q:
-            xs = [(f + a, g * h, y + c, d) for f, g, y, d in xs for a, c, h in options]
+            out = [(f + a + c, g * h, d) for f, g, d in out for a, c, h in options]
         elif not reached >> r & 1:
             s = shift[r]
-            xs = [(f + a, g * h, y, d + c * s) for f, g, y, d in xs for a, c, h in options]
-    ys = [(0, 1, 0)]
-    for r, options in ends[q]:
-        if r == q:
-            if options:
-                ys = [(f + a + c, g * h, d) for f, g, d in ys for a, c, h in options]
-        elif r != p and not reached >> r & 1:
-            s = shift[r]
-            ys = [(f + a, g * h, d + c * s) for f, g, d in ys for a, c, h in options]
-    return xs, ys
+            out = [(f + a, g * h, d + c * s) for f, g, d in out for a, c, h in options]
+    return out
 
 
 def _sparse_contraction(ends: List[List[tuple]], rows: Sequence[Dict[int, int]], sign: int, parity: int) -> int:
@@ -388,23 +372,23 @@ def _sparse_contraction(ends: List[List[tuple]], rows: Sequence[Dict[int, int]],
     pairing the first open position with the k-th later one (from 0)
     carries (-1)^k.
 
-    `ends[p]` lists, per node of the tensor at product position p, the
-    position of the strand's far end and the strand's form entries as
-    (value here times this slot's digit, value there times the far
-    slot's digit, entry); the head of a strand inside one tensor has None,
-    as the strand is chosen once, from its tail.
+    `ends[p]` lists the strands at the tensor at product position p, each
+    as its far end's position and its form entries as (value here times
+    this slot's digit, value there times the far slot's digit, entry); a
+    strand inside one tensor is listed once, at its tail.
 
     Pairings grow one pair at a time.  States are grouped by the bitmask
     of positions already reached; a state holds the slot values forced by
     strands from the pairs already taken on the positions not yet
     reached, as one int, the code forced on position r times (N^D)^r.  In
     each group p is the smallest unreached position, paired with each
-    later unreached q; each choice of form entries on p's strands not
-    taken yet (`_pair_plan`) gives X and fixes Y on every slot but those
-    of strands inside q or leaving the pair from q; each choice on those
-    gives one candidate Y, looked up in row X.  The new states go to the
-    group of reached | p | q, where equal forced values merge across the
-    pairings that reach the same positions.
+    later unreached q.  Each choice at p (`_choices`, q unreached) gives
+    X and forces the slots of Y that p's strands reach, split off the
+    forced values once per q, with the Pfaffian's row sign in its entry
+    product; each choice at q (`_choices`, p reached) fixes the rest of
+    Y, looked up in row X.  The new states go to the group of
+    reached | p | q, where equal forced values merge across the pairings
+    that reach the same positions.
     """
     size, n = len(rows), len(ends)
     shift = [size**k for k in range(n)]
@@ -413,12 +397,13 @@ def _sparse_contraction(ends: List[List[tuple]], rows: Sequence[Dict[int, int]],
         merged: Dict[int, Dict[int, int]] = {}
         for reached, states in groups.items():
             p, *later = (r for r in range(n) if not reached >> r & 1)
+            at_p = _choices(ends, p, reached, shift)
             for k, q in enumerate(later):
-                xs, ys = _pair_plan(ends, p, q, reached, shift)
-                if parity and k % 2:
-                    xs = [(f, -g, y, d) for f, g, y, d in xs]
-                new = merged.setdefault(reached | 1 << p | 1 << q, {})
                 sp, sq = shift[p], shift[q]
+                odd = parity and k % 2
+                xs = [(f, -g if odd else g, d // sq % size, d - d // sq % size * sq) for f, g, d in at_p]
+                ys = _choices(ends, q, reached | 1 << p, shift)
+                new = merged.setdefault(reached | 1 << p | 1 << q, {})
                 for state, weight in states.items():
                     fp = state // sp % size
                     fq = state // sq % size
@@ -490,12 +475,13 @@ def numeric_invariant_expectation(
         for k in range(1, D * S.vertices + 1)
     ]
     lower = sorted(form.lower.items())  # [((i, j), value)]
-    # per position, per node: the far end's position and the strand's form
+    # per position, per strand: the far end's position and the strand's form
     # entries (see _sparse_contraction)
     ends: List[List[tuple]] = [[] for _ in range(S.vertices)]
     for k, l in normal.contractions.pairs:
         (pk, wk), (pl, wl) = place[k], place[l]
         ends[pk].append((pl, [(i * wk, j * wl, g) for (i, j), g in lower]))
-        ends[pl].append((pk, None if pk == pl else [(j * wl, i * wk, g) for (i, j), g in lower]))
+        if pl != pk:
+            ends[pl].append((pk, [(j * wl, i * wk, g) for (i, j), g in lower]))
     total = _sparse_contraction(ends, cov.rows, sign, (b * D) % 2)
     return Fraction(total, cov.den ** (S.vertices // 2))

@@ -18,6 +18,7 @@ by diagram number.  The symplectic grading enters through the form
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,10 +63,9 @@ class GradedForm:
     canonical symplectic form (b=1, N even), with its inverse.
 
     Entries are the ints +-1, stored sparsely over 0-based indices; both
-    the form and its inverse have exactly N nonzero entries.
+    the form and its inverse have exactly N nonzero entries.  They are
+    filled on first read, so a size cap refuses a huge N before they are.
     """
-
-    __slots__ = ("N", "b", "lower", "upper")
 
     def __init__(self, N: int, b: int):
         grading_bit(b)
@@ -75,21 +75,22 @@ class GradedForm:
             raise ValueError("symplectic form requires even N")
         self.N = N
         self.b = b
-        lower: Dict[Tuple[int, int], int] = {}
-        upper: Dict[Tuple[int, int], int] = {}
-        if b == 0:
-            for a in range(N):
-                lower[(a, a)] = 1
-                upper[(a, a)] = 1
-        else:
-            half = N // 2
-            for a in range(half):
-                lower[(a, a + half)] = 1
-                lower[(a + half, a)] = -1
-                upper[(a, a + half)] = -1
-                upper[(a + half, a)] = 1
-        self.lower = lower
-        self.upper = upper
+
+    @functools.cached_property
+    def lower(self) -> Dict[Tuple[int, int], int]:
+        if self.b == 0:
+            return {(a, a): 1 for a in range(self.N)}
+        half = self.N // 2
+        lower = {}
+        for a in range(half):
+            lower[(a, a + half)] = 1
+            lower[(a + half, a)] = -1
+        return lower
+
+    @functools.cached_property
+    def upper(self) -> Dict[Tuple[int, int], int]:
+        """The inverse form: the lower entries times (-1)^b."""
+        return {k: -v if self.b else v for k, v in self.lower.items()}
 
     @property
     def z_value(self) -> Fraction:
@@ -244,8 +245,8 @@ def decode_index(code: int, N: int, D: int) -> Tuple[int, ...]:
 
 
 def _check_cap(N: int, D: int):
-    if N**D > SIZE_CAP:
-        raise CapExceededError(f"N^D = {N**D} exceeds the size cap {SIZE_CAP}")
+    if N**D > SIZE_CAP:  # named as N^D, whose digits may be past what an int may print
+        raise CapExceededError(f"N^D = {N}^{D} exceeds the size cap {SIZE_CAP}")
 
 
 def _check_diagram_cap(D: int):

@@ -97,6 +97,24 @@ def test_projector_cap_exit_code(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        # v! is multiplied only until it passes the cap: 9! = 362880 is named
+        (("enumerate", "--D", "2", "--vertices", "2000000"), "362880"),
+        # N^D has 6,021 digits, more than an int may print
+        (("projector", "20000", "--N", "2"), "N^D = 2^20000"),
+        # the form's 2N entries are filled only when read, after the cap
+        (("projector", "2", "--N", "1000000000000"), "N^D = 1000000000000^2"),
+    ],
+)
+def test_caps_refuse_huge_inputs_at_once(capsys, argv, named):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert named in err and "cap" in err
+
+
 def test_projector_zero_component_past_the_map_work_cap_prints_rank_0(capsys):
     # (6) at Sp(4) does not occur (2 * 6 > 4), so P = 0 is read off the
     # occurrence rule; the map of e * A that would certify it in B_D, 9,675
@@ -519,6 +537,8 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         ("graph", dict(GOOD_GRAPH, strands=[[[1, 1], [2, 0]], [[1, 2], [2, 2]]]), "field 'strands': "),
         ("graph", dict(GOOD_GRAPH, strands=[[[1, 1], [3, 1]], [[1, 2], [2, 2]]]), "field 'strands': "),
         ("graph", {"D": 2, "vertices": -1, "strands": []}, "field 'vertices': must not be"),
+        # the pair count is checked before the 2 * 10^9 nodes are listed
+        ("graph", {"D": 2, "vertices": 10**9, "strands": []}, "strands must form a perfect matching"),
         ("graph", {"D": -2, "vertices": 1, "strands": []}, "field 'D': must not be negative"),
         ("model", dict(QUARTIC_D2, D=-2), "field 'D': must not be negative"),
         (
@@ -565,6 +585,7 @@ def test_wrongly_typed_json_is_usage_error(tmp_path, capsys, graph, prop):
         "strands-slot-zero",
         "strands-vertex-above-vertices",
         "graph-vertices-negative",
+        "graph-vertices-huge",
         "graph-D-negative",
         "model-D-negative",
         "terms-slot-count",

@@ -67,6 +67,10 @@ def test_graph_validation_and_json():
     assert g.to_json()["strands"] == [[[1, 1], [2, 1]], [[1, 2], [2, 2]]]
     with pytest.raises(ValueError):
         StrandedGraph(2, 2, ((1, 2), (2, 3)))
+    # the pair count is compared with D * vertices / 2 before any of the
+    # 2 * 10^9 nodes is listed, which would take gigabytes
+    with pytest.raises(ValueError, match="strands must form a perfect matching"):
+        StrandedGraph(2, 10**9, ())
     for D, vertices in ((2, -1), (-2, 1)):
         with pytest.raises(ValueError, match="must not be negative"):
             StrandedGraph(D, vertices, ())
@@ -90,26 +94,27 @@ def test_graphs_keep_no_instance_dict_and_stay_frozen():
             g.extra = 1
 
 
-def _reference_strands(D, vertices, strands):
-    """The strand validation of `StrandedGraph`, strand by strand: the
-    canonical strands, or the exception it raises.  A strand that is not a
+def _reference_matching(n, strands, message, keep_orientation=False):
+    """The perfect-matching check of the three validating classes, strand
+    by strand: the canonical strands (the strands as given when
+    `keep_orientation`), or ValueError(message).  A strand that is not a
     pair breaks the matching."""
     pairs = []
     for p in strands:
         if len(p) != 2:
-            raise ValueError("strands must form a perfect matching of the nodes")
+            raise ValueError(message)
         pairs.append((min(p), max(p)))
     canon = tuple(sorted(pairs))
     flat = [x for p in canon for x in p]
-    if sorted(flat) != list(range(1, D * vertices + 1)):
-        raise ValueError("strands must form a perfect matching of the nodes")
-    return canon
+    if sorted(flat) != list(range(1, n + 1)):
+        raise ValueError(message)
+    return tuple(strands) if keep_orientation else canon
 
 
-def _validated(check, D, vertices, strands):
-    """`check`'s strands, or the exception type with a ValueError's message."""
+def _validated(check):
+    """`check()`, or the exception type with a ValueError's message."""
     try:
-        return check(D, vertices, strands)
+        return check()
     except ValueError as exc:
         return ValueError, str(exc)
     except TypeError:
@@ -145,13 +150,22 @@ def strand_lists(draw):
 @settings(max_examples=500, deadline=None)
 @given(case=strand_lists())
 def test_one_pass_validation_matches_the_reference(case):
+    # StrandedGraph, BrauerDiagram (on n = 2D points) and DirectedPairing
+    # (which keeps each pair's orientation) share one matching check, each
+    # with its own message
     D, vertices, strands = case
-
-    def one_pass(D, vertices, strands):
-        return StrandedGraph(D, vertices, strands).strands
-
-    expected = _validated(_reference_strands, D, vertices, strands)
-    assert _validated(one_pass, D, vertices, strands) == expected
+    n, half = D * vertices, D * vertices // 2
+    cases = [
+        (lambda: StrandedGraph(D, vertices, strands).strands, n,
+         "strands must form a perfect matching of the nodes", False),
+        (lambda: BrauerDiagram(half, strands).pairs, 2 * half,
+         "pairs must form a perfect matching of {1..2D}", False),
+        (lambda: DirectedPairing(n, tuple(strands)).pairs, n,
+         "pairs must partition {1..n} with each element used exactly once", True),
+    ]
+    for one_pass, size, message, keep in cases:
+        expected = _validated(lambda: _reference_matching(size, strands, message, keep))
+        assert _validated(one_pass) == expected
 
 
 @pytest.mark.parametrize("strand", [(1, 1, 2), (), (1,)])

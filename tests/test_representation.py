@@ -879,6 +879,25 @@ def test_occurrence_rule_matches_the_rank_of_the_build():
     assert counts == {"occurs": 651, "zero": 82, "capped": 1}
 
 
+def test_e_times_a_is_zero_in_b_d_for_every_occurring_component():
+    # for every occurring lambda |- 2..5 at every (N, b) under SIZE_CAP, e * A
+    # is zero in B_D itself, so `irreducible_projector` never builds its map:
+    # `_report`'s map is reached only from the traceless builders and from a
+    # zero component's checked route
+    cases = 0
+    for D in range(2, 6):
+        for N in range(1, math.isqrt(SIZE_CAP) + 1):
+            for b in (0, 1):
+                if N**D > SIZE_CAP or b and N % 2:
+                    continue
+                form = GradedForm(N, b)
+                for rows in partitions(D):
+                    if traceless_component_occurs(rows, form):
+                        assert not _irreducible(YoungDiagram(rows), form).times_ad().terms, (rows, N, b)
+                        cases += 1
+    assert cases == 649
+
+
 @pytest.mark.parametrize("N,b", GRADED_FORMS)
 def test_zero_report_is_the_zero_map_of_the_irreducible_element(N, b):
     form = GradedForm(N, b)
