@@ -7,22 +7,18 @@ straightening contributes one factor of the formal loop weight z.
 `multiply` keeps coefficients polynomial in z, so one computation serves
 both gradings.  The projector builders of `representation` need only
 z = (-1)^b N: they keep integer numerators keyed by diagram number in
-`diagram_basis(D)`, which numbers the diagrams of B_D on first visit and
-compiles each diagram's moves once into int rows.  The rows are filled
-from partner tuples (`partners`) by two local products, `times_beta` and
-the transposition `transposed`, which stay the tests' reference for the
-rows.  The grading sign of each diagram is compiled once into an int
-too (`eta`, read by the tensor-map filler of `representation`, with
-`eta_sign` as its reference).  Products with the arc sum A are taken
-as e*A, A above e: on the
-projector elements, polynomials in A times a Young symmetrizer, that is
-A*e, since A commutes with every permutation (Nazarov, J. Algebra 182
-(1996)).  One basis per D serves every build in the process, because the
-rows pay only when shared: compiled afresh for each build they ran bench
-`projector` at 0.105 s per pass on a 2-core VM, no faster than the
-partner tuples they replace (0.099 s), and shared at 0.070 s.  Their
-memory grows with the diagrams visited: `projector 6 --N 3` peaks at
-27.5 MB RSS, 22 MB without rows.
+`diagram_basis(D)`, which numbers all of B_D once per process and
+compiles each diagram's moves into int rows.  The rows are filled from
+partner tuples (`partners`) by two local products, `times_beta` and the
+transposition `transposed`, which stay the tests' reference for the
+rows.  The grading sign of a partner tuple is `diagram_eta`, cached per
+tuple, with `eta_sign` as its reference.  Products with the arc sum A
+are taken as e*A, A above e: on the projector elements, polynomials in
+A times a Young symmetrizer, that is A*e, since A commutes with every
+permutation (Nazarov, J. Algebra 182 (1996)).  The whole basis costs
+2 ms at D = 4, 0.25 s at D = 6 and 4.8 s at D = 7, where
+`projector 7 --N 2` peaks at 157 MB RSS (Python 3.11, 2-core VM);
+`DIAGRAM_CAP` stops at B_7.
 """
 
 from __future__ import annotations
@@ -31,7 +27,15 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .combinatorics import DirectedPairing, canonical_matching, pairing_sign, partner_map, strand_walk
+from .combinatorics import (
+    DirectedPairing,
+    canonical_matching,
+    double_factorial,
+    pairing_sign,
+    partner_map,
+    strand_walk,
+)
+from .errors import CapExceededError
 from .polynomial import Poly
 from .young import GroupAlgebraElement, Perm
 
@@ -205,29 +209,29 @@ def transposed(p: Partners, x: int, y: int) -> Partners:
 
 
 class DiagramBasis:
-    """The diagrams of B_D, numbered on first visit, with their moves as int rows.
+    """All diagrams of B_D, numbered once, with their moves as int rows.
 
-    `number(p)` gives the diagram with partner tuple p the next free
-    number the first time it is seen.  Row entry a of a diagram k is read
-    at the arc `arcs[a]` = (i, j), and each reading of k is compiled the
-    first time it is asked for, then kept:
+    The identity is diagram 0.  Each numbered diagram in turn appends its
+    rows, and a row numbers any new diagram it reaches: the swaps below
+    reach every permutation and beta_ij above every set of top arcs, so
+    the build ends with all (2D - 1)!! diagrams.  `number(p)` is the
+    number of the diagram with partner tuple p.  Row entry a of diagram k
+    is read at the arc `arcs[a]` = (i, j):
 
-    - `top(k)`: d*beta_ij, `times_beta` at the top points i, j;
-    - `swapped(k)`: sigma_ij*d, `transposed` at D+i, D+j;
-    - `loops(k)`: the loops of d closed by the identity, the cycles of
+    - `top[k]`: d*beta_ij, `times_beta` at the top points i, j;
+    - `swapped[k]`: sigma_ij*d, `transposed` at D+i, D+j;
+    - `loops[k]`: the loops of d closed by the identity, the cycles of
       `strand_walk` against the closure pairs (i, D+i);
-    - `eta(k)`: the grading sign of d, `eta_sign` of its diagram;
-    - `diagram(k)`: the `BrauerDiagram`.
+    - `diagram(k)`: the `BrauerDiagram`, built when first read.
 
     beta_ij closes a loop exactly when it leaves the diagram unchanged, so
     a top entry equal to k means one loop and any other entry none.  No
     row holds beta_ij below d: A*e is read as e*A (see the module
-    docstring).  The identity is diagram 0.
+    docstring).
     """
 
     __slots__ = (
-        "D", "arcs", "arc_number", "partners", "_index",
-        "_top", "_swapped", "_loops", "_eta", "_diagrams",
+        "D", "arcs", "arc_number", "partners", "_index", "top", "swapped", "loops", "_diagrams"
     )
 
     def __init__(self, D: int):
@@ -236,12 +240,18 @@ class DiagramBasis:
         self.arc_number = {arc: a for a, arc in enumerate(self.arcs)}
         self.partners: List[Partners] = []
         self._index: Dict[Partners, int] = {}
-        self._top: Dict[int, Tuple[int, ...]] = {}
-        self._swapped: Dict[int, Tuple[int, ...]] = {}
-        self._loops: Dict[int, int] = {}
-        self._eta: Dict[int, int] = {}
+        self.top: List[Tuple[int, ...]] = []
+        self.swapped: List[Tuple[int, ...]] = []
+        self.loops: List[int] = []
         self._diagrams: Dict[int, BrauerDiagram] = {}
-        self.number(partners(identity_diagram(D)))
+        identity = partners(identity_diagram(D))
+        self.number(identity)
+        closure = dict(enumerate(identity[1:], 1))
+        below = [(D + i, D + j) for i, j in self.arcs]
+        for p in self.partners:  # visits the diagrams numbered on the way too
+            self.top.append(tuple(self.number(times_beta(p, i, j)) for i, j in self.arcs))
+            self.swapped.append(tuple(self.number(transposed(p, x, y)) for x, y in below))
+            self.loops.append(strand_walk(dict(enumerate(p[1:], 1)), closure)[1])
 
     def number(self, p: Partners) -> int:
         k = self._index.get(p)
@@ -250,35 +260,6 @@ class DiagramBasis:
             self.partners.append(p)
         return k
 
-    def top(self, k: int) -> Tuple[int, ...]:
-        row = self._top.get(k)
-        if row is None:
-            p = self.partners[k]
-            row = self._top[k] = tuple(self.number(times_beta(p, i, j)) for i, j in self.arcs)
-        return row
-
-    def swapped(self, k: int) -> Tuple[int, ...]:
-        row = self._swapped.get(k)
-        if row is None:
-            p, D = self.partners[k], self.D
-            row = self._swapped[k] = tuple(
-                self.number(transposed(p, D + i, D + j)) for i, j in self.arcs
-            )
-        return row
-
-    def loops(self, k: int) -> int:
-        loops = self._loops.get(k)
-        if loops is None:
-            diagram, closure = (dict(enumerate(self.partners[x][1:], 1)) for x in (k, 0))
-            loops = self._loops[k] = strand_walk(diagram, closure)[1]
-        return loops
-
-    def eta(self, k: int) -> int:
-        sign = self._eta.get(k)
-        if sign is None:
-            sign = self._eta[k] = eta_sign(from_partners(self.partners[k]))
-        return sign
-
     def diagram(self, k: int) -> BrauerDiagram:
         d = self._diagrams.get(k)
         if d is None:
@@ -286,9 +267,19 @@ class DiagramBasis:
         return d
 
 
+DIAGRAM_CAP = 135_135  # (2D - 1)!! diagrams a basis may hold: all of B_7
+
+
 @functools.cache
 def diagram_basis(D: int) -> DiagramBasis:
-    """The one `DiagramBasis` of B_D in this process, shared by every caller."""
+    """The one `DiagramBasis` of B_D in this process, shared by every caller.
+
+    Past `DIAGRAM_CAP` diagrams it raises `CapExceededError` before any
+    diagram is numbered.
+    """
+    diagrams = double_factorial(2 * D - 1)
+    if diagrams > DIAGRAM_CAP:
+        raise CapExceededError(f"B_{D} has {diagrams} diagrams, above the cap {DIAGRAM_CAP}")
     return DiagramBasis(D)
 
 
@@ -405,6 +396,12 @@ def eta_sign(d: BrauerDiagram) -> int:
     diagrams this is the permutation's sign.
     """
     return pairing_sign(d.oriented(), reference_pairing(d.D))
+
+
+@functools.cache
+def diagram_eta(p: Partners) -> int:
+    """`eta_sign` of the diagram with partner tuple p, computed once per tuple."""
+    return eta_sign(from_partners(p))
 
 
 def embed_group_algebra(e: GroupAlgebraElement, D: int) -> BrauerElement:

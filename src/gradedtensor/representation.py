@@ -12,8 +12,9 @@ irreducible projector whose traceless component does not occur on the
 tensor space (`traceless_component_occurs`) is zero, and is reported
 from that rule with no build.  Every tensor map of a Brauer element is
 filled by one routine (`_numerator_map`) from integer numerators keyed
-by diagram number.  The symplectic grading enters through the form
-(delta or omega) and the diagram grading sign.
+by partner tuple, so no map numbers a diagram of B_D.  The symplectic
+grading enters through the form (delta or omega) and the diagram grading
+sign.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from typing import Dict, List, Optional, Set, Tuple
 from .brauer import (
     BrauerDiagram,
     BrauerElement,
-    DiagramBasis,
+    Partners,
     casimir_ad,
     diagram_basis,
+    diagram_eta,
     partners,
 )
 from .errors import CapExceededError
@@ -45,7 +47,6 @@ from .young import (
 
 SIZE_CAP = 20736  # N**D above this errors instead of thrashing
 MAP_WORK_CAP = 4_000_000  # entries the small-N fallback map of e * A may fill
-DIAGRAM_CAP = 135_135  # (2D - 1)!! diagrams of B_D a build may visit: all of B_7
 
 
 # -- graded bilinear forms ---------------------------------------------------
@@ -245,24 +246,20 @@ def decode_index(code: int, N: int, D: int) -> Tuple[int, ...]:
 
 
 def _check_cap(N: int, D: int):
-    if N**D > SIZE_CAP:  # named as N^D, whose digits may be past what an int may print
+    # named as N^D, whose digits may be past what an int may print; at
+    # N >= 2, N^D >= 2^D is past the cap once D reaches the cap's bit length
+    if N > 1 and (D >= SIZE_CAP.bit_length() or N**D > SIZE_CAP):
         raise CapExceededError(f"N^D = {N}^{D} exceeds the size cap {SIZE_CAP}")
-
-
-def _check_diagram_cap(D: int):
-    diagrams = math.prod(range(1, 2 * D, 2))
-    if diagrams > DIAGRAM_CAP:
-        raise CapExceededError(f"B_{D} has {diagrams} diagrams, above the cap {DIAGRAM_CAP}")
 
 
 # -- diagram and element actions ---------------------------------------------
 
 
 def _numerator_map(
-    basis: DiagramBasis, numerators: Dict[int, int], den: int, form: GradedForm
+    D: int, numerators: Dict[Partners, int], den: int, form: GradedForm
 ) -> TensorMap:
-    """The map of the sum over k of numerators[k] / den times the action
-    of diagram k of basis.
+    """The map of the sum over p of numerators[p] / den times the action
+    of the diagram of B_D with partner tuple p.
 
     Each pair of a diagram is one factor that fixes the index values at
     both its points, so a choice of one nonzero factor per pair is one
@@ -270,22 +267,20 @@ def _numerator_map(
     digits are the top-row indices b, row digits the bottom-row indices
     a.  An entry is keyed by the one int column * N^D + row, in which
     point q carries the digit N^(2D - q); the entries of all diagrams add
-    into one dict, split into columns at the end.  A diagram is read from
-    its partner tuple and, at b = 1, its grading sign `basis.eta(k)`; the
+    into one dict, split into columns at the end.  At b = 1 each term
+    carries its diagram's grading sign (`brauer.diagram_eta`).  The
     choices of each pair are listed once per call, for the first diagram
-    that has it.
+    that has it.  No diagram is numbered.
     """
-    N, D = form.N, basis.D
+    N = form.N
     digit = [N ** (2 * D - q) for q in range(2 * D + 1)]
     delta = {(x, x): 1 for x in range(N)}
     # (m, q) -> (code, value) per nonzero factor on the pair (m, q)
     pair_choices: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    eta = basis.eta if form.b else None
     total: Dict[int, int] = {}
-    for k, c in numerators.items():
-        p = basis.partners[k]
+    for p, c in numerators.items():
         # (code, value) per choice of one factor on each pair taken so far
-        entries = [(0, c * eta(k) if eta else c)]
+        entries = [(0, c * diagram_eta(p) if form.b else c)]
         for m in range(1, 2 * D + 1):
             q = p[m]
             if q < m:
@@ -326,22 +321,20 @@ def element_to_map(e: BrauerElement, form: GradedForm) -> TensorMap:
     """Linear extension of the diagram action, with z evaluated at (-1)^b N.
 
     Each coefficient is evaluated once; the map's denominator is the lcm
-    of their denominators.  Each diagram is numbered in the shared
-    `diagram_basis(e.D)`, and the integer numerators go through the one
-    filler the projector reports use (`_numerator_map`), which adds one
-    nonzero form entry per pair (see `diagram_to_map`) into one column
-    dict; no N^D scan and no map per diagram.
+    of their denominators.  The integer numerators, keyed by partner
+    tuple, go through the one filler the projector reports use
+    (`_numerator_map`), which adds one nonzero form entry per pair (see
+    `diagram_to_map`) into one column dict; no N^D scan, no map per
+    diagram and no `diagram_basis`, so a diagram past `DIAGRAM_CAP`'s B_7
+    has its map too.
     """
     _check_cap(form.N, e.D)
     values = {d: coeff(form.z_value) for d, coeff in e.terms.items()}
     den = math.lcm(*(c.denominator for c in values.values()))
-    basis = diagram_basis(e.D)
     numerators = {
-        basis.number(partners(d)): c.numerator * (den // c.denominator)
-        for d, c in values.items()
-        if c
+        partners(d): c.numerator * (den // c.denominator) for d, c in values.items() if c
     }
-    return _numerator_map(basis, numerators, den, form)
+    return _numerator_map(e.D, numerators, den, form)
 
 
 # -- spectra and projectors ---------------------------------------------------
@@ -536,10 +529,9 @@ class ProjectorReport:
     @property
     def projector(self) -> TensorMap:
         """P as an N^D x N^D map, built from the snapshot on each access."""
-        x = self._snapshot
-        if x is None:
+        if self._snapshot is None:
             return TensorMap(self.form.N, self._shape.size, {})
-        return _numerator_map(x.basis, x.terms, x.den, self.form)
+        return self._snapshot.to_map()
 
 
 def _report(x: "_ElementAtZ0", lam: Optional[YoungDiagram]) -> ProjectorReport:
@@ -582,7 +574,7 @@ def _report(x: "_ElementAtZ0", lam: Optional[YoungDiagram]) -> ProjectorReport:
             raise CapExceededError(
                 f"the map of e * A needs {work} entries, above the cap {MAP_WORK_CAP}"
             )
-        if not _numerator_map(x.basis, e_ad.terms, x.den, x.form).is_zero():
+        if not e_ad.to_map().is_zero():
             raise ArithmeticError("projector image is not traceless")
     if lam is not None and not x.fixed_by_symmetrizer(lam):
         raise ArithmeticError("projector is not idempotent")
@@ -600,15 +592,14 @@ class _ElementAtZ0:
     Right factors (1 - A/alpha), Young symmetrizers below, the product
     self * A (A * self for a projector element, see `_report`), the trace
     and `element` read only the basis's rows, with no general Brauer
-    product, no polynomial in z and no partner tuple.  Each row is
-    compiled once and shared by every element at that D in the process
-    (see `brauer` for what sharing gains and costs).
+    product and no polynomial in z; only `to_map` reads partner tuples.
+    The basis is built whole once per D and shared by every element at
+    that D in the process; past `brauer.DIAGRAM_CAP` it is refused.
     """
 
     __slots__ = ("D", "form", "z0", "basis", "terms", "den")
 
     def __init__(self, D: int, form: GradedForm):
-        _check_diagram_cap(D)
         self.D = D
         self.form = form
         self.z0 = int(form.z_value)
@@ -623,7 +614,7 @@ class _ElementAtZ0:
         top, z0 = self.basis.top, self.z0
         for k, c in self.terms.items():
             c *= sign
-            for q in top(k):
+            for q in top[k]:
                 out[q] = out.get(q, 0) + (c * z0 if q == k else c)
         return out
 
@@ -643,7 +634,7 @@ class _ElementAtZ0:
         swapped = self.basis.swapped
         out = dict(self.terms)
         for k, c in self.terms.items():
-            row, c = swapped(k), sign * c
+            row, c = swapped[k], sign * c
             for a in arcs:
                 q = row[a]
                 out[q] = out.get(q, 0) + c
@@ -695,14 +686,21 @@ class _ElementAtZ0:
         """The trace of self's action on the tensor space, with no map.
 
         A diagram d acts with trace (-1)^(b D) z0^L(d), L(d) its loops
-        closed by the identity (`DiagramBasis.loops`); the grading sign
+        closed by the identity (the basis's list `loops`); the grading sign
         eta(d) does not enter.  At b = 0 each loop is a delta cycle, a
         factor N; on a permutation at b = 1 it is sign(sigma) N^L with
         sign(sigma) = (-1)^(D - L).
         """
         loops = self.basis.loops
-        total = sum(c * self.z0 ** loops(k) for k, c in self.terms.items())
+        total = sum(c * self.z0 ** loops[k] for k, c in self.terms.items())
         return Fraction(-total if self.form.b and self.D % 2 else total, self.den)
+
+    def to_map(self) -> TensorMap:
+        """The tensor map of self, its numerators keyed by partner tuple
+        for `_numerator_map`."""
+        partners = self.basis.partners
+        numerators = {partners[k]: c for k, c in self.terms.items()}
+        return _numerator_map(self.D, numerators, self.den, self.form)
 
     def element(self) -> BrauerElement:
         """The element with constant coefficients numerator / den."""

@@ -106,6 +106,8 @@ def test_projector_cap_exit_code(capsys):
         (("projector", "20000", "--N", "2"), "N^D = 2^20000"),
         # the form's 2N entries are filled only when read, after the cap
         (("projector", "2", "--N", "1000000000000"), "N^D = 1000000000000^2"),
+        # past the cap's bit length, N^D is not formed: it has 1.6e9 bits
+        (("projector", "1000000000", "--N", "3"), "N^D = 3^1000000000"),
     ],
 )
 def test_caps_refuse_huge_inputs_at_once(capsys, argv, named):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 from gradedtensor.brauer import (
+    DIAGRAM_CAP,
+    BrauerDiagram,
     BrauerElement,
     beta_ij,
     casimir_ad,
@@ -23,7 +25,6 @@ from gradedtensor.brauer import (
 from gradedtensor.errors import CapExceededError
 from gradedtensor.polynomial import Poly
 from gradedtensor.representation import (
-    DIAGRAM_CAP,
     SIZE_CAP,
     GradedForm,
     TensorMap,
@@ -629,21 +630,22 @@ def test_el_samra_king_matches_one_row_and_column_dimensions():
 
 @pytest.mark.parametrize("b", [0, 1])
 def test_rank_matches_el_samra_king_dimension(b):
-    # at the least N where the closed form holds, for every lam |- 2..5
-    # with N^|lam| under the size cap: at b = 1 that leaves out (5) and
-    # (4,1), whose Sp(N) irreps need N = 10 and 8
+    # at every N from the least where the closed form holds, for every
+    # lam |- 2..6 with N^|lam| under the size cap (N even at b = 1); the
+    # trace, and so the rank, is read off the basis's loop counts
     checked = 0
-    for k in range(2, 6):
+    for k in range(2, 7):
         for rows in partitions(k):
             lam = YoungDiagram(rows)
-            N = smallest_stable_dimension(lam, b)
-            if N**k > SIZE_CAP:
-                continue
-            rep = irreducible_projector(lam, GradedForm(N, b))
             irrep = transpose(lam) if b else lam
-            assert rep.rank == el_samra_king_dimension(irrep, N, b), (rows, N)
-            checked += 1
-    assert checked == (15 if b else 17)
+            for N in range(smallest_stable_dimension(lam, b), SIZE_CAP + 1, 1 + b):
+                if N**k > SIZE_CAP:
+                    break
+                rep = irreducible_projector(lam, GradedForm(N, b))
+                expected = el_samra_king_dimension(irrep, N, b)
+                assert rep.rank == rep.trace == expected, (rows, N)
+                checked += 1
+    assert checked == (216 if b else 453)
 
 
 # -- the factored symmetrizer and the traceless check in B_D -----------------
@@ -768,9 +770,9 @@ def count_maps(monkeypatch):
     made = []
     full = rep_mod._numerator_map
 
-    def counted(basis, numerators, den, form):
+    def counted(D, numerators, den, form):
         made.append((dict(numerators), den))
-        return full(basis, numerators, den, form)
+        return full(D, numerators, den, form)
 
     monkeypatch.setattr(rep_mod, "_numerator_map", counted)
     return made
@@ -786,7 +788,7 @@ def test_tensor_map_of_a_only_where_the_algebra_check_fails(monkeypatch, rows, N
     rep = checked_report(rows, N, b)
     assert rep.idempotent
     e_ad = rep._snapshot.times_ad()
-    assert made == [(e_ad.terms, e_ad.den)] * calls
+    assert made == [(by_partners(e_ad), e_ad.den)] * calls
 
 
 FALLBACK_CASES = [((2, 2), 2, 0), ((4,), 2, 1)]
@@ -796,8 +798,8 @@ FALLBACK_CASES = [((2, 2), 2, 0), ((4,), 2, 1)]
 def test_fallback_with_a_nonzero_map_of_a_e_is_not_traceless(monkeypatch, rows, N, b):
     import gradedtensor.representation as rep_mod
 
-    def nonzero(basis, numerators, den, form):
-        return TensorMap.identity(N, basis.D)
+    def nonzero(D, numerators, den, form):
+        return TensorMap.identity(N, D)
 
     monkeypatch.setattr(rep_mod, "_numerator_map", nonzero)
     with pytest.raises(ArithmeticError, match="not traceless"):
@@ -819,7 +821,7 @@ def test_fallback_map_of_the_numerators_is_the_map_of_the_element(N, b, shapes):
     for rows in shapes:
         lam = YoungDiagram(rows)
         e_ad = _irreducible(lam, form).times_ad()
-        numerator_map = _numerator_map(e_ad.basis, e_ad.terms, e_ad.den, form)
+        numerator_map = _numerator_map(e_ad.D, by_partners(e_ad), e_ad.den, form)
         assert numerator_map == element_to_map(e_ad.element(), form), rows
         if N == 2:  # and so does the report's map P
             rep = irreducible_projector(lam, form)
@@ -949,14 +951,39 @@ def test_zero_component_builds_no_diagram(monkeypatch, capsys):
 
 
 def test_diagram_cap_is_checked_before_any_diagram_is_numbered(monkeypatch):
-    # the cap is all of B_7; (8) occurs at O(2), while at Sp(2) it does not
+    # the cap is all of B_7; (8) occurs at O(2), while at Sp(2) it does not.
+    # `diagram_basis` holds the check, so the basis itself is refused
+    import gradedtensor.brauer as brauer_mod
+
+    def refuse(D):
+        raise DiagramsNumbered
+
     assert DIAGRAM_CAP == math.prod(range(1, 14, 2))
-    refuse_diagrams(monkeypatch)
+    monkeypatch.setattr(brauer_mod, "DiagramBasis", refuse)
     with pytest.raises(CapExceededError, match="2027025 diagrams"):
         irreducible_projector(YoungDiagram((8,)), GradedForm(2, 0))
     assert irreducible_projector(YoungDiagram((8,)), GradedForm(2, 1)).rank == 0
     with pytest.raises(CapExceededError, match="2027025 diagrams"):
         traceless_projector(8, GradedForm(2, 0))
+
+
+def test_tensor_maps_number_no_diagram(monkeypatch):
+    # a map is filled from partner tuples, so one past the diagram cap's
+    # B_7 is built too: B_10 has 654,729,075 diagrams
+    form = GradedForm(2, 1)
+    e = irreducible_element(YoungDiagram((3, 1)), form)
+    expected = element_to_map(e, form)
+    refuse_diagrams(monkeypatch)
+    assert element_to_map(e, form) == expected
+    d1 = BrauerDiagram(
+        10, ((1, 2), (3, 14), (4, 11), (5, 13), (6, 12), (7, 20), (8, 17), (9, 18), (10, 19), (15, 16))
+    )
+    d2 = BrauerDiagram(10, tuple((i, 10 + (i % 10) + 1) for i in range(1, 11)))
+    m1 = diagram_to_map(d1, form)
+    # one nonzero per choice of one form entry on each of the ten pairs
+    assert sum(map(len, m1.cols.values())) == 2**10
+    product = BrauerElement.of_diagram(d1) * BrauerElement.of_diagram(d2)
+    assert element_to_map(product, form) == m1.compose(diagram_to_map(d2, form))
 
 
 # -- reports read in B_D at z0 against the map route ---------------------------
