@@ -39,12 +39,14 @@ from .model import (
     StrandedGraph,
     TwoColoredGraph,
     count_faces,
+    count_invariants,
     disjoint_union_graphs,
     duality_check,
     enumerate_invariants,
     gaussian_expectation,
     graph_amplitude,
     invariant_sign_normal_form,
+    invariant_strands,
     perturbative_expansion,
     wick_expand,
 )

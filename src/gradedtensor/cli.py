@@ -28,9 +28,10 @@ from .model import (
     _field,
     _integer,
     _size,
+    count_invariants,
     duality_check,
-    enumerate_invariants,
     gaussian_expectation,
+    invariant_strands,
     perturbative_expansion,
 )
 from .representation import GradedForm, grading_bit
@@ -219,22 +220,25 @@ def _cmd_duality_check(args) -> int:
     return EXIT_OK if verdict else EXIT_FALSE
 
 
-def _class_lines(graphs, D: int, vertices: int):
-    """Yield each graph as `json.dumps(g.to_json(), sort_keys=True)`, byte for byte.
+def _class_lines(classes, D: int, vertices: int):
+    """Yield each class, a sorted strand tuple, as the line
+    `json.dumps(g.to_json(), sort_keys=True)` of its graph g, byte for byte.
 
     The text of every strand (a, b), a < b, of the D*vertices nodes is
-    built once, so a line is one join of its strands' texts.  No table is
-    built when there are no graphs, so runs with no class, such as D = 1
-    with many vertices, cost nothing.
+    built once, when the first class arrives, so a line is one join of
+    its strands' texts.  A run with no class, such as D = 1 with many
+    vertices, builds no table.
     """
-    if not graphs:
+    classes = iter(classes)
+    first = next(classes, None)
+    if first is None:
         return
     n = D * vertices
     ends = [f"[{v}, {c}]" for v in range(1, vertices + 1) for c in range(1, D + 1)]  # node a+1 at a
     texts = {(a + 1, b + 1): f"[{ends[a]}, {ends[b]}]" for a in range(n) for b in range(a + 1, n)}
     head, tail = f'{{"D": {D}, "strands": [', f'], "vertices": {vertices}}}'
-    for g in graphs:
-        yield head + ", ".join(map(texts.__getitem__, g.strands)) + tail
+    for strands in itertools.chain((first,), classes):
+        yield head + ", ".join(map(texts.__getitem__, strands)) + tail
 
 
 def _chunks(lines):
@@ -245,20 +249,34 @@ def _chunks(lines):
 
 
 def _cmd_enumerate(args) -> int:
-    """The classes are written CLASS_CHUNK lines at a time, so the output
-    never holds more than one chunk of text."""
-    graphs = enumerate_invariants(args.D, args.vertices, slot_symmetry=args.slot_symmetries)
-    chunks = _chunks(_class_lines(graphs, args.D, args.vertices))
+    """The classes are written CLASS_CHUNK lines at a time as the search
+    finds them, so neither the classes nor their text are held.
+
+    `invariant_strands` checks its caps before it returns, so a refused
+    run writes nothing.  The text header comes first, from the closed-form
+    count (`count_invariants`), or, with slot symmetries, from the length
+    of the sorted class list that search builds; a class count that
+    differs from the header raises `RuntimeError` after the last line.
+    --json writes the list's brackets around the lines and needs no count.
+    """
+    D, vertices = args.D, args.vertices
+    classes = invariant_strands(D, vertices, slot_symmetry=args.slot_symmetries)
+    chunks = _chunks(_class_lines(classes, D, vertices))
     out = sys.stdout
     if args.json:
         out.write("[")
         for k, chunk in enumerate(chunks):
             out.write((", " if k else "") + ", ".join(chunk))
         out.write("]\n")
-    else:
-        out.write(f"{len(graphs)} connected invariant(s) for D={args.D}, vertices={args.vertices}\n")
-        for chunk in chunks:
-            out.write("\n".join(chunk) + "\n")
+        return EXIT_OK
+    count = len(classes) if args.slot_symmetries else count_invariants(D, vertices)
+    out.write(f"{count} connected invariant(s) for D={D}, vertices={vertices}\n")
+    written = 0
+    for chunk in chunks:
+        out.write("\n".join(chunk) + "\n")
+        written += len(chunk)
+    if written != count:
+        raise RuntimeError(f"enumerate wrote {written} classes under a header of {count}")
     return EXIT_OK
 
 

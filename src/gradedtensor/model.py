@@ -27,6 +27,7 @@ from .combinatorics import (
 )
 from .errors import CapExceededError
 from .polynomial import Poly
+from .young import partitions
 
 Pair = Tuple[int, int]
 
@@ -91,8 +92,9 @@ class StrandedGraph:
         """A graph on strands that are already canonical: pairs (a, b) with
         a < b, sorted, a perfect matching of 1..D*vertices.  Nothing is
         checked and `__post_init__` does not run; only
-        `enumerate_invariants`, whose generator builds its strands so,
-        calls this."""
+        `enumerate_invariants` calls this, on the strand tuples of
+        `invariant_strands`, which come so.  The `enumerate` command
+        writes those tuples without building a graph."""
         g = object.__new__(cls)
         _set_D(g, D)
         _set_vertices(g, vertices)
@@ -807,38 +809,103 @@ def _multigraphs(D: int, vertices: int) -> List[Matrix]:
     return out
 
 
-def enumerate_invariants(
+def _some_graph_connects(D: int, vertices: int) -> bool:
+    """Whether some stranded graph on the given vertices is connected:
+    D*v must be even, and with D = 1 only the two-vertex dipole is.
+    Raises `ValueError` for D < 1 or no vertex."""
+    if D < 1:
+        raise ValueError(f"D must be at least 1, got {D}")
+    if vertices < 1:
+        raise ValueError("need at least one vertex")
+    return D * vertices % 2 == 0 and (D > 1 or vertices <= 2)
+
+
+def _fixed_matchings(m: int, length: int) -> int:
+    """The perfect matchings of m node cycles of one length that the
+    permutation of the cycles maps to themselves.
+
+    A fixed matching pairs a cycle's nodes with those of one other cycle,
+    in `length` ways, or, for even length only, with its own nodes half a
+    turn on, in one way.
+    """
+    if length % 2:
+        return double_factorial(m - 1) * length ** (m // 2) if m % 2 == 0 else 0
+    return sum(
+        math.comb(m, 2 * j) * double_factorial(2 * j - 1) * length**j for j in range(m // 2 + 1)
+    )
+
+
+def count_invariants(D: int, vertices: int) -> int:
+    """The number of connected classes without slot symmetries, the
+    length of `invariant_strands(D, vertices)`, in closed form.
+
+    Burnside's lemma gives a_k, the classes on k <= v vertices, connected
+    or not: the mean over the k! vertex relabelings of the matchings each
+    fixes, summed by cycle type (`young.partitions`), with k!/z_mu
+    relabelings of type mu.  A vertex cycle of length l moves the nodes of
+    its vertices in D node cycles of length l, and the fixed matchings
+    multiply over the lengths (`_fixed_matchings`).  A graph is the
+    multiset of its components, so sum_k a_k x^k = prod_k (1 - x^k)^(-c_k)
+    with c_k the connected classes on k vertices (the Euler transform;
+    Harary & Palmer, Graphical Enumeration, 1973; Ben Geloun & Ramgoolam,
+    "Counting tensor model observables and branched covers of the
+    2-sphere", 2013).  With b_n = sum over d | n of d c_d, the transform
+    reads n a_n = sum_{k=1}^{n} b_k a_{n-k}, which is solved for b_n and
+    then c_n, all in integers.
+
+    Odd D*v and D = 1 with v > 2 give 0 at once, as in the search
+    (`_some_graph_connects`); otherwise the sum runs over the partitions
+    of each k <= v, so it is meant for the v that the relabeling cap lets
+    the search reach.
+    """
+    if not _some_graph_connects(D, vertices):
+        return 0
+    a = [1]  # a[k]: classes on k vertices, connected or not
+    for k in range(1, vertices + 1):
+        fixed = 0  # matchings fixed by each of the k! relabelings, summed
+        for mu in partitions(k):
+            relabelings = math.factorial(k)
+            product = 1
+            for length in set(mu):
+                cycles = mu.count(length)
+                relabelings //= length**cycles * math.factorial(cycles)
+                product *= _fixed_matchings(D * cycles, length)
+            fixed += relabelings * product
+        a.append(fixed // math.factorial(k))
+    b = [0] * (vertices + 1)
+    c = [0] * (vertices + 1)
+    for k in range(1, vertices + 1):
+        b[k] = k * a[k] - sum(b[j] * a[k - j] for j in range(1, k))
+        c[k] = (b[k] - sum(d * c[d] for d in range(1, k) if k % d == 0)) // k
+    return c[vertices]
+
+
+def invariant_strands(
     D: int, vertices: int, slot_symmetry: bool = False
-) -> Tuple[StrandedGraph, ...]:
-    """Connected stranded graphs on the given vertices, one per class.
+) -> Iterable[Tuple[Pair, ...]]:
+    """Connected stranded graphs on the given vertices, one per class, as
+    sorted strand tuples in increasing order.
 
     Classes are taken under vertex relabeling; with `slot_symmetry` the
     D node slots of every vertex may additionally be permuted
     independently (appropriate when the propagator is fully symmetric).
-    Each class is given by its least strand tuple, and the classes come
-    in increasing order.  Both searches compare a graph with its images
-    under the v! vertex relabelings; above `ENUMERATE_TABLE_CAP` the
-    call raises `CapExceededError` before either starts, naming the first
-    k! past the cap, k <= v.  Without
+    Each class is given by its least strand tuple: pairs (a, b) with
+    a < b, sorted, a perfect matching of 1..D*vertices.
+
+    The arguments and both caps are checked when this is called, before
+    any class is found, so a refused run has not begun its output.  Both
+    searches compare a graph with its images under the v! vertex
+    relabelings; above `ENUMERATE_TABLE_CAP` this raises
+    `CapExceededError`, naming the first k! past the cap, k <= v.  Without
     `slot_symmetry` an orbit holds at most v! matchings, so the search
     reaches at least (Dv-1)!!/v! orbit-least complete matchings; above
-    `ENUMERATE_CLASS_CAP` it raises `CapExceededError` before it starts,
-    naming the quotient of the largest factors of (Dv-1)!! that already
-    passes the cap.
+    `ENUMERATE_CLASS_CAP` it raises `CapExceededError` too, naming the
+    quotient of the largest factors of (Dv-1)!! that already passes the
+    cap.
 
-    Without `slot_symmetry` the classes come from orderly generation:
-    matchings grow in the order of `all_pairings`, the smallest open node
-    paired with each larger open node, so the k-th strand placed is the
-    k-th of the sorted strand tuple and the output is sorted.  A prefix
-    that a vertex relabeling makes smaller is dropped with all its
-    completions, since none of them can be least; the relabelings are
-    compiled once per call.  Each prefix carries the relabelings still
-    undecided on it, each with the first node whose comparison is not yet
-    known to be equal; the next strand resumes it there (`_undecided`).
-    Connectivity is counted as strands are placed: each prefix carries a
-    part label per vertex and the number of parts, and a strand joining
-    two parts relabels one of them in a new list.  A complete matching is
-    connected when one part is left.
+    Without `slot_symmetry` the classes come from a generator, each as
+    the orderly search closes it (`_orderly_search`), so the caller holds
+    one class at a time; `count_invariants` counts them beforehand.
 
     With `slot_symmetry` a class is fixed by its multiplicity matrix, a
     connected D-regular multigraph with loops on which only the vertex
@@ -846,19 +913,12 @@ def enumerate_invariants(
     greedy fill (`_least_fill`) of the relabeling whose upper triangle,
     read row by row, is greatest: at the first entry (u, w) where two
     matrices differ, the next node of u is paired into w in the greater
-    one and into a later vertex in the other.
-
-    Either way the strands are already sorted, oriented a < b and
-    perfect, so each class is built without re-validation
-    (`StrandedGraph._canonical`).
+    one and into a later vertex in the other.  These classes come as one
+    sorted list, so their number is its length.
     """
-    if D < 1:
-        raise ValueError(f"D must be at least 1, got {D}")
-    if vertices < 1:
-        raise ValueError("need at least one vertex")
-    n = D * vertices
-    if n % 2 != 0 or (D == 1 and vertices > 2):  # D = 1: only the dipole is connected
+    if not _some_graph_connects(D, vertices):
         return ()
+    n = D * vertices
     size = 1  # v!, multiplied only until it passes the cap
     for k in range(2, vertices + 1):
         size *= k
@@ -867,8 +927,7 @@ def enumerate_invariants(
                 f"enumerate needs at least {size} relabelings, above the cap {ENUMERATE_TABLE_CAP}"
             )
     if slot_symmetry:
-        fills = sorted(_least_fill(D, m) for m in _multigraphs(D, vertices))
-        return tuple(StrandedGraph._canonical(D, vertices, s) for s in fills)
+        return sorted(_least_fill(D, m) for m in _multigraphs(D, vertices))
     # (n-1)!! from its largest factor down, stopped once the quotient passes
     # the cap: a few products at any D, where the whole (n-1)!! may take
     # seconds and have more digits than an int is allowed to print
@@ -882,12 +941,34 @@ def enumerate_invariants(
             f"enumerate reaches at least {reached} orbit-least matchings, "
             f"above the cap {ENUMERATE_CLASS_CAP}"
         )
+    return _orderly_search(D, vertices)
+
+
+def _orderly_search(D: int, vertices: int) -> Iterator[Tuple[Pair, ...]]:
+    """The least strand tuple of each connected class without slot
+    symmetries, in increasing order, yielded as the search closes it.
+
+    Matchings grow in the order of `all_pairings`, the smallest open node
+    paired with each larger open node, so the k-th strand placed is the
+    k-th of the sorted strand tuple and the output is sorted.  A prefix
+    that a vertex relabeling makes smaller is dropped with all its
+    completions, since none of them can be least; the relabelings are
+    compiled once per call.  Each prefix carries the relabelings still
+    undecided on it, each with the first node whose comparison is not yet
+    known to be equal; the next strand resumes it there (`_undecided`).
+    Connectivity is counted as strands are placed: each prefix carries a
+    part label per vertex and the number of parts, and a strand joining
+    two parts relabels one of them in a new list.  A complete matching is
+    connected when one part is left.
+    """
+    n = D * vertices
     vertex_of = [0] + [(x - 1) // D for x in range(1, n + 1)]
     partner = [0] * (n + 1)
     strands: List[Pair] = []
-    out: List[StrandedGraph] = []
 
-    def extend(first: int, table: List[Relabeling], component: List[int], parts: int) -> None:
+    def extend(
+        first: int, table: List[Relabeling], component: List[int], parts: int
+    ) -> Iterator[Tuple[Pair, ...]]:
         # component[u] labels the part of vertex u that the prefix joins it to
         label = component[vertex_of[first]]
         for other in range(first + 1, n + 1):
@@ -907,11 +988,28 @@ def enumerate_invariants(
                     joined = [label if c == merged else c for c in component]
                     left = parts - 1
                 if following <= n:
-                    extend(following, kept, joined, left)
+                    yield from extend(following, kept, joined, left)
                 elif left == 1:
-                    out.append(StrandedGraph._canonical(D, vertices, tuple(strands)))
+                    yield tuple(strands)
             strands.pop()
             partner[first] = partner[other] = 0
 
-    extend(1, _relabelings(D, vertices), list(range(vertices)), vertices)
-    return tuple(out)
+    return extend(1, _relabelings(D, vertices), list(range(vertices)), vertices)
+
+
+def enumerate_invariants(
+    D: int, vertices: int, slot_symmetry: bool = False
+) -> Tuple[StrandedGraph, ...]:
+    """Connected stranded graphs on the given vertices, one per class, in
+    increasing order of their least strand tuples: `invariant_strands`,
+    with its checks and caps, each class built as a `StrandedGraph`.
+
+    The strands come sorted, oriented a < b and perfect, so each class is
+    built without re-validation (`StrandedGraph._canonical`).  This holds
+    every class at once; the `enumerate` command writes the strand tuples
+    as they come and builds no graph.
+    """
+    return tuple(
+        StrandedGraph._canonical(D, vertices, s)
+        for s in invariant_strands(D, vertices, slot_symmetry)
+    )

@@ -9,7 +9,7 @@ import pytest
 
 from gradedtensor.cli import run
 from gradedtensor.errors import CapExceededError
-from gradedtensor.model import StrandedGraph, enumerate_invariants
+from gradedtensor.model import StrandedGraph, count_invariants, enumerate_invariants
 
 
 QUARTIC_D2 = {
@@ -108,6 +108,8 @@ def test_projector_cap_exit_code(capsys):
         (("projector", "2", "--N", "1000000000000"), "N^D = 1000000000000^2"),
         # past the cap's bit length, N^D is not formed: it has 1.6e9 bits
         (("projector", "1000000000", "--N", "3"), "N^D = 3^1000000000"),
+        # the caps run before the JSON list's opening bracket is written
+        (("enumerate", "--D", "2", "--vertices", "2000000", "--json"), "362880"),
     ],
 )
 def test_caps_refuse_huge_inputs_at_once(capsys, argv, named):
@@ -223,10 +225,11 @@ def test_enumerate_names_d_in_its_error(capsys, D):
 
 
 def test_enumerate_cap_exit_code(capsys):
-    code, out, err = invoke(capsys, "enumerate", "--D", "2", "--vertices", "9")
-    assert code == 3
-    assert out == ""
-    assert "362880" in err and "cap" in err
+    for flags in ([], ["--json"]):
+        code, out, err = invoke(capsys, "enumerate", "--D", "2", "--vertices", "9", *flags)
+        assert code == 3
+        assert out == ""
+        assert "362880" in err and "cap" in err
 
 
 @pytest.mark.parametrize("D,vertices", [("6", "4"), ("100000", "2")])
@@ -240,10 +243,11 @@ def test_enumerate_class_cap_exit_code(monkeypatch, capsys, D, vertices):
         raise AssertionError("enumerate started above the class cap")
 
     monkeypatch.setattr(model, "_relabelings", no_search)
-    code, out, err = invoke(capsys, "enumerate", "--D", D, "--vertices", vertices)
-    assert code == 3
-    assert out == ""
-    assert "orbit-least matchings" in err and str(model.ENUMERATE_CLASS_CAP) in err
+    for flags in ([], ["--json"]):
+        code, out, err = invoke(capsys, "enumerate", "--D", D, "--vertices", vertices, *flags)
+        assert code == 3
+        assert out == ""
+        assert "orbit-least matchings" in err and str(model.ENUMERATE_CLASS_CAP) in err
 
 
 @pytest.mark.parametrize("vertices,classes", [(10, 0), (2, 1)])
@@ -279,9 +283,12 @@ def test_enumerate_output_is_each_class_json_dumps(monkeypatch, capsys, D, verti
         graphs = enumerate_invariants(D, vertices, slot_symmetry)
     except CapExceededError:
         assert invoke(capsys, *argv)[:2] == (3, "")
+        assert invoke(capsys, *argv, "--json")[:2] == (3, "")
         return
-    # the search ran above; both modes print its result
-    monkeypatch.setattr(cli, "enumerate_invariants", lambda *args, **kwargs: graphs)
+    # the search ran above; both modes print its classes, and the text
+    # header without slot symmetries is the closed-form count
+    classes = [g.strands for g in graphs]
+    monkeypatch.setattr(cli, "invariant_strands", lambda *args, **kwargs: classes)
     header = f"{len(graphs)} connected invariant(s) for D={D}, vertices={vertices}\n"
     text = header + "".join(json.dumps(g.to_json(), sort_keys=True) + "\n" for g in graphs)
     whole = json.dumps([g.to_json() for g in graphs], sort_keys=True) + "\n"
@@ -296,23 +303,31 @@ def test_enumerate_matches_the_pool_golden(capsys, job):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == job["sha256"]
 
 
-@pytest.mark.parametrize("flags", [[], ["--json"], ["--slot-symmetries", "--json"]])
+@pytest.mark.parametrize(
+    "flags", [[], ["--json"], ["--slot-symmetries", "--json"], ["--slot-symmetries"]]
+)
 def test_enumerate_searches_once_through_the_cli_binding_without_to_json(
     monkeypatch, capsys, flags
 ):
+    # the classes go from the search to the output as strand tuples: no
+    # StrandedGraph is built, so none is turned into JSON either
     from gradedtensor import cli
 
     calls = []
-    search = cli.enumerate_invariants
+    search = cli.invariant_strands
 
     def counted(*args, **kwargs):
         calls.append((args, kwargs))
         return search(*args, **kwargs)
 
+    def no_graph(*args):
+        raise AssertionError("enumerate built a StrandedGraph")
+
     def no_to_json(self):
         raise AssertionError("enumerate called StrandedGraph.to_json")
 
-    monkeypatch.setattr(cli, "enumerate_invariants", counted)
+    monkeypatch.setattr(cli, "invariant_strands", counted)
+    monkeypatch.setattr(StrandedGraph, "_canonical", no_graph)
     monkeypatch.setattr(StrandedGraph, "to_json", no_to_json)
     code, out, err = invoke(capsys, "enumerate", "--D", "4", "--vertices", "2", *flags)
     assert (code, err) == (0, "") and out
@@ -351,6 +366,91 @@ def test_enumerate_writes_its_classes_in_bounded_chunks(monkeypatch, flags):
     per_write = [text.count('{"D": ') for text in out.writes]
     assert max(per_write) <= cli.CLASS_CHUNK
     assert sum(per_write) == len(graphs)
+
+
+class Discarded:
+    """A text stream that drops what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("D,vertices", [(6, 2), (1, 1000)])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_enumerate_streams_its_classes(monkeypatch, D, vertices, flags):
+    # (6,2) has 5,243 classes, 2.1 MB of Python allocations when they were
+    # held as graphs; (1,1000) has none, where a strand-text table for its
+    # 1000 nodes would take about 100 MB.  --json never counts the classes.
+    import tracemalloc
+
+    from gradedtensor import cli
+
+    if flags:
+        def no_count(*args):
+            raise AssertionError("enumerate --json counted its classes")
+
+        monkeypatch.setattr(cli, "count_invariants", no_count)
+    monkeypatch.setattr(sys, "stdout", Discarded())
+    assert run(["enumerate", "--D", "2", "--vertices", "2", *flags]) == 0  # builds the parser
+    tracemalloc.start()
+    try:
+        assert run(["enumerate", "--D", str(D), "--vertices", str(vertices), *flags]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_enumerate_text_mode_checks_its_header(monkeypatch):
+    from gradedtensor import cli
+
+    count = cli.count_invariants
+    monkeypatch.setattr(cli, "count_invariants", lambda D, vertices: count(D, vertices) + 1)
+    monkeypatch.setattr(sys, "stdout", Discarded())
+    with pytest.raises(RuntimeError, match="wrote 5243 classes under a header of 5244"):
+        run(["enumerate", "--D", "6", "--vertices", "2"])
+
+
+# -- the closed-form class count ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "D,vertices",
+    sorted(
+        set(ENUMERATE_SIZES)
+        | {
+            (int(job["argv"][2]), int(job["argv"][4]))
+            for job in ENUMERATE_POOL["jobs"]
+            if "--slot-symmetries" not in job["argv"]
+        }
+    ),
+)
+def test_count_is_the_number_of_classes(D, vertices):
+    assert count_invariants(D, vertices) == len(enumerate_invariants(D, vertices))
+
+
+@pytest.mark.parametrize(
+    "D,vertices,classes",
+    [(3, 6, 45_202), (4, 4, 78_988), (8, 2, 1_010_916), (6, 3, 5_666_530)],
+)
+def test_count_without_the_search(monkeypatch, D, vertices, classes):
+    # the search would take seconds, and (6,3) is past ENUMERATE_CLASS_CAP
+    from gradedtensor import model
+
+    def no_search(*args):
+        raise AssertionError("the count ran the search")
+
+    monkeypatch.setattr(model, "_relabelings", no_search)
+    assert count_invariants(D, vertices) == classes
+
+
+def test_count_is_zero_where_no_graph_is_connected():
+    for D, vertices in [(3, 3), (5, 1), (1, 3), (1, 4), (1, 2_000_000)]:
+        assert count_invariants(D, vertices) == 0
+    assert count_invariants(1, 2) == 1
 
 
 def test_expand_table(quartic_model, capsys):
