@@ -30,12 +30,11 @@ from typing import Dict, List, Tuple
 from .combinatorics import (
     DirectedPairing,
     canonical_matching,
-    double_factorial,
     pairing_sign,
     partner_map,
     strand_walk,
 )
-from .errors import CapExceededError
+from .errors import check_cap
 from .polynomial import Poly
 from .young import GroupAlgebraElement, Perm
 
@@ -275,11 +274,10 @@ def diagram_basis(D: int) -> DiagramBasis:
     """The one `DiagramBasis` of B_D in this process, shared by every caller.
 
     Past `DIAGRAM_CAP` diagrams it raises `CapExceededError` before any
-    diagram is numbered.
+    diagram is numbered, naming the first partial product of
+    (2D-1)!! = 3 * 5 * ... that passes the cap (15!! at every D >= 8).
     """
-    diagrams = double_factorial(2 * D - 1)
-    if diagrams > DIAGRAM_CAP:
-        raise CapExceededError(f"B_{D} has {diagrams} diagrams, above the cap {DIAGRAM_CAP}")
+    check_cap(range(3, 2 * D, 2), DIAGRAM_CAP, f"diagrams in B_{D}")
     return DiagramBasis(D)
 
 

@@ -25,7 +25,7 @@ from .combinatorics import (
     face_decomposition,
     pairing_sign,
 )
-from .errors import CapExceededError
+from .errors import check_cap
 from .polynomial import Poly
 from .young import partitions
 
@@ -86,21 +86,6 @@ class StrandedGraph:
             if {frozenset(p) for p in ori} != {frozenset(p) for p in canon}:
                 raise ValueError("orientation must orient exactly the strands")
             object.__setattr__(self, "orientation", ori)
-
-    @classmethod
-    def _canonical(cls, D: int, vertices: int, strands: Tuple[Pair, ...]) -> "StrandedGraph":
-        """A graph on strands that are already canonical: pairs (a, b) with
-        a < b, sorted, a perfect matching of 1..D*vertices.  Nothing is
-        checked and `__post_init__` does not run; only
-        `enumerate_invariants` calls this, on the strand tuples of
-        `invariant_strands`, which come so.  The `enumerate` command
-        writes those tuples without building a graph."""
-        g = object.__new__(cls)
-        _set_D(g, D)
-        _set_vertices(g, vertices)
-        _set_strands(g, strands)
-        _set_orientation(g, None)
-        return g
 
     @property
     def node_count(self) -> int:
@@ -163,13 +148,6 @@ class StrandedGraph:
 
         strands = _field(data, "strands", lambda pairs: tuple((node(a), node(b)) for a, b in pairs))
         return cls(D, nv, strands)
-
-
-# the slots' own setters, which pass over the frozen check as object.__setattr__
-# does, without its lookup by name
-_set_D, _set_vertices, _set_strands, _set_orientation = (
-    getattr(StrandedGraph, name).__set__ for name in ("D", "vertices", "strands", "orientation")
-)
 
 
 def _connected(vertices: int, strands: Iterable[Pair], vertex_of: Sequence[int]) -> bool:
@@ -896,12 +874,11 @@ def invariant_strands(
     any class is found, so a refused run has not begun its output.  Both
     searches compare a graph with its images under the v! vertex
     relabelings; above `ENUMERATE_TABLE_CAP` this raises
-    `CapExceededError`, naming the first k! past the cap, k <= v.  Without
-    `slot_symmetry` an orbit holds at most v! matchings, so the search
-    reaches at least (Dv-1)!!/v! orbit-least complete matchings; above
-    `ENUMERATE_CLASS_CAP` it raises `CapExceededError` too, naming the
-    quotient of the largest factors of (Dv-1)!! that already passes the
-    cap.
+    `CapExceededError`.  Without `slot_symmetry` an orbit holds at most
+    v! matchings, so the search reaches at least (Dv-1)!!/v! orbit-least
+    complete matchings; above `ENUMERATE_CLASS_CAP` it raises
+    `CapExceededError` too.  Both are `errors.check_cap`, (Dv-1)!!
+    taken from its largest factor down.
 
     Without `slot_symmetry` the classes come from a generator, each as
     the orderly search closes it (`_orderly_search`), so the caller holds
@@ -918,29 +895,16 @@ def invariant_strands(
     """
     if not _some_graph_connects(D, vertices):
         return ()
-    n = D * vertices
-    size = 1  # v!, multiplied only until it passes the cap
-    for k in range(2, vertices + 1):
-        size *= k
-        if size > ENUMERATE_TABLE_CAP:
-            raise CapExceededError(
-                f"enumerate needs at least {size} relabelings, above the cap {ENUMERATE_TABLE_CAP}"
-            )
+    size = check_cap(range(2, vertices + 1), ENUMERATE_TABLE_CAP, "relabelings for enumerate")
     if slot_symmetry:
         return sorted(_least_fill(D, m) for m in _multigraphs(D, vertices))
-    # (n-1)!! from its largest factor down, stopped once the quotient passes
-    # the cap: a few products at any D, where the whole (n-1)!! may take
-    # seconds and have more digits than an int is allowed to print
-    reached, factor = 1, n - 1
-    while factor > 1 and reached // size <= ENUMERATE_CLASS_CAP:
-        reached *= factor
-        factor -= 2
-    reached //= size
-    if reached > ENUMERATE_CLASS_CAP:
-        raise CapExceededError(
-            f"enumerate reaches at least {reached} orbit-least matchings, "
-            f"above the cap {ENUMERATE_CLASS_CAP}"
-        )
+    # (Dv-1)!!/v! > cap exactly when (Dv-1)!! > (cap + 1) * v! - 1
+    check_cap(
+        range(D * vertices - 1, 1, -2),
+        (ENUMERATE_CLASS_CAP + 1) * size - 1,
+        f"matchings for enumerate, more than {ENUMERATE_CLASS_CAP} orbit-least matchings "
+        f"in orbits of at most {size}",
+    )
     return _orderly_search(D, vertices)
 
 
@@ -1004,12 +968,7 @@ def enumerate_invariants(
     increasing order of their least strand tuples: `invariant_strands`,
     with its checks and caps, each class built as a `StrandedGraph`.
 
-    The strands come sorted, oriented a < b and perfect, so each class is
-    built without re-validation (`StrandedGraph._canonical`).  This holds
-    every class at once; the `enumerate` command writes the strand tuples
-    as they come and builds no graph.
+    This holds every class at once; the `enumerate` command writes the
+    strand tuples as they come and builds no graph.
     """
-    return tuple(
-        StrandedGraph._canonical(D, vertices, s)
-        for s in invariant_strands(D, vertices, slot_symmetry)
-    )
+    return tuple(StrandedGraph(D, vertices, s) for s in invariant_strands(D, vertices, slot_symmetry))

@@ -23,12 +23,13 @@ Agreement of the two routes is the package's central correctness property.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .combinatorics import DirectedPairing, all_pairings, double_factorial, perm_sign
-from .errors import CapExceededError
+from .combinatorics import DirectedPairing, all_pairings, perm_sign
+from .errors import check_cap
 from .model import Propagator, StrandedGraph, invariant_sign_normal_form
 from .representation import GradedForm, row_reduce
 
@@ -107,9 +108,9 @@ class ExplicitCovariance:
         lcm of the reduced weights' denominators.
         """
         N, D = form.N, C.D
-        size = N**D
-        if size > COVARIANCE_SIZE_CAP:
-            raise CapExceededError(f"covariance size N^D = {size} exceeds cap {COVARIANCE_SIZE_CAP}")
+        size = check_cap(
+            itertools.repeat(N, D), COVARIANCE_SIZE_CAP, f"covariance components (N^D = {N}^{D})"
+        )
         z0 = int(form.z_value)
         common = math.lcm(*(c.denominator for term in C.terms for c in term.weight.coeffs))
         numerators = []
@@ -188,8 +189,7 @@ class ExteriorElement:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Optional[Dict[int, Fraction]] = None):
-        if n > GENERATOR_CAP:
-            raise CapExceededError(f"{n} generators exceed the cap {GENERATOR_CAP}")
+        check_cap((n,), GENERATOR_CAP, "generators")
         self.n = n
         self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
 
@@ -268,8 +268,7 @@ class _BerezinState:
         r = len(support)
         if r % 2 != 0:
             raise ValueError("antisymmetric covariance must have even rank")
-        if r > GENERATOR_CAP:
-            raise CapExceededError(f"{r} generators exceed the cap {GENERATOR_CAP}")
+        check_cap((r,), GENERATOR_CAP, "generators")
         # [block | 1] reduces to [1 | block^-1], the quadratic form on the
         # supported components
         aug = [
@@ -342,8 +341,11 @@ def oracle_work(S: StrandedGraph, N: int) -> int:
     pairing's v/2 pairs it looks up at most one covariance entry per
     choice of form entries on the strands it has reached, so its lookups
     stay within v/2 times the estimate, and fall far below it where
-    forced values merge."""
-    return N ** len(S.strands) * double_factorial(S.vertices - 1)
+    forced values merge.  The count is `errors.check_cap`, N once per
+    strand and then (v-1)!! from its largest factor down: past `WORK_CAP`
+    it raises `CapExceededError`, and below it is returned exactly."""
+    factors = itertools.chain(itertools.repeat(N, len(S.strands)), range(S.vertices - 1, 1, -2))
+    return check_cap(factors, WORK_CAP, "terms in the oracle's literal sum")
 
 
 def _choices(ends: List[List[tuple]], p: int, reached: int, shift: List[int]) -> List[tuple]:
@@ -448,17 +450,15 @@ def numeric_invariant_expectation(
     nonzero entries that grows the pairings pair by pair
     (`_sparse_contraction`), at either parity: the same terms, regrouped,
     with no assignment listed.  The total is divided by den^(v/2) once at
-    the end.  Above `WORK_CAP` (see `oracle_work`) the call raises
-    `CapExceededError` before building the covariance.
+    the end.  Past `WORK_CAP`, `oracle_work` raises `CapExceededError`
+    before the covariance is built.
     """
     if S.vertices == 0:
         return Fraction(1)
     if S.vertices % 2 != 0:
         return Fraction(0)
     form = GradedForm(N, b)
-    work = oracle_work(S, N)
-    if work > WORK_CAP:
-        raise CapExceededError(f"oracle work {work} exceeds cap {WORK_CAP}")
+    oracle_work(S, N)
     cov = ExplicitCovariance.from_propagator(C, form)
     if ref is None:
         ref = DirectedPairing(

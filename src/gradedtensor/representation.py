@@ -20,6 +20,7 @@ sign.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,7 +35,7 @@ from .brauer import (
     diagram_eta,
     partners,
 )
-from .errors import CapExceededError
+from .errors import check_cap
 from .polynomial import Poly
 from .young import (
     CanonicalTableau,
@@ -246,10 +247,8 @@ def decode_index(code: int, N: int, D: int) -> Tuple[int, ...]:
 
 
 def _check_cap(N: int, D: int):
-    # named as N^D, whose digits may be past what an int may print; at
-    # N >= 2, N^D >= 2^D is past the cap once D reaches the cap's bit length
-    if N > 1 and (D >= SIZE_CAP.bit_length() or N**D > SIZE_CAP):
-        raise CapExceededError(f"N^D = {N}^{D} exceeds the size cap {SIZE_CAP}")
+    if N > 1:
+        check_cap(itertools.repeat(N, D), SIZE_CAP, f"tensor components (N^D = {N}^{D})")
 
 
 # -- diagram and element actions ---------------------------------------------
@@ -569,11 +568,7 @@ def _report(x: "_ElementAtZ0", lam: Optional[YoungDiagram]) -> ProjectorReport:
     """
     e_ad = x.times_ad()
     if e_ad.terms:
-        work = len(e_ad.terms) * x.form.N**x.D
-        if work > MAP_WORK_CAP:
-            raise CapExceededError(
-                f"the map of e * A needs {work} entries, above the cap {MAP_WORK_CAP}"
-            )
+        check_cap((len(e_ad.terms), x.form.N**x.D), MAP_WORK_CAP, "entries in the map of e * A")
         if not e_ad.to_map().is_zero():
             raise ArithmeticError("projector image is not traceless")
     if lam is not None and not x.fixed_by_symmetrizer(lam):
@@ -802,8 +797,7 @@ def irreducible_projector(lam: YoungDiagram, form: GradedForm) -> ProjectorRepor
 
 def check_table_cap(D: int):
     """Propagator tables are supported for D <= 4 strands."""
-    if D > 4:
-        raise CapExceededError("propagator decomposition supported for |lambda| <= 4")
+    check_cap((D,), 4, "strands in a propagator table (|lambda| <= 4)")
 
 
 def decompose_projector_as_propagator(lam: YoungDiagram, form: GradedForm) -> BrauerElement:

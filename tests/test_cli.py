@@ -97,23 +97,61 @@ def test_projector_cap_exit_code(capsys):
     assert "cap" in err
 
 
+# the oracle-check inputs of test_caps_refuse_huge_inputs_at_once: a D = 0
+# graph of 200,000 vertices and a D = 20,000 dipole, each with the identity
+HUGE_INPUTS = {
+    "d0_v200000.json": lambda: {"D": 0, "vertices": 200_000, "strands": []},
+    "identity_d0.json": lambda: {"terms": [{"pairs": [], "gamma": "1"}]},
+    "dipole_d20000.json": lambda: {
+        "D": 20_000,
+        "vertices": 2,
+        "strands": [[[1, c], [2, c]] for c in range(1, 20_001)],
+    },
+    "identity_d20000.json": lambda: {
+        "terms": [{"pairs": [[c, 20_000 + c] for c in range(1, 20_001)], "gamma": "1"}]
+    },
+}
+
+
 @pytest.mark.parametrize(
     "argv,named",
     [
-        # v! is multiplied only until it passes the cap: 9! = 362880 is named
+        # each cap multiplies its factors only until the product passes it
+        # (errors.check_cap): 9! = 362880 is named for any v >= 9
         (("enumerate", "--D", "2", "--vertices", "2000000"), "362880"),
         # N^D has 6,021 digits, more than an int may print
         (("projector", "20000", "--N", "2"), "N^D = 2^20000"),
         # the form's 2N entries are filled only when read, after the cap
         (("projector", "2", "--N", "1000000000000"), "N^D = 1000000000000^2"),
-        # past the cap's bit length, N^D is not formed: it has 1.6e9 bits
+        # N^D is not formed: it has 1.6e9 bits, and 3^10 passes the cap
         (("projector", "1000000000", "--N", "3"), "N^D = 3^1000000000"),
         # the caps run before the JSON list's opening bracket is written
         (("enumerate", "--D", "2", "--vertices", "2000000", "--json"), "362880"),
+        # (v - 1)!! from its largest factor down: 199999 * 199997 passes the
+        # oracle's work cap, where the whole product has 486,674 digits
+        (
+            ("oracle-check", "--graph", "@d0_v200000.json", "--propagator", "@identity_d0.json",
+             "--N", "2"),
+            "39999200003",
+        ),
+        # one factor N per strand: 2^20 of the 2^20000 assignments pass it
+        (
+            ("oracle-check", "--graph", "@dipole_d20000.json", "--propagator",
+             "@identity_d20000.json", "--N", "2"),
+            "1048576",
+        ),
     ],
 )
-def test_caps_refuse_huge_inputs_at_once(capsys, argv, named):
-    code, out, err = invoke(capsys, *argv)
+def test_caps_refuse_huge_inputs_at_once(tmp_path, capsys, argv, named):
+    # an argument @name is the path of HUGE_INPUTS[name], written to tmp_path
+    args = []
+    for arg in argv:
+        if arg.startswith("@"):
+            path = tmp_path / arg[1:]
+            path.write_text(json.dumps(HUGE_INPUTS[arg[1:]]()))
+            arg = str(path)
+        args.append(arg)
+    code, out, err = invoke(capsys, *args)
     assert code == 3
     assert out == ""
     assert named in err and "cap" in err
@@ -320,14 +358,14 @@ def test_enumerate_searches_once_through_the_cli_binding_without_to_json(
         calls.append((args, kwargs))
         return search(*args, **kwargs)
 
-    def no_graph(*args):
+    def no_graph(self):
         raise AssertionError("enumerate built a StrandedGraph")
 
     def no_to_json(self):
         raise AssertionError("enumerate called StrandedGraph.to_json")
 
     monkeypatch.setattr(cli, "invariant_strands", counted)
-    monkeypatch.setattr(StrandedGraph, "_canonical", no_graph)
+    monkeypatch.setattr(StrandedGraph, "__post_init__", no_graph)
     monkeypatch.setattr(StrandedGraph, "to_json", no_to_json)
     code, out, err = invoke(capsys, "enumerate", "--D", "4", "--vertices", "2", *flags)
     assert (code, err) == (0, "") and out

@@ -34,6 +34,7 @@ from gradedtensor.model import (
     gaussian_expectation,
     graph_amplitude,
     invariant_sign_normal_form,
+    invariant_strands,
     perturbative_expansion,
     wick_expand,
 )
@@ -80,18 +81,14 @@ def test_graph_validation_and_json():
 
 def test_graphs_keep_no_instance_dict_and_stay_frozen():
     # enumerate holds a graph per class, so each keeps its four fields in slots
-    checked = StrandedGraph(2, 2, ((3, 1), (4, 2)))
-    built = StrandedGraph._canonical(2, 2, ((1, 3), (2, 4)))
-    assert built == checked and hash(built) == hash(checked)
-    assert built.orientation is None
-    for g in (checked, built):
-        assert not hasattr(g, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            g.D = 3
-        # a name that is no field has no slot; before Python 3.12 the
-        # frozen check of a slotted dataclass raises TypeError for it
-        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
-            g.extra = 1
+    g = StrandedGraph(2, 2, ((3, 1), (4, 2)))
+    assert not hasattr(g, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.D = 3
+    # a name that is no field has no slot; before Python 3.12 the
+    # frozen check of a slotted dataclass raises TypeError for it
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        g.extra = 1
 
 
 def _reference_matching(n, strands, message, keep_orientation=False):
@@ -942,21 +939,23 @@ def test_enumerate_keeps_exactly_the_least_connected_matchings(D, nv, slot_symme
     ],
 )
 def test_enumerated_classes_are_valid_connected_graphs(D, nv, slot_symmetry):
-    # the generator's graphs skip validation; the public constructor agrees
-    for g in enumerate_invariants(D, nv, slot_symmetry):
-        assert g == StrandedGraph(D, nv, g.strands)
+    # the search's strand tuples are already canonical: the validating
+    # constructor keeps each as it comes
+    for strands in invariant_strands(D, nv, slot_symmetry):
+        g = StrandedGraph(D, nv, strands)
+        assert g.strands == strands
         assert g.is_connected()
 
 
-def test_enumerate_neither_validates_nor_walks_its_classes(monkeypatch):
+def test_enumerate_walks_no_class_for_connectivity(monkeypatch):
+    # connectivity is counted as the search places strands
     reference = [g.strands for g in _reference_classes(2, 4, False)]
     two_dipoles = ((1, 3), (2, 4), (5, 7), (6, 8))
     assert StrandedGraph(2, 4, two_dipoles).strands == two_dipoles
 
     def refuse(*args):
-        raise AssertionError("enumerate validated a class or walked it for connectivity")
+        raise AssertionError("enumerate walked a class for connectivity")
 
-    monkeypatch.setattr(StrandedGraph, "__post_init__", refuse)
     monkeypatch.setattr(model, "_connected", refuse)
     assert len(enumerate_invariants(6, 2)) == 5243
     kept = [g.strands for g in enumerate_invariants(2, 4)]
@@ -997,26 +996,30 @@ def _refuse_search(*args):
 
 
 def _named_bound(message):
-    # the count a class-cap message names, and the cap it names
+    # the counts a class-cap message names: matchings, the class cap, the
+    # orbit size and the cap on matchings
     found = re.fullmatch(
-        r"enumerate reaches at least (\d+) orbit-least matchings, above the cap (\d+)", message
+        r"at least (\d+) matchings for enumerate, more than (\d+) orbit-least matchings "
+        r"in orbits of at most (\d+), above the cap (\d+)",
+        message,
     )
     assert found, message
-    return int(found[1]), int(found[2])
+    return tuple(int(g) for g in found.groups())
 
 
 @pytest.mark.parametrize("D,nv", [(6, 4), (5, 4), (3, 8), (16, 1), (100_000, 2), (10**40, 8)])
 def test_enumerate_refuses_a_search_past_the_class_cap(monkeypatch, D, nv):
-    # the message names a lower bound on (Dv - 1)!!/v! that passes the cap,
+    # the message names a lower bound on (Dv - 1)!! that passes (cap + 1) * v!,
     # found with a few products even where (Dv - 1)!! has no printable size
     assert math.factorial(nv) <= model.ENUMERATE_TABLE_CAP
     monkeypatch.setattr(model, "_relabelings", _refuse_search)
     with pytest.raises(CapExceededError) as info:
         enumerate_invariants(D, nv)
-    named, cap = _named_bound(str(info.value))
-    assert cap == model.ENUMERATE_CLASS_CAP < named
+    named, class_cap, orbit, cap = _named_bound(str(info.value))
+    assert (class_cap, orbit) == (model.ENUMERATE_CLASS_CAP, math.factorial(nv))
+    assert cap == (model.ENUMERATE_CLASS_CAP + 1) * orbit - 1 < named
     if D * nv < 100:
-        assert named <= _orbit_least_bound(D, nv)
+        assert named <= double_factorial(D * nv - 1)
 
 
 def test_the_class_cap_refuses_exactly_past_the_whole_bound(monkeypatch):

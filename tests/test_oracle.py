@@ -561,7 +561,8 @@ def test_oracle_work_cap_raises_before_the_covariance(monkeypatch):
 
 def test_oracle_check_over_the_work_cap_exits_3(tmp_path, capsys, monkeypatch):
     # N = 32 keeps the covariance within its size cap, but the D = 2 v = 4
-    # graph then needs 32^4 * 3 index assignments and pairings
+    # graph then needs 32^4 * 3 index assignments and pairings; the
+    # assignments alone, 32^4, are past the cap, and that product is named
     graph, prop = tmp_path / "graph.json", tmp_path / "prop.json"
     graph.write_text(json.dumps(StrandedGraph(2, 4, ((1, 3), (2, 5), (4, 7), (6, 8))).to_json()))
     prop.write_text(json.dumps(Propagator.identity(2).to_json()))
@@ -571,13 +572,16 @@ def test_oracle_check_over_the_work_cap_exits_3(tmp_path, capsys, monkeypatch):
     code = run(["oracle-check", "--graph", str(graph), "--propagator", str(prop), "--N", "32"])
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
-    assert str(32**4 * 3) in err and str(oracle.WORK_CAP) in err
+    assert str(32**4) in err and str(oracle.WORK_CAP) in err
 
 
-def assert_sp2_oracle_check_exits_3(tmp_path, capsys, monkeypatch, g, work):
+def assert_sp2_oracle_check_exits_3(tmp_path, capsys, monkeypatch, g, work, named):
     """oracle-check of g under the identity at Sp(2) exits 3, with empty
-    stdout, the work in its message and no covariance built."""
-    assert oracle.oracle_work(g, 2) == work > oracle.WORK_CAP
+    stdout and no covariance built.  Its message names `named`, the first
+    partial product of the work (`work` terms in all) past the cap."""
+    assert 2 ** len(g.strands) * math.prod(range(1, g.vertices, 2)) == work >= named > oracle.WORK_CAP
+    with pytest.raises(CapExceededError, match=f"at least {named} "):
+        oracle.oracle_work(g, 2)
     graph, prop = tmp_path / "graph.json", tmp_path / "prop.json"
     graph.write_text(json.dumps(g.to_json()))
     prop.write_text(json.dumps(Propagator.identity(g.D).to_json()))
@@ -588,21 +592,27 @@ def assert_sp2_oracle_check_exits_3(tmp_path, capsys, monkeypatch, g, work):
     code = run(argv)
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
-    assert str(work) in err and str(oracle.WORK_CAP) in err
+    assert str(named) in err and str(oracle.WORK_CAP) in err
 
 
 def test_oracle_check_d3_v12_at_sp2_exits_3_before_the_covariance(tmp_path, capsys, monkeypatch):
     # 2^18 assignments times 11!! signed vertex pairings: the literal sum's
-    # terms, which the contraction regroups but does not bound below
+    # terms, which the contraction regroups but does not bound below;
+    # 2^18 * 11 is the first partial product past the cap
     g = rand_connected_graph(random.Random(12), 3, 12)
-    assert_sp2_oracle_check_exits_3(tmp_path, capsys, monkeypatch, g, 2**18 * math.prod(range(1, 12, 2)))
+    assert_sp2_oracle_check_exits_3(
+        tmp_path, capsys, monkeypatch, g, 2**18 * math.prod(range(1, 12, 2)), 2**18 * 11
+    )
 
 
 def test_oracle_check_d1_v14_at_sp2_exits_3_before_the_covariance(tmp_path, capsys, monkeypatch):
     # only 2^7 assignments, but 13!! vertex pairings each: seconds of
     # contraction, so the cap counts the pairings at odd parity too
     g = rand_stranded_graph(random.Random(14), 1, 14)
-    assert_sp2_oracle_check_exits_3(tmp_path, capsys, monkeypatch, g, 2**7 * math.prod(range(1, 14, 2)))
+    # 2^7 * 13 * 11 * 9 * 7 is the first partial product past the cap
+    assert_sp2_oracle_check_exits_3(
+        tmp_path, capsys, monkeypatch, g, 2**7 * math.prod(range(1, 14, 2)), 2**7 * 13 * 11 * 9 * 7
+    )
 
 
 FORBIDDEN_IN_THE_ORACLE = {

@@ -967,6 +967,19 @@ def test_diagram_cap_is_checked_before_any_diagram_is_numbered(monkeypatch):
         traceless_projector(8, GradedForm(2, 0))
 
 
+def test_diagram_cap_names_a_count_that_prints_at_any_D(monkeypatch):
+    # N = 1 passes the size cap at any D, so B_3000's (5999)!! diagrams meet
+    # the diagram cap, which names 15!!, the first partial product past it
+    import gradedtensor.brauer as brauer_mod
+
+    def refuse(D):
+        raise DiagramsNumbered
+
+    monkeypatch.setattr(brauer_mod, "DiagramBasis", refuse)
+    with pytest.raises(CapExceededError, match=f"at least 2027025 diagrams in B_3000, above the cap {DIAGRAM_CAP}"):
+        traceless_projector(3000, GradedForm(1, 0))
+
+
 def test_tensor_maps_number_no_diagram(monkeypatch):
     # a map is filled from partner tuples, so one past the diagram cap's
     # B_7 is built too: B_10 has 654,729,075 diagrams
