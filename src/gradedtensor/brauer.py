@@ -79,15 +79,8 @@ class BrauerDiagram:
         Through strands run top to bottom, top arcs left to right and
         bottom arcs right to left.
         """
-        out = []
-        for a, b in self.pairs:
-            if a <= self.D < b:
-                out.append((a, b))
-            elif b <= self.D:
-                out.append((a, b))
-            else:
-                out.append((b, a))
-        return DirectedPairing(2 * self.D, tuple(out))
+        D = self.D
+        return DirectedPairing(2 * D, tuple((b, a) if a > D else (a, b) for a, b in self.pairs))
 
     def to_json(self) -> dict:
         return {"D": self.D, "pairs": [list(p) for p in self.pairs]}
@@ -125,16 +118,12 @@ def beta_ij(D: int, i: int, j: int) -> BrauerDiagram:
 
 
 def generator_sigma(D: int, i: int) -> BrauerDiagram:
-    """Adjacent transposition generator, 1 <= i <= D-1."""
-    if not (1 <= i <= D - 1):
-        raise ValueError(f"generator index out of range: i={i}, D={D}")
+    """Adjacent transposition sigma_ij(D, i, i+1); its check refuses i outside 1..D-1."""
     return sigma_ij(D, i, i + 1)
 
 
 def generator_beta(D: int, i: int) -> BrauerDiagram:
-    """Adjacent arc generator, 1 <= i <= D-1."""
-    if not (1 <= i <= D - 1):
-        raise ValueError(f"generator index out of range: i={i}, D={D}")
+    """Adjacent arc generator beta_ij(D, i, i+1); its check refuses i outside 1..D-1."""
     return beta_ij(D, i, i + 1)
 
 
@@ -312,11 +301,11 @@ class BrauerElement:
 
     @classmethod
     def one(cls, D: int) -> "BrauerElement":
-        return cls(D, {identity_diagram(D): Poly.const(1)})
+        return cls(D, {identity_diagram(D): 1})
 
     @classmethod
     def of_diagram(cls, d: BrauerDiagram, coeff=1) -> "BrauerElement":
-        return cls(d.D, {d: coeff if isinstance(coeff, Poly) else Poly.const(coeff)})
+        return cls(d.D, {d: coeff})
 
     # -- algebra ------------------------------------------------------------
 
@@ -332,7 +321,6 @@ class BrauerElement:
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "BrauerElement":
-        c = c if isinstance(c, Poly) else Poly.const(c)
         return BrauerElement(self.D, {d: coeff * c for d, coeff in self.terms.items()})
 
     def __mul__(self, other: "BrauerElement") -> "BrauerElement":

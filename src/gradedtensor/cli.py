@@ -53,11 +53,6 @@ def _parse_partition(text: str) -> YoungDiagram:
         raise ValueError(f"invalid partition {text!r}: {exc}") from exc
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _read(path: str, parse):
     """`parse` applied to a JSON file; its errors name the file and any missing field."""
     try:
@@ -408,7 +403,8 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, TypeError, AttributeError, OSError, KeyError) as exc:
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

@@ -91,9 +91,6 @@ class StrandedGraph:
     def node_count(self) -> int:
         return self.D * self.vertices
 
-    def node(self, v: int, slot: int) -> int:
-        return (v - 1) * self.D + slot
-
     def vertex_of(self, node: int) -> int:
         return (node - 1) // self.D + 1
 
@@ -206,15 +203,12 @@ class Propagator:
         for t in self.terms:
             if len(t.pairing) != self.D:
                 raise ValueError("propagator term has wrong slot count")
-        if not all(t.weight for t in self.terms):
-            object.__setattr__(
-                self, "terms", tuple(t for t in self.terms if t.weight)
-            )
+        object.__setattr__(self, "terms", tuple(t for t in self.terms if t.weight))
 
     @classmethod
     def identity(cls, D: int, weight=1) -> "Propagator":
         pairing = tuple((c, D + c) for c in range(1, D + 1))
-        return cls(D, (PropagatorTerm(pairing, Poly.const(weight)),))
+        return cls(D, (PropagatorTerm(pairing, weight),))
 
     @classmethod
     def from_brauer_element(cls, e: BrauerElement) -> "Propagator":
@@ -890,14 +884,14 @@ def invariant_strands(
     greedy fill (`_least_fill`) of the relabeling whose upper triangle,
     read row by row, is greatest: at the first entry (u, w) where two
     matrices differ, the next node of u is paired into w in the greater
-    one and into a later vertex in the other.  These classes come as one
-    sorted list, so their number is its length.
+    one and into a later vertex in the other.  `_multigraphs` lists the
+    matrices greatest first, so their fills come as one increasing list.
     """
     if not _some_graph_connects(D, vertices):
         return ()
     size = check_cap(range(2, vertices + 1), ENUMERATE_TABLE_CAP, "relabelings for enumerate")
     if slot_symmetry:
-        return sorted(_least_fill(D, m) for m in _multigraphs(D, vertices))
+        return [_least_fill(D, m) for m in _multigraphs(D, vertices)]
     # (Dv-1)!!/v! > cap exactly when (Dv-1)!! > (cap + 1) * v! - 1
     check_cap(
         range(D * vertices - 1, 1, -2),

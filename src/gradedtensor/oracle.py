@@ -98,9 +98,9 @@ class ExplicitCovariance:
         the flattened oriented pairs to 1, D+1, 2, D+2, ....  Every slot
         lies on exactly one pair, so only the choices of one nonzero upper
         entry per pair are visited.  An entry is keyed by the one int
-        X * N^D + Y, in which slot s carries the digit N^(2D - s); the
-        entries of all terms add into one dict, split into rows at the end;
-        the constructor drops sums that cancel to zero.
+        X * N^D + Y, in which slot s carries the digit N^(2D - s), and the
+        entries of all terms add straight into row X at column Y; the
+        constructor drops sums that cancel to zero.
 
         Weights are integer numerators read at z0 = (-1)^b N by Horner's
         rule over `common`, the lcm of all coefficient denominators; den is
@@ -125,7 +125,7 @@ class ExplicitCovariance:
         digit = [0] + [N ** (2 * D - s) for s in range(1, 2 * D + 1)]
         ref = [s for c in range(D) for s in (c, D + c)]
         upper = form.upper_nonzeros()
-        total: Dict[int, int] = {}
+        rows: List[Dict[int, int]] = [{} for _ in range(size)]
         for term, numerator in zip(C.terms, numerators):
             oriented = [(a, b) if a <= D else (b, a) for a, b in term.pairing]
             base = numerator // divisor
@@ -141,11 +141,8 @@ class ExplicitCovariance:
                 steps = [(u * da + v * db, g) for u, v, g in upper]
                 entries = [(code + step, value * g) for code, value in entries for step, g in steps]
             for code, value in entries:
-                total[code] = total.get(code, 0) + value
-        rows: List[Dict[int, int]] = [{} for _ in range(size)]
-        for code, value in total.items():
-            x, y = divmod(code, size)
-            rows[x][y] = value
+                x, y = divmod(code, size)
+                rows[x][y] = rows[x].get(y, 0) + value
         return cls(N, D, form.b, rows, common // divisor)
 
 

@@ -129,6 +129,8 @@ class TensorMap:
         self.N = N
         self.D = D
         self.size = N**D
+        if den < 0:
+            cols, den = {j: {i: -v for i, v in col.items()} for j, col in cols.items()}, -den
         self.den = den
         self.cols = {
             j: {i: v for i, v in col.items() if v != 0}
@@ -165,17 +167,9 @@ class TensorMap:
         other map's denominator."""
         if not isinstance(other, TensorMap) or (self.N, self.D) != (other.N, other.D):
             return False
-        if self.den == other.den:
-            return self.cols == other.cols
-        if self.cols.keys() != other.cols.keys():
-            return False
-        for j, col in self.cols.items():
-            theirs = other.cols[j]
-            if col.keys() != theirs.keys():
-                return False
-            if any(v * other.den != theirs[i] * self.den for i, v in col.items()):
-                return False
-        return True
+        return {j: {i: v * other.den for i, v in col.items()} for j, col in self.cols.items()} == {
+            j: {i: v * self.den for i, v in col.items()} for j, col in other.cols.items()
+        }
 
     def is_zero(self) -> bool:
         return not self.cols
@@ -768,7 +762,6 @@ def symmetric_traceless_projector(D: int, form: GradedForm) -> ProjectorReport:
 
 
 def _irreducible(lam: YoungDiagram, form: GradedForm) -> _ElementAtZ0:
-    _check_cap(form.N, lam.size)
     out = _traceless(lam.size, form)
     out.symmetrized(lam)
     return out
@@ -777,6 +770,7 @@ def _irreducible(lam: YoungDiagram, form: GradedForm) -> _ElementAtZ0:
 def irreducible_element(lam: YoungDiagram, form: GradedForm) -> BrauerElement:
     """c_lambda followed by the universal traceless projector, normalized
     to be idempotent, as a Brauer element at z0."""
+    _check_cap(form.N, lam.size)
     return _irreducible(lam, form).element()
 
 

@@ -1113,6 +1113,14 @@ def test_enumerate_slot_classes_match_a_burnside_count(D, nv, classes):
         assert g == StrandedGraph(D, nv, g.strands) and g.is_connected()
 
 
+@pytest.mark.parametrize("D,nv", [(3, 8), (4, 6), (5, 6), (4, 7), (7, 4)])
+def test_slot_classes_come_strictly_increasing_past_the_reference_sizes(D, nv):
+    # `invariant_strands` returns the fills in `_multigraphs`' order with no
+    # sort; these sizes are past `_reference_classes`, which pins the rest
+    found = list(invariant_strands(D, nv, slot_symmetry=True))
+    assert found and all(a < b for a, b in zip(found, found[1:]))
+
+
 def _multiplicities(D, nv, strands):
     m = [[0] * nv for _ in range(nv)]
     for a, b in strands:

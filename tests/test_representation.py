@@ -826,6 +826,7 @@ def test_fallback_map_of_the_numerators_is_the_map_of_the_element(N, b, shapes):
         if N == 2:  # and so does the report's map P
             rep = irreducible_projector(lam, form)
             assert rep.projector == element_to_map(rep.element, form), rows
+            assert rep.projector.den > 0, rows  # (1,1) at Sp(2) has a negative alpha
 
 
 def test_fallback_past_the_map_work_cap_is_refused(monkeypatch):
