@@ -33,6 +33,7 @@ Pair = Tuple[int, int]
 
 ENUMERATE_TABLE_CAP = 100_000  # vertex relabelings enumerate_invariants compares a graph with
 ENUMERATE_CLASS_CAP = 2_000_000  # orbit-least matchings the search without slot symmetries reaches
+WEIGHT_DEGREE_CAP = 10_000  # z-degree of a propagator weight read from JSON
 
 
 def _field(data: dict, key: str, parse):
@@ -235,6 +236,9 @@ class Propagator:
     def from_json(cls, data: dict) -> "Propagator":
         def weight(gamma) -> Poly:
             if isinstance(gamma, dict):
+                # the dense coefficient list, and the fold's work, grow with the degree
+                top = max(map(int, gamma), default=0)
+                check_cap((top,), WEIGHT_DEGREE_CAP, "factors of z in a propagator weight's top term")
                 return Poly.from_coeff_map(gamma)
             return Poly.const(Fraction(str(gamma)))
 

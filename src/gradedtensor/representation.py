@@ -4,8 +4,10 @@ Everything here is exact rational linear algebra: diagram matrices,
 the closed-form integer spectrum of the arc-sum element, the universal
 traceless projector, the explicit symmetric-traceless product formula
 and irreducible-symmetry projectors.  The projector elements are built
-at the loop weight z0 = (-1)^b N in integers (`_ElementAtZ0`), and every
-report is read there too, by one route (`_report`); the only tensor map
+at the loop weight z0 = (-1)^b N in integers (`_ElementAtZ0`), their
+traceless factors on one numerator per S_D-conjugation orbit of diagrams,
+and every report is read there too, by one route (`_report`), over all
+of B_D; the only tensor map
 it builds is that of e * A, which equals A * e, where that product is
 not zero in B_D (B_D does not act faithfully at small N).  An
 irreducible projector whose traceless component does not occur on the
@@ -457,6 +459,24 @@ def traceless_component_occurs(rows: Tuple[int, ...], form: GradedForm) -> bool:
     return len(rows) + sum(r >= 2 for r in rows) <= form.N
 
 
+@functools.cache
+def _admissible_pairs(D: int) -> Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...], int], ...]:
+    """Nazarov's admissible (f, mu, lambda) at D, each with c(lambda) - c(mu).
+
+    mu |- D - 2f and lambda |- D for f = 1 .. D // 2, where lambda occurs
+    in mu times some even-row nu |- 2f (c^lambda_{mu nu} > 0).  The
+    table depends on D alone, so it is listed once per D per process.
+    """
+    pairs = []
+    for f in range(1, D // 2 + 1):
+        even_nus = [nu for nu in partitions(2 * f) if all(r % 2 == 0 for r in nu)]
+        for mu in partitions(D - 2 * f):
+            for lam in partitions(D):
+                if any(lr_coefficient(lam, mu, nu) for nu in even_nus):
+                    pairs.append((f, mu, lam, content_sum(lam) - content_sum(mu)))
+    return tuple(pairs)
+
+
 def ad_nonzero_eigenvalues(D: int, form: GradedForm) -> Set[int]:
     """Distinct nonzero eigenvalues of the arc-sum element, in closed form.
 
@@ -464,26 +484,19 @@ def ad_nonzero_eigenvalues(D: int, form: GradedForm) -> Set[int]:
     182, 1996), A_D acts as alpha = c(lambda) - c(mu) + f (z - 1) on the
     component labelled by mu |- D - 2f and lambda |- D, where lambda occurs
     in mu times an even-row nu |- 2f, c is the content sum and
-    z = (-1)^b N.  Only pairs present on the tensor space count: l(lambda)
-    <= N for O(N) and lambda_1 <= N for Sp(N), and mu's traceless
-    component occurs (`traceless_component_occurs`).  No tensor map is
-    built.
+    z = (-1)^b N.  Those (f, mu, lambda) are listed once per D
+    (`_admissible_pairs`); the form keeps the pairs present on the tensor
+    space, l(lambda) <= N for O(N) and lambda_1 <= N for Sp(N), with mu's
+    traceless component occurring (`traceless_component_occurs`).  No
+    tensor map is built.
     """
     N, z = form.N, int(form.z_value)
-    if form.b:
-        lambdas = [lam for lam in partitions(D) if lam[0] <= N]
-    else:
-        lambdas = [lam for lam in partitions(D) if len(lam) <= N]
     found: Set[int] = set()
-    for f in range(1, D // 2 + 1):
-        even_nus = [nu for nu in partitions(2 * f) if all(r % 2 == 0 for r in nu)]
-        for mu in partitions(D - 2 * f):
-            if not traceless_component_occurs(mu, form):
-                continue
-            for lam in lambdas:
-                alpha = content_sum(lam) - content_sum(mu) + f * (z - 1)
-                if alpha and any(lr_coefficient(lam, mu, nu) for nu in even_nus):
-                    found.add(alpha)
+    for f, mu, lam, content in _admissible_pairs(D):
+        if (lam[0] if form.b else len(lam)) <= N and traceless_component_occurs(mu, form):
+            alpha = content + f * (z - 1)
+            if alpha:
+                found.add(alpha)
     return found
 
 
@@ -578,10 +591,11 @@ class _ElementAtZ0:
     z0 = (-1)^b N: integer numerators keyed by diagram number in the
     shared `brauer.diagram_basis(D)`, over one common denominator.
 
-    Right factors (1 - A/alpha), Young symmetrizers below, the product
-    self * A (A * self for a projector element, see `_report`), the trace
-    and `element` read only the basis's rows, with no general Brauer
-    product and no polynomial in z; only `to_map` reads partner tuples.
+    Right factors (1 - A/alpha), on the basis's orbit rows, Young
+    symmetrizers below, the product self * A (A * self for a projector
+    element, see `_report`), the trace and `element` read only the
+    basis's rows, with no general Brauer product and no polynomial in z;
+    only `to_map` reads partner tuples.
     The basis is built whole once per D and shared by every element at
     that D in the process; past `brauer.DIAGRAM_CAP` it is refused.
     """
@@ -596,26 +610,41 @@ class _ElementAtZ0:
         self.terms: Dict[int, int] = {0: 1}  # the identity
         self.den = 1
 
-    def _add_times_ad(self, out: Dict[int, int], sign: int) -> Dict[int, int]:
-        """Add sign * self * A into out and return it: beta_ij above a
-        diagram acts at its top points i, j, and closes a loop, a factor
-        z0, exactly when it leaves the diagram unchanged."""
-        top, z0 = self.basis.top, self.z0
-        for k, c in self.terms.items():
-            c *= sign
-            for q in top[k]:
-                out[q] = out.get(q, 0) + (c * z0 if q == k else c)
-        return out
+    def times_traceless_factors(self, alphas: List[int]):
+        """self * prod over alphas of (1 - A/alpha), for self constant on
+        each S_D-conjugation orbit of diagrams, as the identity each builder
+        starts from is.
 
-    def times_traceless_factor(self, alpha: int):
-        """self * (1 - A/alpha) = (alpha * self - sum_{i<j} self * beta_ij) / alpha."""
-        out = self._add_times_ad({k: alpha * c for k, c in self.terms.items()}, -1)
-        self.terms = {k: c for k, c in out.items() if c}
-        self.den *= alpha
+        Each factor is (alpha * self - self * A) / alpha, and self * A stays
+        constant on each orbit, since A commutes with every permutation
+        (Nazarov, J. Algebra 182 (1996)).  So the factors act on one
+        numerator per orbit, through A's orbit rows
+        (`brauer.ConjugationOrbits`): 12 entries at D = 4 and 76 at D = 7,
+        against 105 and 135,135 diagrams.  The numerators per diagram are
+        read off the orbit vector once, at the end.
+        """
+        orbits = self.basis.orbits
+        vec = [self.terms.get(members[0], 0) for members in orbits.members]
+        for alpha in alphas:
+            out = [(alpha - self.z0 * loops) * c for c, loops in zip(vec, orbits.loops)]
+            for c, row in zip(vec, orbits.ad):
+                if c:
+                    for t, n in row:
+                        out[t] -= n * c
+            vec = out
+            self.den *= alpha
+        self.terms = {k: c for c, members in zip(vec, orbits.members) if c for k in members}
 
     def times_ad(self) -> "_ElementAtZ0":
-        """self * A (A above self) over self.den, zeros dropped."""
-        return self._with({k: c for k, c in self._add_times_ad({}, 1).items() if c})
+        """self * A (A above self) over self.den, zeros dropped: beta_ij
+        above a diagram acts at its top points i, j, and closes a loop, a
+        factor z0, exactly when it leaves the diagram unchanged."""
+        top, z0 = self.basis.top, self.z0
+        out: Dict[int, int] = {}
+        for k, c in self.terms.items():
+            for q in top[k]:
+                out[q] = out.get(q, 0) + (c * z0 if q == k else c)
+        return self._with({k: c for k, c in out.items() if c})
 
     def _times_transpositions(self, arcs: List[int], sign: int):
         """self times (1 + sign * sum of the transpositions (i j) below,
@@ -700,10 +729,10 @@ class _ElementAtZ0:
 
 
 def _traceless(D: int, form: GradedForm) -> _ElementAtZ0:
+    """T, the product over A's nonzero eigenvalues alpha of (1 - A/alpha);
+    B_D's diagram cap is checked before the spectrum is read."""
     out = _ElementAtZ0(D, form)
-    if D >= 2:
-        for alpha in sorted(ad_nonzero_eigenvalues(D, form)):
-            out.times_traceless_factor(alpha)
+    out.times_traceless_factors(sorted(ad_nonzero_eigenvalues(D, form)))
     return out
 
 
@@ -728,11 +757,10 @@ def traceless_projector(D: int, form: GradedForm) -> ProjectorReport:
 
 def _symmetric_traceless(D: int, form: GradedForm) -> _ElementAtZ0:
     out = _ElementAtZ0(D, form)
-    for f in range(1, D // 2 + 1):
-        alpha = (out.z0 + 2 * (D - f - 1)) * f
-        if alpha == 0:
-            raise ValueError(f"degenerate N: denominator vanishes at factor f={f}")
-        out.times_traceless_factor(alpha)
+    alphas = [(out.z0 + 2 * (D - f - 1)) * f for f in range(1, D // 2 + 1)]
+    if 0 in alphas:
+        raise ValueError(f"degenerate N: denominator vanishes at factor f={alphas.index(0) + 1}")
+    out.times_traceless_factors(alphas)
     return out
 
 

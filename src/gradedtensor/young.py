@@ -15,9 +15,12 @@ from fractions import Fraction
 from typing import Dict, Iterator, Tuple
 
 from .combinatorics import perm_sign
+from .errors import check_cap
 from .polynomial import Poly
 
 Perm = Tuple[int, ...]  # perm[i] is the 0-based image of i
+
+DIMENSION_BOX_CAP = 256  # boxes of a shape whose GL(N) dimension polynomial is expanded
 
 
 # -- permutations ----------------------------------------------------------
@@ -99,8 +102,12 @@ def hook_length(lam: YoungDiagram, i: int, j: int) -> int:
 def gl_dimension_poly(lam: YoungDiagram) -> Poly:
     """dim of the GL(N) representation of shape lambda, as a polynomial in N.
 
-    The product over boxes of (N - i + j) / h_ij, expanded exactly.
+    The product over boxes of (N - i + j) / h_ij, expanded exactly.  Its
+    cost grows faster than the square of the boxes (0.5 s at 256), so past
+    `DIMENSION_BOX_CAP` boxes it raises `CapExceededError` before any
+    product is formed.
     """
+    check_cap((lam.size,), DIMENSION_BOX_CAP, "boxes in a shape whose dimension is expanded")
     num = Poly.const(1)
     denom = 1
     for (i, j) in lam.boxes():

@@ -294,3 +294,54 @@ def test_rows_match_their_primitives_on_every_diagram(D):
 def test_rows_match_their_primitives_at_d5_and_d6(d):
     assert_rows_match_primitives(d)
     assert len(diagram_basis(d.D).partners) == double_factorial(2 * d.D - 1)
+
+
+# -- B_D's S_D-conjugation orbits --------------------------------------------
+
+
+def conjugated(p, sigma):
+    """sigma*d*sigma^-1: d's top point i+1 becomes sigma(i)+1 and its bottom
+    point D+1+i becomes D+1+sigma(i)."""
+    D = len(sigma)
+    image = (0,) + tuple(s + 1 for s in sigma) + tuple(D + 1 + s for s in sigma)
+    q = [0] * len(p)
+    for x, y in enumerate(p):
+        q[image[x]] = image[y]
+    return tuple(q)
+
+
+def test_orbit_counts_at_d2_to_d6():
+    # Burnside's count of S_D acting on B_D by conjugation
+    assert [len(diagram_basis(D).orbits.members) for D in range(2, 7)] == [3, 5, 12, 20, 44]
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+def test_orbits_are_the_conjugation_classes(D):
+    basis = diagram_basis(D)
+    members = basis.orbits.members
+    classes = {
+        frozenset(basis.number(conjugated(p, sigma)) for sigma in all_perms(D))
+        for p in basis.partners
+    }
+    assert set(map(frozenset, members)) == classes
+    assert sum(map(len, members)) == len(basis.partners)
+    # numbered in the order of their least diagram, each listed first; the
+    # identity is alone in orbit 0
+    assert [m[0] for m in members] == sorted(map(min, members))
+    assert members[0] == [0]
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5])
+def test_orbit_rows_are_the_arc_sum_on_each_orbit_sum(D):
+    # S_o * A summed over every diagram of orbit o, its loop part apart,
+    # against z loops[o] S_o + sum of c S_t over (t, c) in ad[o]
+    basis = diagram_basis(D)
+    orbits = basis.orbits
+    for o, members in enumerate(orbits.members):
+        free, closed = {}, {}
+        for k in members:
+            for q in basis.top[k]:
+                part = closed if q == k else free
+                part[q] = part.get(q, 0) + 1
+        assert free == {k: c for t, c in orbits.ad[o] for k in orbits.members[t]}, o
+        assert closed == {k: orbits.loops[o] for k in members if orbits.loops[o]}, o

@@ -110,6 +110,8 @@ HUGE_INPUTS = {
     "identity_d20000.json": lambda: {
         "terms": [{"pairs": [[c, 20_000 + c] for c in range(1, 20_001)], "gamma": "1"}]
     },
+    "dipole_d2.json": lambda: {"D": 2, "vertices": 2, "strands": [[[1, 1], [2, 1]], [[1, 2], [2, 2]]]},
+    "z3000000_d2.json": lambda: {"terms": [{"pairs": [[1, 3], [2, 4]], "gamma": {"3000000": "1"}}]},
 }
 
 
@@ -140,6 +142,13 @@ HUGE_INPUTS = {
              "@identity_d20000.json", "--N", "2"),
             "1048576",
         ),
+        # the dimension polynomial of 3,000 boxes ran past a minute
+        (("dim", "3000"), "3000 boxes"),
+        # a weight of z-degree 3e6 is refused before its dense coefficient list
+        (
+            ("amplitude", "--graph", "@dipole_d2.json", "--propagator", "@z3000000_d2.json"),
+            "3000000 factors of z",
+        ),
     ],
 )
 def test_caps_refuse_huge_inputs_at_once(tmp_path, capsys, argv, named):
@@ -155,6 +164,30 @@ def test_caps_refuse_huge_inputs_at_once(tmp_path, capsys, argv, named):
     assert code == 3
     assert out == ""
     assert named in err and "cap" in err
+
+
+def test_dim_box_cap_boundary(monkeypatch, capsys):
+    import gradedtensor.young as young
+
+    assert young.DIMENSION_BOX_CAP == 256
+    monkeypatch.setattr(young, "DIMENSION_BOX_CAP", 4)
+    assert invoke(capsys, "dim", "2,2")[0] == 0
+    code, out, err = invoke(capsys, "dim", "2,2,1")
+    assert (code, out) == (3, "")
+    assert "at least 5 boxes" in err and "cap 4" in err
+
+
+@pytest.mark.parametrize("degree,code", [(10_000, 0), (10_001, 3)])
+def test_weight_degree_cap_boundary(tmp_path, capsys, degree, code):
+    graph, prop = tmp_path / "graph.json", tmp_path / "prop.json"
+    graph.write_text(json.dumps(HUGE_INPUTS["dipole_d2.json"]()))
+    prop.write_text(json.dumps({"terms": [{"pairs": [[1, 3], [2, 4]], "gamma": {str(degree): "1", "0": "2"}}]}))
+    result = invoke(capsys, "amplitude", "--graph", str(graph), "--propagator", str(prop))
+    assert result[0] == code
+    if code:
+        assert result[1] == "" and "cap 10000" in result[2]
+    else:
+        assert result[1].startswith(f"N^{degree + 2} + 2 N^2")
 
 
 def test_projector_zero_component_past_the_map_work_cap_prints_rank_0(capsys):

@@ -53,8 +53,10 @@ from gradedtensor.representation import (
 from gradedtensor.young import (
     YoungDiagram,
     all_perms,
+    content_sum,
     gl_dimension_poly,
     hook_length,
+    lr_coefficient,
     partitions,
     symmetrizer_norm,
     transpose,
@@ -232,6 +234,36 @@ def test_closed_form_spectrum_matches_minimal_polynomial(D, N, b):
     # the spectrum is integral and A_D diagonalizable: simple integer roots only
     assert p.degree == len(roots) + (p(0) == 0)
     assert ad_nonzero_eigenvalues(D, form) == roots
+
+
+def reference_spectrum(D, form):
+    """Nazarov's nonzero eigenvalues, with the Littlewood-Richardson
+    fillings redone on every call for the shapes the form keeps."""
+    N, z = form.N, int(form.z_value)
+    if form.b:
+        lambdas = [lam for lam in partitions(D) if lam[0] <= N]
+    else:
+        lambdas = [lam for lam in partitions(D) if len(lam) <= N]
+    found = set()
+    for f in range(1, D // 2 + 1):
+        even_nus = [nu for nu in partitions(2 * f) if all(r % 2 == 0 for r in nu)]
+        for mu in partitions(D - 2 * f):
+            if not traceless_component_occurs(mu, form):
+                continue
+            for lam in lambdas:
+                alpha = content_sum(lam) - content_sum(mu) + f * (z - 1)
+                if alpha and any(lr_coefficient(lam, mu, nu) for nu in even_nus):
+                    found.add(alpha)
+    return found
+
+
+@pytest.mark.parametrize("D", range(1, 9))
+def test_spectrum_from_the_admissible_table_matches_the_per_call_fillings(D):
+    for N in range(1, 11):
+        for b in (0, 1):
+            if not (b and N % 2):
+                form = GradedForm(N, b)
+                assert ad_nonzero_eigenvalues(D, form) == reference_spectrum(D, form), (N, b)
 
 
 def contraction_rank(N, D, form):
@@ -509,6 +541,39 @@ def assert_symmetric_traceless_matches(D, form):
 
 
 GRADED_FORMS = [(N, b) for N in range(1, 7) for b in (0, 1) if not (b and N % 2)]
+
+
+def reference_factor_loop(D, form, alphas):
+    """(terms, den) of the product over alphas of (1 - A/alpha) in B_D at
+    z0, each factor multiplied over every diagram by the basis's top rows."""
+    top, z0 = diagram_basis(D).top, int(form.z_value)
+    terms, den = {0: 1}, 1
+    for alpha in alphas:
+        out = {k: alpha * c for k, c in terms.items()}
+        for k, c in terms.items():
+            for q in top[k]:
+                out[q] = out.get(q, 0) - (c * z0 if q == k else c)
+        terms, den = {k: c for k, c in out.items() if c}, den * alpha
+    return terms, den
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
+def test_orbit_route_matches_the_factor_loop_over_every_diagram(D):
+    # T and the symmetric traceless product act on one numerator per
+    # S_D-conjugation orbit; read out per diagram they are the same
+    # numerators over the same den as the loop over all of B_D
+    symmetric = 0
+    for N, b in GRADED_FORMS:
+        form = GradedForm(N, b)
+        x = _traceless(D, form)
+        spectrum = sorted(ad_nonzero_eigenvalues(D, form))
+        assert (x.terms, x.den) == reference_factor_loop(D, form, spectrum), (N, b)
+        alphas = [(int(form.z_value) + 2 * (D - f - 1)) * f for f in range(1, D // 2 + 1)]
+        if 0 not in alphas:
+            y = _symmetric_traceless(D, form)
+            assert (y.terms, y.den) == reference_factor_loop(D, form, alphas), (N, b)
+            symmetric += 1
+    assert symmetric >= len(GRADED_FORMS) - 2
 
 
 @pytest.mark.parametrize("N,b", GRADED_FORMS)
