@@ -112,9 +112,18 @@ def _read_propagator(path: str, D: int, b: int, N: Optional[int]) -> Propagator:
     return _read(path, lambda data: _propagator_from_spec(data, D, b, _dimension(data, b, N)))
 
 
+def _name(value) -> str:
+    """An interaction name read from JSON: a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 def _model_from_json(data: dict) -> ModelSpec:
     def interactions(items) -> tuple:
-        return tuple(Interaction(it["name"], StrandedGraph.from_json(it["graph"])) for it in items)
+        return tuple(
+            Interaction(_field(it, "name", _name), StrandedGraph.from_json(it["graph"])) for it in items
+        )
 
     D = _field(data, "D", _size)
     b = _field(data, "b", lambda value: grading_bit(_integer(value))) if "b" in data else 0

@@ -588,7 +588,7 @@ Matrix = List[List[int]]  # m[u][u] loops at vertex u, m[u][w] strands between u
 
 def _relabelings(D: int, vertices: int) -> List[Relabeling]:
     """Every vertex relabeling but the identity, as (move, inverse, 1):
-    node lists and the position `_undecided` starts comparing at.
+    node lists and the position `_orderly_search` starts comparing at.
 
     A relabeling moves each node to the same slot of its vertex's image.
     move[0] is a sentinel above every node id: an open node (partner 0)
@@ -608,49 +608,6 @@ def _relabelings(D: int, vertices: int) -> List[Relabeling]:
     return table
 
 
-def _undecided(
-    partner: List[int], first_open: int, table: List[Relabeling]
-) -> Optional[List[Relabeling]]:
-    """The relabelings of `table` that may still make a completion of the
-    matching prefix smaller, each with its new resume position, or None
-    when one makes the prefix smaller.
-
-    `partner` holds the prefix, 0 for an open node, and every node below
-    `first_open` is closed.  Comparing the relabeled partner of node y,
-    move[partner[inverse[y]]], with partner[y] for y = 1, 2, ... compares
-    the sorted strand tuples.  A relabeling that reads larger at a closed
-    node is larger on every completion and is dropped; one that reads the
-    sentinel, at a node its prefix leaves open, is kept undecided.
-
-    Each relabeling resumes at its stored position y, the first node not
-    yet known to read equal.  Every node below y read equal on a shorter
-    prefix, and an equal read compares two closed partners (the sentinel
-    equals no node), which no extension of that prefix reopens; so the
-    restart from node 1 would read equal up to y again.  A kept relabeling
-    stores the node it stopped at: the one that read the sentinel, or
-    `first_open`.  One whose position did not move is passed on as the
-    same tuple.
-    """
-    n = len(partner) - 1
-    kept = []
-    for relabeling in table:
-        move, inverse, y = relabeling
-        start = y
-        while y < first_open:
-            q = move[partner[inverse[y]]]
-            if q != partner[y]:
-                break
-            y += 1
-        else:  # equal on the whole prefix
-            kept.append(relabeling if y == start else (move, inverse, y))
-            continue
-        if q < partner[y]:
-            return None
-        if q > n:
-            kept.append(relabeling if y == start else (move, inverse, y))
-    return kept
-
-
 def _least_fill(D: int, m: Matrix) -> Tuple[Pair, ...]:
     """The least sorted strand tuple of the matchings with multiplicities m.
 
@@ -659,7 +616,7 @@ def _least_fill(D: int, m: Matrix) -> Tuple[Pair, ...]:
     unused strand to u, a loop being a strand of u to itself.  The slots
     of a vertex are interchangeable, so the least partner always leaves a
     completion, and the walk reads the least partner list, which orders
-    sorted strand tuples (see `_undecided`).  The open nodes of u are its
+    sorted strand tuples (see `_orderly_search`).  The open nodes of u are its
     slots past the strands from earlier vertices, each the smaller end of
     its strand, so the strands come out sorted.
     """
@@ -878,9 +835,11 @@ def invariant_strands(
     `CapExceededError` too.  Both are `errors.check_cap`, (Dv-1)!!
     taken from its largest factor down.
 
-    Without `slot_symmetry` the classes come from a generator, each as
-    the orderly search closes it (`_orderly_search`), so the caller holds
-    one class at a time; `count_invariants` counts them beforehand.
+    Without `slot_symmetry` the classes come from one generator, an
+    orderly search run as a loop over an explicit stack of prefixes with
+    the relabeling check inline (`_orderly_search`); each class is yielded
+    as the search closes it, so the caller holds one class at a time, and
+    `count_invariants` counts them beforehand.
 
     With `slot_symmetry` a class is fixed by its multiplicity matrix, a
     connected D-regular multigraph with loops on which only the vertex
@@ -912,51 +871,86 @@ def _orderly_search(D: int, vertices: int) -> Iterator[Tuple[Pair, ...]]:
 
     Matchings grow in the order of `all_pairings`, the smallest open node
     paired with each larger open node, so the k-th strand placed is the
-    k-th of the sorted strand tuple and the output is sorted.  A prefix
-    that a vertex relabeling makes smaller is dropped with all its
-    completions, since none of them can be least; the relabelings are
-    compiled once per call.  Each prefix carries the relabelings still
-    undecided on it, each with the first node whose comparison is not yet
-    known to be equal; the next strand resumes it there (`_undecided`).
-    Connectivity is counted as strands are placed: each prefix carries a
-    part label per vertex and the number of parts, and a strand joining
-    two parts relabels one of them in a new list.  A complete matching is
+    k-th of the sorted strand tuple and the output is sorted.  The search
+    is one loop over an explicit stack with a frame per prefix length:
+    [first, table, component, parts, last partner placed], the open node
+    being paired, the relabelings still undecided on the prefix before it,
+    a part label per vertex with the number of parts, and the partner of
+    `first` tried last (`first` itself before any).  A frame whose partners
+    are used up is popped, and the frame below it moves its own node on.
+
+    Each new strand is checked against the relabelings of its frame's
+    table, compiled once per call (`_relabelings`).  Comparing the
+    relabeled partner of node y, move[partner[inverse[y]]], with
+    partner[y] for y = 1, 2, ... compares the sorted strand tuples.  A
+    relabeling that reads smaller at a closed node makes the prefix and
+    all its completions smaller, so none of them is least and the strand
+    is dropped.  One that reads larger is larger on every completion and
+    leaves the table.  One that reads the sentinel, at a node the prefix
+    leaves open, stays undecided.
+
+    Each relabeling resumes at its stored position y, the first node not
+    yet known to read equal.  Every node below y read equal on a shorter
+    prefix, and an equal read compares two closed partners (the sentinel
+    equals no node), which no extension of that prefix reopens; so the
+    restart from node 1 would read equal up to y again.  A kept relabeling
+    stores the node it stopped at: the one that read the sentinel, or the
+    first open node.  One whose position did not move is kept as the same
+    tuple.
+
+    Connectivity is counted as strands are placed: a strand joining two
+    parts relabels one of them in a new list.  A complete matching is
     connected when one part is left.
     """
     n = D * vertices
     vertex_of = [0] + [(x - 1) // D for x in range(1, n + 1)]
     partner = [0] * (n + 1)
     strands: List[Pair] = []
-
-    def extend(
-        first: int, table: List[Relabeling], component: List[int], parts: int
-    ) -> Iterator[Tuple[Pair, ...]]:
-        # component[u] labels the part of vertex u that the prefix joins it to
-        label = component[vertex_of[first]]
-        for other in range(first + 1, n + 1):
-            if partner[other]:
-                continue
-            partner[first], partner[other] = other, first
-            strands.append((first, other))
-            following = first + 1
-            while following <= n and partner[following]:
-                following += 1
-            kept = _undecided(partner, following, table) if table else table
-            if kept is not None:
-                merged = component[vertex_of[other]]
-                if merged == label:
-                    joined, left = component, parts
-                else:
-                    joined = [label if c == merged else c for c in component]
-                    left = parts - 1
-                if following <= n:
-                    yield from extend(following, kept, joined, left)
-                elif left == 1:
-                    yield tuple(strands)
+    stack = [[1, _relabelings(D, vertices), list(range(vertices)), vertices, 1]]
+    while stack:
+        frame = stack[-1]
+        first, table, component, parts, other = frame
+        if other != first:  # take back the strand placed last from this frame
             strands.pop()
             partner[first] = partner[other] = 0
-
-    return extend(1, _relabelings(D, vertices), list(range(vertices)), vertices)
+        other += 1
+        while other <= n and partner[other]:
+            other += 1
+        if other > n:
+            stack.pop()
+            continue
+        frame[4] = other
+        partner[first], partner[other] = other, first
+        strands.append((first, other))
+        following = first + 1
+        while following <= n and partner[following]:
+            following += 1
+        kept = []
+        for relabeling in table:
+            move, inverse, y = relabeling
+            start = y
+            while y < following:
+                q = move[partner[inverse[y]]]
+                if q != partner[y]:
+                    break
+                y += 1
+            else:  # equal on the whole prefix
+                kept.append(relabeling if y == start else (move, inverse, y))
+                continue
+            if q < partner[y]:
+                break
+            if q > n:
+                kept.append(relabeling if y == start else (move, inverse, y))
+        else:  # no relabeling makes the prefix smaller
+            # component[u] labels the part of vertex u that the prefix joins it to
+            label, merged = component[vertex_of[first]], component[vertex_of[other]]
+            if merged != label:
+                component = [label if c == merged else c for c in component]
+                parts -= 1
+            if following <= n:
+                stack.append([following, kept, component, parts, following])
+            elif parts == 1:
+                yield tuple(strands)
 
 
 def enumerate_invariants(

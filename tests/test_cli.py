@@ -602,6 +602,41 @@ def test_duplicate_interaction_names_are_rejected(tmp_path, capsys, argv):
     assert "duplicate interaction name 'g'" in err
 
 
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (["duality-check"], [5, "5"]),
+        (["expand", "--order", "1"], [5]),
+        (["expand", "--order", "1"], [[1]]),
+        (["duality-check"], [None]),
+    ],
+    ids=["number-and-string", "number", "list", "null"],
+)
+def test_interaction_names_must_be_strings(tmp_path, capsys, argv, names):
+    # a name that is not a string is refused before any work, naming the
+    # file and the field: 5 and "5" would print two rows named 5, and None
+    # a row named None
+    graphs = [[[[1, 1], [2, 1]], [[1, 2], [2, 2]]], [[[1, 1], [2, 2]], [[1, 2], [2, 1]]]]
+    model = tmp_path / "model.json"
+    model.write_text(
+        json.dumps(
+            {
+                "D": 2,
+                "propagator": {"terms": [{"pairs": [[1, 3], [2, 4]], "gamma": "1"}]},
+                "interactions": [
+                    {"name": name, "graph": {"D": 2, "vertices": 2, "strands": strands}}
+                    for name, strands in zip(names, graphs)
+                ],
+            }
+        )
+    )
+    code, out, err = invoke(capsys, argv[0], "--model", str(model), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert str(model) in err
+    assert "field 'name': expected a string" in err
+
+
 def test_oracle_check_agrees(tmp_path, capsys):
     graph = tmp_path / "graph.json"
     graph.write_text(

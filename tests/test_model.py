@@ -841,7 +841,8 @@ def test_enumerate_d7_v2_pinned():
 
 
 def _undecided_from_node_1(partner, first_open, table):
-    """Reference for `model._undecided` on (move, inverse) pairs: every
+    """The relabelings of `table`, (move, inverse) pairs, still undecided on
+    the prefix in `partner`, or None when one makes it smaller: every
     relabeling's comparison is read again from node 1."""
     n = len(partner) - 1
     kept = []
@@ -861,31 +862,40 @@ def _undecided_from_node_1(partner, first_open, table):
     return kept
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    size=st.sampled_from([(2, 4), (3, 4), (4, 3), (2, 5), (6, 2), (2, 6), (4, 4), (3, 6)]),
-    data=st.data(),
-)
-def test_resumed_comparison_matches_the_restart_from_node_1(size, data):
-    # a matching grown in the order of all_pairings: the least open node is
-    # paired with a drawn later open node, and both checks run after every strand
-    D, nv = size
+def _orderly_search_from_node_1(D, nv):
+    """Reference for `model._orderly_search`: the same prefixes in the same
+    order, as a recursion, each checked by `_undecided_from_node_1`, and
+    connectivity read off each complete matching."""
     n = D * nv
-    table = model._relabelings(D, nv)
-    reference = [(move, inverse) for move, inverse, _ in table]
     partner = [0] * (n + 1)
-    first = 1
-    while first <= n:
-        other = data.draw(st.sampled_from([x for x in range(first + 1, n + 1) if not partner[x]]))
-        partner[first], partner[other] = other, first
-        while first <= n and partner[first]:
-            first += 1
-        table = model._undecided(partner, first, table)
-        reference = _undecided_from_node_1(partner, first, reference)
-        if reference is None:
-            assert table is None
-            return
-        assert [(move, inverse) for move, inverse, _ in table] == reference
+    strands = []
+
+    def extend(first, table):
+        for other in range(first + 1, n + 1):
+            if partner[other]:
+                continue
+            partner[first], partner[other] = other, first
+            strands.append((first, other))
+            following = first + 1
+            while following <= n and partner[following]:
+                following += 1
+            kept = _undecided_from_node_1(partner, following, table)
+            if kept is not None:
+                if following <= n:
+                    yield from extend(following, kept)
+                elif StrandedGraph(D, nv, strands).is_connected():
+                    yield tuple(strands)
+            strands.pop()
+            partner[first] = partner[other] = 0
+
+    return list(extend(1, [(move, inverse) for move, inverse, _ in model._relabelings(D, nv)]))
+
+
+@pytest.mark.parametrize("D,nv", [(2, 4), (3, 4), (4, 3), (2, 5), (5, 2), (6, 2), (2, 6), (4, 4)])
+def test_search_matches_the_orderly_search_that_reads_from_node_1(D, nv):
+    # each relabeling resumes where it stopped on the shorter prefix; the
+    # restart from node 1 must keep and drop the same prefixes
+    assert list(invariant_strands(D, nv)) == _orderly_search_from_node_1(D, nv)
 
 
 def _is_least(strands, D, vertices, slot_symmetry):
