@@ -44,6 +44,8 @@ EXIT_CAP = 3
 
 CLASS_CHUNK = 1024  # enumerate class lines per write to stdout
 
+_SUBPARSERS: dict = {}  # subcommand name -> its parser, filled by build_parser
+
 
 def _parse_partition(text: str) -> YoungDiagram:
     try:
@@ -337,7 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     and `run` may be called many times in one process.  Parsing leaves the
     parser unchanged, and it looks up sys.stdout and sys.stderr only when
     it writes, so redirected output, usage errors and --help behave as
-    with a fresh parser.
+    with a fresh parser.  Its subcommands' parsers are also kept in
+    `_SUBPARSERS`: `run` parses argv once, with the parser of the
+    subcommand argv starts with, and hands argv to this parser only when
+    argv starts with no subcommand or has arguments left over.
     """
     parser = argparse.ArgumentParser(
         prog="gradedtensor",
@@ -396,13 +401,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle_check)
 
+    _SUBPARSERS.update(sub.choices)
     return parser
 
 
 def run(argv=None) -> int:
+    """Run one command; argv (default sys.argv[1:]) has no program name.
+
+    argv is parsed once, by the parser of its subcommand, which the full
+    parser would call on the same arguments.  Only when argv[0] is not a
+    subcommand (no argv, --help, a bad name) or arguments are left over
+    does the full parser parse argv, so that its usage errors, --help text
+    and exit codes are the ones printed.
+    """
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
+    command = _SUBPARSERS.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args, rest = (None, True) if command is None else command.parse_known_args(argv[1:])
+        if rest:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors and 0 on --help
         return int(exc.code or 0)

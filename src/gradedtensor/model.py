@@ -10,6 +10,7 @@ N-dependence and the source of the orthogonal/symplectic duality.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,6 +48,8 @@ def _field(data: dict, key: str, parse):
 
 def _integer(value) -> int:
     """An integer read from JSON: a boolean or a number with a fractional part is an error."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
@@ -186,8 +189,10 @@ class PropagatorTerm:
     weight: Poly
 
     def __post_init__(self):
-        # BrauerDiagram checks the pairing is a perfect matching of 1..2D and sorts it
-        object.__setattr__(self, "pairing", BrauerDiagram(len(self.pairing), self.pairing).pairs)
+        canon = canonical_matching(self.pairing, 2 * len(self.pairing))
+        if canon is None:
+            raise ValueError("pairs must form a perfect matching of {1..2D}")
+        object.__setattr__(self, "pairing", canon)
         if not isinstance(self.weight, Poly):
             object.__setattr__(self, "weight", Poly.const(self.weight))
 
@@ -205,6 +210,16 @@ class Propagator:
             if len(t.pairing) != self.D:
                 raise ValueError("propagator term has wrong slot count")
         object.__setattr__(self, "terms", tuple(t for t in self.terms if t.weight))
+
+    @functools.cached_property
+    def weight_table(self) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+        """(den, numerators): den is the lcm of the denominators of every
+        weight coefficient, and numerators[t][k] is den times coefficient k
+        of term t's weight, an int."""
+        den = math.lcm(*(c.denominator for t in self.terms for c in t.weight.coeffs))
+        return den, tuple(
+            tuple(c.numerator * (den // c.denominator) for c in t.weight.coeffs) for t in self.terms
+        )
 
     @classmethod
     def identity(cls, D: int, weight=1) -> "Propagator":
@@ -234,13 +249,19 @@ class Propagator:
 
     @classmethod
     def from_json(cls, data: dict) -> "Propagator":
+        parsed = {}  # weight string -> its Poly: a projector's weights repeat over its terms
+
         def weight(gamma) -> Poly:
             if isinstance(gamma, dict):
                 # the dense coefficient list, and the fold's work, grow with the degree
                 top = max(map(int, gamma), default=0)
                 check_cap((top,), WEIGHT_DEGREE_CAP, "factors of z in a propagator weight's top term")
                 return Poly.from_coeff_map(gamma)
-            return Poly.const(Fraction(str(gamma)))
+            if not isinstance(gamma, str):
+                return Poly.const(Fraction(str(gamma)))
+            if gamma not in parsed:
+                parsed[gamma] = Poly.const(Fraction(gamma))
+            return parsed[gamma]
 
         def term(item: dict) -> PropagatorTerm:
             pairs = tuple((_integer(a), _integer(b)) for a, b in item["pairs"])
@@ -413,14 +434,15 @@ def _wick_fold(S: StrandedGraph, C: Propagator) -> Poly:
     an odd number of vertices gives 0.
 
     A state carries one int, its z-polynomial of integer numerators over
-    den^(v/2) (den the lcm of the weights' denominators) at z = 2^bits;
-    a term adds value * w_t(2^bits) << F*bits.  Bound: each coefficient
-    of the result is at most (v-1)!! * W^(v/2) in size, W the sum of all
-    |numerator_tk|: the sum of |coefficients| is subadditive, kept by
-    z^F and submultiplicative, so it is at most W^(v/2) per vertex
-    pairing.  With bits = bound.bit_length() + 1 each coefficient lies in
-    [-2^(bits-1), 2^(bits-1)), so the final int's signed base-2^bits
-    digits are the coefficients.
+    den^(v/2) at z = 2^bits, den and the numerators read from the
+    propagator's `weight_table`, built once per propagator; a term adds
+    value * w_t(2^bits) << F*bits.  Bound: each coefficient of the result
+    is at most (v-1)!! * W^(v/2) in size, W the sum of all |numerator_tk|:
+    the sum of |coefficients| is subadditive, kept by z^F and
+    submultiplicative, so it is at most W^(v/2) per vertex pairing.  With
+    bits = bound.bit_length() + 1 each coefficient lies in [-2^(bits-1),
+    2^(bits-1)), so the final int's signed base-2^bits digits are the
+    coefficients.
     """
     if S.vertices == 0:
         return Poly.const(1)
@@ -429,8 +451,7 @@ def _wick_fold(S: StrandedGraph, C: Propagator) -> Poly:
     if S.vertices % 2 != 0:
         return Poly()
     edges = S.vertices // 2
-    den = math.lcm(*(c.denominator for t in C.terms for c in t.weight.coeffs))
-    numerators = [[int(c * den) for c in t.weight.coeffs] for t in C.terms]
+    den, numerators = C.weight_table
     bound = double_factorial(S.vertices - 1) * sum(abs(c) for w in numerators for c in w) ** edges
     bits = bound.bit_length() + 1
     terms = [

@@ -103,21 +103,22 @@ class ExplicitCovariance:
         constructor drops sums that cancel to zero.
 
         Weights are integer numerators read at z0 = (-1)^b N by Horner's
-        rule over `common`, the lcm of all coefficient denominators; den is
-        common over the gcd of common and every numerator, which is the
-        lcm of the reduced weights' denominators.
+        rule from the propagator's `weight_table`, whose coefficients are
+        numerators over `common`, the lcm of all coefficient denominators;
+        den is common over the gcd of common and every numerator, which is
+        the lcm of the reduced weights' denominators.
         """
         N, D = form.N, C.D
         size = check_cap(
             itertools.repeat(N, D), COVARIANCE_SIZE_CAP, f"covariance components (N^D = {N}^{D})"
         )
         z0 = int(form.z_value)
-        common = math.lcm(*(c.denominator for term in C.terms for c in term.weight.coeffs))
+        common, table = C.weight_table
         numerators = []
-        for term in C.terms:
+        for coeffs in table:
             value = 0
-            for c in reversed(term.weight.coeffs):
-                value = value * z0 + c.numerator * (common // c.denominator)
+            for c in reversed(coeffs):
+                value = value * z0 + c
             numerators.append(value)
         divisor = math.gcd(common, *numerators)
         # slot s (1-based) -> its digit in the flat code X * N^D + Y, and the

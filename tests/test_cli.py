@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from gradedtensor.cli import run
+from gradedtensor.cli import build_parser, run
 from gradedtensor.errors import CapExceededError
 from gradedtensor.model import StrandedGraph, count_invariants, enumerate_invariants
 
@@ -1064,3 +1064,64 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     # the top-level parser once, and one subparser per subcommand with it
     assert built.count("gradedtensor") == 1
     assert len(built) == 8
+
+
+def reference_run(argv) -> int:
+    """`run` with argv parsed by the full parser alone."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return args.func(args)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["bogus"],
+        ["projector", "--help"],
+        ["projector", "2"],
+        ["projector", "2", "--N", "3", "--b", "2"],
+        ["projector", "2", "--N", "3", "--bogus"],
+        ["projector", "2", "--N", "3", "extra"],
+        ["projector", "2", "--N=3", "--dec", "--json"],
+    ],
+)
+def test_subcommand_parser_answers_as_the_full_parser(capsys, argv):
+    # run parses argv with the subcommand's parser and hands argv to the
+    # full parser only when argv[0] is no subcommand or arguments are left
+    code = run(list(argv))
+    ours = (code, *capsys.readouterr())
+    code = reference_run(list(argv))
+    assert ours == (code, *capsys.readouterr())
+
+
+def test_run_reads_sys_argv_by_default(monkeypatch, capsys):
+    expected = invoke(capsys, "dim", "2,1", "--json")
+    monkeypatch.setattr(sys, "argv", ["gradedtensor", "dim", "2,1", "--json"])
+    assert run() == expected[0] == 0
+    assert capsys.readouterr() == expected[1:]
+
+
+def test_repeated_weight_strings_fail_as_one(tmp_path, capsys):
+    # each distinct weight string is parsed once per file: a bad one
+    # repeated over the terms fails with the message of the first
+    graph, prop = tmp_path / "graph.json", tmp_path / "prop.json"
+    graph.write_text(json.dumps(GOOD_GRAPH))
+    pairings = [[[1, 3], [2, 4]], [[1, 2], [3, 4]], [[1, 4], [2, 3]]]
+    prop.write_text(json.dumps({"terms": [{"pairs": p, "gamma": "1/x"} for p in pairings]}))
+    code, out, err = invoke(capsys, "amplitude", "--graph", str(graph), "--propagator", str(prop))
+    assert (code, out) == (2, "")
+    assert err == f"error: {prop}: field 'terms': field 'gamma': Invalid literal for Fraction: '1/x'\n"
+
+
+def test_a_boolean_weight_after_an_integer_one_is_refused(tmp_path, capsys):
+    graph, prop = tmp_path / "graph.json", tmp_path / "prop.json"
+    graph.write_text(json.dumps(GOOD_GRAPH))
+    terms = [{"pairs": [[1, 3], [2, 4]], "gamma": 1}, {"pairs": [[1, 2], [3, 4]], "gamma": True}]
+    prop.write_text(json.dumps({"terms": terms}))
+    code, out, err = invoke(capsys, "amplitude", "--graph", str(graph), "--propagator", str(prop))
+    assert (code, out) == (2, "")
+    assert "field 'gamma': " in err

@@ -92,7 +92,7 @@ def test_graphs_keep_no_instance_dict_and_stay_frozen():
 
 
 def _reference_matching(n, strands, message, keep_orientation=False):
-    """The perfect-matching check of the three validating classes, strand
+    """The perfect-matching check of the four validating classes, strand
     by strand: the canonical strands (the strands as given when
     `keep_orientation`), or ValueError(message).  A strand that is not a
     pair breaks the matching."""
@@ -147,15 +147,17 @@ def strand_lists(draw):
 @settings(max_examples=500, deadline=None)
 @given(case=strand_lists())
 def test_one_pass_validation_matches_the_reference(case):
-    # StrandedGraph, BrauerDiagram (on n = 2D points) and DirectedPairing
-    # (which keeps each pair's orientation) share one matching check, each
-    # with its own message
+    # StrandedGraph, BrauerDiagram and PropagatorTerm (on n = 2D points) and
+    # DirectedPairing (which keeps each pair's orientation) share one
+    # matching check, each with its own message
     D, vertices, strands = case
     n, half = D * vertices, D * vertices // 2
     cases = [
         (lambda: StrandedGraph(D, vertices, strands).strands, n,
          "strands must form a perfect matching of the nodes", False),
         (lambda: BrauerDiagram(half, strands).pairs, 2 * half,
+         "pairs must form a perfect matching of {1..2D}", False),
+        (lambda: PropagatorTerm(tuple(strands), 1).pairing, 2 * len(strands),
          "pairs must form a perfect matching of {1..2D}", False),
         (lambda: DirectedPairing(n, tuple(strands)).pairs, n,
          "pairs must partition {1..n} with each element used exactly once", True),
@@ -511,6 +513,18 @@ def fold_cases():
 
 
 FOLD_CASES = fold_cases()
+
+
+@pytest.mark.parametrize(
+    "table", [z_polynomial_table, coprime_z_table, wide_negative_table, zero_weight_table]
+)
+def test_weight_table_is_the_lcm_numerators(rng, table):
+    for D in (2, 3, 4):
+        C = table(rng, D)
+        den, numerators = C.weight_table
+        assert den == math.lcm(*(c.denominator for t in C.terms for c in t.weight.coeffs))
+        assert numerators == tuple(tuple(int(c * den) for c in t.weight.coeffs) for t in C.terms)
+        assert all(type(c) is int for w in numerators for c in w)
 
 
 @pytest.mark.parametrize("name,graph,C", FOLD_CASES, ids=[name for name, _, _ in FOLD_CASES])
