@@ -859,8 +859,9 @@ def invariant_strands(
     Without `slot_symmetry` the classes come from one generator, an
     orderly search run as a loop over an explicit stack of prefixes with
     the relabeling check inline (`_orderly_search`); each class is yielded
-    as the search closes it, so the caller holds one class at a time, and
-    `count_invariants` counts them beforehand.
+    as the search closes it, in the frame that places its second-to-last
+    strand with its last strand forced, so the caller holds one class at a
+    time, and `count_invariants` counts them beforehand.
 
     With `slot_symmetry` a class is fixed by its multiplicity matrix, a
     connected D-regular multigraph with loops on which only the vertex
@@ -893,12 +894,14 @@ def _orderly_search(D: int, vertices: int) -> Iterator[Tuple[Pair, ...]]:
     Matchings grow in the order of `all_pairings`, the smallest open node
     paired with each larger open node, so the k-th strand placed is the
     k-th of the sorted strand tuple and the output is sorted.  The search
-    is one loop over an explicit stack with a frame per prefix length:
+    is one loop over an explicit stack with a frame per prefix that leaves
+    at least four nodes open, and one for the empty prefix:
     [first, table, component, parts, last partner placed], the open node
     being paired, the relabelings still undecided on the prefix before it,
     a part label per vertex with the number of parts, and the partner of
-    `first` tried last (`first` itself before any).  A frame whose partners
-    are used up is popped, and the frame below it moves its own node on.
+    `first` tried last (`first` itself before any).  A frame takes back its
+    strand before it tries the next partner; one whose partners are used
+    up is popped, and the frame below it moves its own node on.
 
     Each new strand is checked against the relabelings of its frame's
     table, compiled once per call (`_relabelings`).  Comparing the
@@ -919,9 +922,18 @@ def _orderly_search(D: int, vertices: int) -> Iterator[Tuple[Pair, ...]]:
     first open node.  One whose position did not move is kept as the same
     tuple.
 
+    A strand that leaves two open nodes, told by the strand count, closes
+    the matching in its own frame, and no frame is pushed for the last
+    strand, which pairs those two nodes.  With it placed no node is open,
+    so each relabeling of the frame's table, read once from its stored
+    position through node n, is decided: smaller drops the matching, and
+    larger or equal through n (an automorphism) lets it pass.  At n = 2
+    the first strand leaves no open node and closes the matching alone.
+    The forced strand is then taken back.
+
     Connectivity is counted as strands are placed: a strand joining two
-    parts relabels one of them in a new list.  A complete matching is
-    connected when one part is left.
+    parts relabels one of them in a new list.  A matching that passes the
+    closing check is yielded when its last strands leave one part.
     """
     n = D * vertices
     vertex_of = [0] + [(x - 1) // D for x in range(1, n + 1)]
@@ -946,6 +958,30 @@ def _orderly_search(D: int, vertices: int) -> Iterator[Tuple[Pair, ...]]:
         following = first + 1
         while following <= n and partner[following]:
             following += 1
+        if n - 2 * len(strands) <= 2:  # two nodes left open, none at n = 2: close the matching
+            if following <= n:  # the forced last strand
+                last = following + 1
+                while partner[last]:
+                    last += 1
+                partner[following], partner[last] = last, following
+                strands.append((following, last))
+            for move, inverse, y in table:
+                while y < n and move[partner[inverse[y]]] == partner[y]:
+                    y += 1
+                if move[partner[inverse[y]]] < partner[y]:
+                    break
+            else:  # no relabeling makes the matching smaller
+                for a, b in strands[-2:]:  # the last two strands, the one at n = 2
+                    label, merged = component[vertex_of[a]], component[vertex_of[b]]
+                    if merged != label:
+                        component = [label if c == merged else c for c in component]
+                        parts -= 1
+                if parts == 1:
+                    yield tuple(strands)
+            if following <= n:
+                strands.pop()
+                partner[following] = partner[last] = 0
+            continue
         kept = []
         for relabeling in table:
             move, inverse, y = relabeling
@@ -968,10 +1004,7 @@ def _orderly_search(D: int, vertices: int) -> Iterator[Tuple[Pair, ...]]:
             if merged != label:
                 component = [label if c == merged else c for c in component]
                 parts -= 1
-            if following <= n:
-                stack.append([following, kept, component, parts, following])
-            elif parts == 1:
-                yield tuple(strands)
+            stack.append([following, kept, component, parts, following])
 
 
 def enumerate_invariants(

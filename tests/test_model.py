@@ -905,11 +905,55 @@ def _orderly_search_from_node_1(D, nv):
     return list(extend(1, [(move, inverse) for move, inverse, _ in model._relabelings(D, nv)]))
 
 
-@pytest.mark.parametrize("D,nv", [(2, 4), (3, 4), (4, 3), (2, 5), (5, 2), (6, 2), (2, 6), (4, 4)])
+@pytest.mark.parametrize(
+    "D,nv",
+    [(2, 4), (3, 4), (4, 3), (2, 5), (5, 2), (6, 2), (2, 6), (4, 4)]
+    + [(1, 2), (2, 1), (2, 2), (4, 1), (6, 1), (3, 2), (4, 2)],
+)
 def test_search_matches_the_orderly_search_that_reads_from_node_1(D, nv):
     # each relabeling resumes where it stopped on the shorter prefix; the
-    # restart from node 1 must keep and drop the same prefixes
+    # restart from node 1 must keep and drop the same prefixes.  The small
+    # sizes close their matchings in the first or second frame, and at
+    # n = 2 the first strand leaves no node open
     assert list(invariant_strands(D, nv)) == _orderly_search_from_node_1(D, nv)
+
+
+@pytest.mark.parametrize(
+    "D,nv,smaller_by_the_last_strand,automorphic",
+    [(2, 4, 6, 10), (3, 4, 233, 121), (3, 2, 3, 7), (4, 2, 27, 25)],
+)
+def test_closing_check_decides_every_relabeling_through_node_n(
+    D, nv, smaller_by_the_last_strand, automorphic
+):
+    # a matching is closed in the frame of its second-to-last strand, with
+    # its last strand forced and no node open.  Some matchings stay
+    # undecided through their second-to-last strand and are made smaller
+    # only by their last; some least ones have a relabeling that reads
+    # equal through node n.  Exactly the connected least ones are yielded
+    n = D * nv
+    table = [(move, inverse) for move, inverse, _ in model._relabelings(D, nv)]
+    dropped, fixed = [], []
+    for m in all_pairings(n):
+        partner = [0] * (n + 1)
+        for a, b in m[:-1]:
+            partner[a], partner[b] = b, a
+        undecided = _undecided_from_node_1(partner, partner.index(0, 1), table) is not None
+        least = _is_least(m, D, nv, False)
+        a, b = m[-1]
+        partner[a], partner[b] = b, a
+        if undecided and not least:
+            dropped.append(m)
+        elif least and any(
+            all(move[partner[inverse[y]]] == partner[y] for y in range(1, n + 1))
+            for move, inverse in table
+        ):
+            fixed.append(m)
+    assert (len(dropped), len(fixed)) == (smaller_by_the_last_strand, automorphic)
+    classes = set(invariant_strands(D, nv))
+    both = dropped + fixed
+    assert {m for m in both if m in classes} == {
+        m for m in both if StrandedGraph(D, nv, m).is_connected() and _is_least(m, D, nv, False)
+    }
 
 
 def _is_least(strands, D, vertices, slot_symmetry):
